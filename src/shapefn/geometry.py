@@ -147,6 +147,44 @@ class Polytope:
             object.__setattr__(self, "_hull", h)
         return h
 
+    def boundary_pieces(self):
+        """(W, off, S, D) for the exterior distance kernel, built on first use.
+
+        S + t D (k, d) are the hull's unique edges. p @ W - off holds each
+        edge's t for p's projection onto its line and, in 3-D, for each of
+        the m facet triangles, three in-triangle tests (>= 0 inside) and
+        p's height over its plane: k + 4m columns. Triangles with a sine
+        below 1e-12 at their first vertex are left out (a scale-free test):
+        their edges cover them.
+        """
+        pieces = getattr(self, "_pieces", None)
+        if pieces is not None:
+            return pieces
+        if self.dimension > 3:
+            raise UnsupportedRepresentationError(
+                "exterior polytope distance only for d <= 3")
+        hull = self.hull()
+        X, simp = hull.points, hull.simplices
+        rows, origins = [], []
+        if self.dimension == 3:
+            A, B, C = (X[simp[:, i]] for i in range(3))
+            n = np.cross(B - A, C - A)
+            keep = (n * n).sum(1) > 1e-24 * ((B - A) ** 2).sum(1) * ((C - A) ** 2).sum(1)
+            A, B, C, n = A[keep], B[keep], C[keep], n[keep]
+            # n x (edge) points into the triangle whatever the vertex order
+            rows = [np.cross(n, B - A), np.cross(n, C - B), np.cross(n, A - C),
+                    n / np.linalg.norm(n, axis=1, keepdims=True)]
+            origins = [A, B, C, A]
+            simp = np.concatenate([simp[:, [0, 1]], simp[:, [1, 2]], simp[:, [0, 2]]])
+        edges = np.unique(np.sort(simp, axis=1), axis=0)
+        S = X[edges[:, 0]]
+        D = X[edges[:, 1]] - S
+        L2 = (D * D).sum(1)
+        W = np.concatenate([D / np.where(L2 > 0.0, L2, 1.0)[:, None]] + rows)
+        pieces = (W.T, (W * np.concatenate([S] + origins)).sum(1), S, D)
+        object.__setattr__(self, "_pieces", pieces)
+        return pieces
+
 
 @dataclass(frozen=True, eq=False)
 class Capsule:
@@ -381,82 +419,93 @@ def diameter_inradius(body):
 # signed distance
 # ---------------------------------------------------------------------------
 
-def _seg_distance(pts, p, q):
-    v = q - p
-    L2 = float(v @ v)
-    if L2 == 0.0:
-        return np.linalg.norm(pts - p, axis=-1)
-    t = np.clip((pts - p) @ v / L2, 0.0, 1.0)
-    proj = p + t[:, None] * v
-    return np.linalg.norm(pts - proj, axis=-1)
+_DISTANCE_BLOCK = 1024  # points per pass of the kernels below; bounds their temporaries
+_NEWTON_MAX_ITER = 200  # from s0 >= 1e-18 a_min^2, steps of x1.5 reach any root in ~100
 
 
-def _tri_distance(pts, tri):
-    """Distance from points (n,3) to a single triangle (3,3)."""
-    a, b, c = tri
-    ab, ac = b - a, c - a
-    n = np.cross(ab, ac)
-    nn = float(n @ n)
-    ap = pts - a
-    if nn < 1e-30:
-        return np.minimum(_seg_distance(pts, a, b),
-                          np.minimum(_seg_distance(pts, b, c), _seg_distance(pts, a, c)))
-    # barycentric coordinates of in-plane projection
-    d00, d01, d11 = float(ab @ ab), float(ab @ ac), float(ac @ ac)
-    d20 = ap @ ab
-    d21 = ap @ ac
-    denom = d00 * d11 - d01 * d01
-    v = (d11 * d20 - d01 * d21) / denom
-    w = (d00 * d21 - d01 * d20) / denom
-    inside = (v >= 0) & (w >= 0) & (v + w <= 1)
-    plane_dist = np.abs(ap @ n) / math.sqrt(nn)
-    edge = np.minimum(_seg_distance(pts, a, b),
-                      np.minimum(_seg_distance(pts, b, c), _seg_distance(pts, a, c)))
-    return np.where(inside, plane_dist, edge)
+def _segment_distance(P, S, D, t):
+    """Distance from points (n, d) to the nearest segment S_k + [0, 1] D_k;
+    t (n, k) holds the parameters of their projections onto the lines."""
+    diff = P[:, None, :] - S - np.clip(t, 0.0, 1.0)[..., None] * D
+    return np.sqrt(np.einsum("nkj,nkj->nk", diff, diff)).min(axis=1)
+
+
+def _polytope_exterior_distance(body, P):
+    """Exact distance from exterior points (n, d) to a polytope's boundary: the
+    smaller of the plane distances to the facet triangles a point projects into
+    and the nearest edge distance (Ericson, Real-Time Collision Detection 5.1.5)."""
+    W, off, S, D = body.boundary_pieces()
+    k = S.shape[0]
+    m = (W.shape[1] - k) // 4
+    out = np.empty(P.shape[0])
+    for lo in range(0, P.shape[0], _DISTANCE_BLOCK):
+        B = P[lo:lo + _DISTANCE_BLOCK]
+        X = B @ W - off
+        best = _segment_distance(B, S, D, X[:, :k])
+        if m:
+            inside = (X[:, k:k + 3 * m].reshape(-1, 3, m) >= 0.0).all(axis=1)
+            h = np.where(inside, np.abs(X[:, k + 3 * m:]), np.inf)
+            best = np.minimum(best, h.min(axis=1))
+        out[lo:lo + _DISTANCE_BLOCK] = best
+    return out
 
 
 def _ellipsoid_boundary_distance(axes, pts):
     """Exact distance from points to the boundary of an axis-aligned ellipsoid.
 
-    Solves the projection problem's Lagrange equation
-    sum (a_i p_i)^2 / (a_i^2 + t)^2 = 1 by safeguarded bisection + Newton in
-    the shifted variable s = t + min a_i^2, which stays well conditioned near
-    the degenerate interior branch.
+    The nearest point is x_i = a_i^2 p_i / (a_i^2 - a_min^2 + s), s > 0 the root
+    of f(s) = sum (a_i p_i)^2 / (a_i^2 - a_min^2 + s)^2 - 1 (Eberly, Distance from
+    a point to an ellipse, an ellipsoid, or a hyperellipsoid, 2011), |p_i| nudged
+    to >= 1e-18 a_i so that zeros take the degenerate limit. f is convex and
+    decreasing, so plain Newton from any s with f(s) >= 0 rises monotonically to
+    the root, with no bracket. The start is the larger of two lower bounds:
+    max_i (a_i p_i - a_i^2 + a_min^2), where one term of f is 1, and, as
+    t = s - a_min^2 = +-dist / |p / (a^2 + t)|, a_min^2 + (g - 1) L / |p / a^2|
+    with g = |p / a|, L = |p| / g inside (dist <= |p| (1/g - 1)) and L = a_min
+    outside (dist >= a_min (g - 1)), which puts near-shell points a few steps
+    from the root. A point stops once its step is below 1e-15 s (or f <= 0).
     """
+    P = np.atleast_2d(pts)
+    if P.shape[0] > _DISTANCE_BLOCK:
+        parts = [_ellipsoid_boundary_distance(axes, P[lo:lo + _DISTANCE_BLOCK])
+                 for lo in range(0, P.shape[0], _DISTANCE_BLOCK)]
+        return tuple(np.concatenate(x) for x in zip(*parts))
     a = np.asarray(axes, dtype=float)
-    P = np.atleast_2d(np.abs(pts)).astype(float)
-    # nudge exact zeros; the generic branch then converges to the degenerate limit
-    tiny = 1e-18 * a
-    P = np.maximum(P, tiny[None, :])
+    P = np.maximum(np.abs(P), 1e-18 * a)
     a2 = a * a
     amin2 = a2.min()
-    shift = a2 - amin2  # (a_i^2 + t) = shift_i + s
+    shift = a2 - amin2
     ap2 = (a * P) ** 2
-
-    g2 = np.sum((P / a) ** 2, axis=1)
-    # bracket in s: f decreasing, root in (0, s_hi)
-    s_lo = np.zeros(P.shape[0])
-    s_hi = np.sqrt(ap2.sum(axis=1)) + amin2  # f(s_hi) < 1 always
-
-    def f(s):
-        return np.sum(ap2 / (shift[None, :] + s[:, None]) ** 2, axis=1) - 1.0
-
-    for _ in range(90):
-        mid = 0.5 * (s_lo + s_hi)
-        s_lo = np.where(f(mid) > 0, mid, s_lo)
-        s_hi = np.where(f(mid) > 0, s_hi, mid)
-    s = 0.5 * (s_lo + s_hi)
-    # Newton polish
-    for _ in range(4):
-        den = shift[None, :] + s[:, None]
-        fval = np.sum(ap2 / den ** 2, axis=1) - 1.0
-        fp = -2.0 * np.sum(ap2 / den ** 3, axis=1)
-        step = fval / fp
-        s_new = s - step
-        s = np.where((s_new > s_lo) & (s_new < s_hi), s_new, s)
-    x = a2[None, :] * P / (shift[None, :] + s[:, None])
-    dist = np.linalg.norm(P - x, axis=1)
-    return dist, g2
+    # a_i p_i - shift_i, keeping its digits when a_i p_i ~ shift_i > 0
+    r = np.where(shift > 0.0, a * (P - a) + amin2, a * P)
+    g = np.sqrt(np.sum((P / a) ** 2, axis=1))
+    reach = np.where(g > 1.0, a.min(), np.linalg.norm(P, axis=1) / g)
+    s = np.maximum(r.max(axis=1), amin2 + (g - 1.0) * reach / np.linalg.norm(P / a2, axis=1))
+    # Newton on the points still moving: indices, s values and terms
+    idx, sub, c = np.arange(P.shape[0]), s, ap2
+    for _ in range(_NEWTON_MAX_ITER):
+        den = shift + sub[:, None]
+        q = c / (den * den)
+        step = (q.sum(axis=1) - 1.0) / (2.0 * (q / den).sum(axis=1))
+        sub = sub + step
+        going = step > 1e-15 * sub
+        if not going.all():
+            s[idx] = sub
+            idx, sub, c = idx[going], sub[going], c[going]
+            if idx.size == 0:
+                break
+    s[idx] = sub
+    # one more step, the largest term's q_k - 1 as a difference of squares: near
+    # the end of a long axis (shift_k >> s) q_k - 1 loses the digits of t = s - a_min^2
+    den = shift + s[:, None]
+    q = ap2 / (den * den)
+    slope = 2.0 * (q / den).sum(axis=1)
+    rows, k = np.arange(P.shape[0]), q.argmax(axis=1)
+    rk = r[rows, k]
+    q[rows, k] = (rk - s) * (rk + 2.0 * shift[k] + s) / den[rows, k] ** 2
+    s = s + q.sum(axis=1) / slope
+    dist = np.abs(s - amin2) * np.linalg.norm(P / (shift + s[:, None]), axis=1)
+    return dist, g * g
 
 
 def ellipsoid_distance_lower_bound(axes, pts):
@@ -493,26 +542,14 @@ def signed_distance(body, points):
         dist, g2 = _ellipsoid_boundary_distance(body.semi_axes, Q)
         sd = np.where(g2 < 1.0, -dist, dist)
     elif isinstance(body, Polytope):
-        slack = P @ body.normals.T - body.offsets
-        inner = slack.max(axis=1)
-        sd = inner.copy()
-        out = inner > 0
+        sd = (P @ body.normals.T - body.offsets).max(axis=1)
+        out = sd > 0
         if np.any(out):
-            Po = P[out]
-            if d == 2:
-                V = body.vertices
-                best = np.full(Po.shape[0], np.inf)
-                for i in range(V.shape[0]):
-                    best = np.minimum(best, _seg_distance(Po, V[i], V[(i + 1) % V.shape[0]]))
-            else:
-                hull = body.hull()
-                pts_all = hull.points
-                best = np.full(Po.shape[0], np.inf)
-                for simp in hull.simplices:
-                    best = np.minimum(best, _tri_distance(Po, pts_all[simp]))
-            sd[out] = best
+            sd[out] = _polytope_exterior_distance(body, P[out])
     elif isinstance(body, Capsule):
-        sd = _seg_distance(P, body.p, body.q) - body.radius
+        v = body.q - body.p
+        t = (P - body.p) @ v / (float(v @ v) or 1.0)  # a point segment: t = 0
+        sd = _segment_distance(P, body.p[None], v[None], t[:, None]) - body.radius
     elif isinstance(body, BallUnion):
         sd_all = (np.linalg.norm(P[:, None, :] - body.centers[None, :, :], axis=-1)
                   - body.radii[None, :])

@@ -1,8 +1,10 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import minimize
 
 from shapefn import geometry as geo
 from shapefn.errors import (
@@ -153,6 +155,186 @@ def test_signed_distance_polytope_outside_corner():
     sq = Polytope(np.array([[1.0, 1], [-1, 1], [-1, -1], [1, -1]]))
     assert geo.signed_distance(sq, np.array([2.0, 2.0])) == pytest.approx(math.sqrt(2))
     assert geo.signed_distance(sq, np.array([0.0, 0.0])) == pytest.approx(-1.0)
+
+
+def _secular_oracle(axes, q, center=None, orientation=None):
+    """Signed distance from the point q to an ellipsoid's boundary, solving
+    the secular equation at 50 digits (mpmath), with the degenerate branch
+    of a zero coordinate on the smallest axis handled in closed form."""
+    with mp.workdps(50):
+        d = len(axes)
+        a = [mp.mpf(float(x)) for x in axes]
+        p = [mp.mpf(float(x)) for x in q]
+        if center is not None:
+            p = [pi - mp.mpf(float(ci)) for pi, ci in zip(p, center)]
+        if orientation is not None:
+            R = np.asarray(orientation, dtype=float)
+            p = [mp.fsum(mp.mpf(float(R[i, j])) * p[i] for i in range(d)) for j in range(d)]
+        p = [abs(x) for x in p]
+        k = min(range(d), key=lambda i: a[i])
+        nz = [i for i in range(d) if p[i] != 0]
+
+        def f(t):
+            return mp.fsum((a[i] * p[i] / (a[i] ** 2 + t)) ** 2 for i in nz) - 1
+
+        lo = -a[k] ** 2
+        if p[k] == 0 and f(lo) <= 0:
+            x = [a[i] ** 2 * p[i] / (a[i] ** 2 - a[k] ** 2) if i != k else mp.mpf(0)
+                 for i in range(d)]
+            x[k] = a[k] * mp.sqrt(1 - mp.fsum((x[i] / a[i]) ** 2 for i in range(d)))
+        else:
+            hi = lo + 1
+            while f(hi) > 0:
+                hi = lo + 2 * (hi - lo)
+            for _ in range(300):  # bisection to far below 50 digits
+                mid = (lo + hi) / 2
+                lo, hi = (mid, hi) if f(mid) > 0 else (lo, mid)
+            t = (lo + hi) / 2
+            x = [a[i] ** 2 * p[i] / (a[i] ** 2 + t) for i in range(d)]
+        dist = mp.sqrt(mp.fsum((p[i] - x[i]) ** 2 for i in range(d)))
+        inside = mp.fsum((p[i] / a[i]) ** 2 for i in range(d)) < 1
+        return float(-dist if inside else dist)
+
+
+def _oracle_test_points(axes, rng):
+    """Body-frame points: the centre, zero coordinates on the smallest axis
+    (inside and outside), pairs 1e-5 x inradius inside and outside the
+    shell (two near the end of the longest axis, four at random), and far
+    exterior points."""
+    d = axes.size
+    k = int(np.argmin(axes))
+    pts = [np.zeros(d)]
+    for s in (0.3, 0.9, 1.7):
+        q = s * axes * rng.uniform(0.2, 1.0, d)
+        q[k] = 0.0
+        pts.append(q)
+    j = int(np.argmax(axes))
+    v = rng.standard_normal(d)
+    v[j] = 0.0
+    v /= np.linalg.norm(v)
+    tips = [axes * (math.cos(th) * np.eye(d)[j] + math.sin(th) * v) for th in (3e-5, 1e-4)]
+    for u in tips + list(rng.standard_normal((4, d))):
+        y = u / np.sqrt(np.sum((u / axes) ** 2))
+        n = y / axes ** 2
+        n /= np.linalg.norm(n)
+        pts += [y + 1e-5 * axes.min() * n, y - 1e-5 * axes.min() * n]
+    for _ in range(2):
+        u = rng.standard_normal(d)
+        pts.append(100.0 * axes.max() * u / np.linalg.norm(u))
+    return np.array(pts)
+
+
+def _rotation(rng, d):
+    q, r = np.linalg.qr(rng.standard_normal((d, d)))
+    return q * np.sign(np.diag(r))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("placed", [False, True])
+def test_ellipsoid_distance_mpmath_oracle(d, placed):
+    rng = np.random.default_rng(100 + d + 10 * placed)
+    axes = np.exp(rng.uniform(math.log(0.5), math.log(2.0), d))
+    c = R = None
+    if placed:
+        c, R = rng.uniform(-1.0, 1.0, d), _rotation(rng, d)
+    e = Ellipsoid(axes, c, R)
+    local = _oracle_test_points(axes, rng)
+    P = local if R is None else local @ R.T + c
+    got = geo.signed_distance(e, P)
+    for p, g in zip(P, got):
+        ref = _secular_oracle(axes, p, c, R)
+        assert np.sign(g) == np.sign(ref)
+        assert abs(g - ref) <= 1e-10 * abs(ref), (p, g, ref)
+
+
+@pytest.mark.parametrize("axes, floor", [([1e4, 1.0], False), ([1e4, 30.0, 1.0], False),
+                                         ([1.0, 1e-4, 0.5], True)])
+def test_ellipsoid_distance_mpmath_oracle_axis_ratio_1e4(axes, floor):
+    # Near the rim of a 1e4:1 disc the order-1 terms of the secular function
+    # pin s only to about eps / |f'|: far below what a rounding of p moves
+    # the distance by, but above 1e-10 of a 1e-9 distance. There the bound
+    # is 1e-10 relative or four roundings of |p|, whichever is larger.
+    rng = np.random.default_rng(7)
+    axes = np.array(axes)
+    e = Ellipsoid(axes)
+    P = _oracle_test_points(axes, rng)
+    got = geo.signed_distance(e, P)
+    for p, g in zip(P, got):
+        ref = _secular_oracle(axes, p)
+        assert np.sign(g) == np.sign(ref)
+        tol = 1e-10 * abs(ref)
+        if floor:
+            tol = max(tol, 4 * np.finfo(float).eps * np.linalg.norm(p))
+        assert abs(g - ref) <= tol, (p, g, ref)
+
+
+def _hull_projection_distance(V, p):
+    """Distance from p to conv(V): a QP over vertex weights lambda >= 0,
+    sum lambda = 1 (SLSQP), independent of the facet/edge kernel."""
+    n = V.shape[0]
+
+    def obj(lam):
+        r = lam @ V - p
+        return r @ r, 2.0 * V @ r
+
+    res = minimize(obj, np.full(n, 1.0 / n), jac=True, method="SLSQP",
+                   bounds=[(0.0, 1.0)] * n,
+                   constraints=[{"type": "eq", "fun": lambda lam: lam.sum() - 1.0,
+                                 "jac": lambda lam: np.ones(n)}],
+                   options={"ftol": 1e-13, "maxiter": 500})
+    assert res.success, res.message
+    return math.sqrt(max(res.fun, 0.0))
+
+
+def _exterior_points(poly, t):
+    """Points at distance t outside the polytope whose nearest boundary point
+    is a facet centroid, an edge midpoint or a vertex: each is moved along a
+    direction in that feature's normal cone."""
+    hull = poly.hull()
+    X, N = hull.points, hull.equations[:, :-1]
+    out = []
+    for i, simp in enumerate(hull.simplices):
+        out.append(X[simp].mean(axis=0) + t * N[i])           # facet
+        for j, nb in enumerate(hull.neighbors[i]):             # edge
+            edge = np.delete(simp, j)
+            u = N[i] + N[nb]
+            out.append(X[edge].mean(axis=0) + t * u / np.linalg.norm(u))
+    for v in np.unique(hull.simplices):                        # vertex
+        u = N[np.any(hull.simplices == v, axis=1)].mean(axis=0)
+        out.append(X[v] + t * u / np.linalg.norm(u))
+    return np.array(out)
+
+
+def _random_hull_3d():
+    rng = np.random.default_rng(12)
+    V = rng.standard_normal((12, 3))
+    return Polytope(V / np.linalg.norm(V, axis=1, keepdims=True)
+                    * rng.uniform(0.7, 1.3, (12, 1)))
+
+
+@pytest.mark.parametrize("poly", [
+    Polytope(np.array([[1.0, 0.2], [0.1, 1.3], [-1.2, 0.4], [-0.8, -0.9], [0.6, -1.1]])),
+    Polytope(cube_vertices(3)),
+    _random_hull_3d(),
+], ids=["pentagon", "cube", "random12"])
+def test_polytope_exterior_distance_qp_oracle(poly):
+    for t in (0.37, 1e-3):
+        P = _exterior_points(poly, t)
+        got = geo.signed_distance(poly, P)
+        assert np.allclose(got, t, rtol=1e-12, atol=0.0)
+        for p, g in zip(P[::3], got[::3]):
+            assert g == pytest.approx(_hull_projection_distance(poly.vertices, p),
+                                      rel=1e-7)
+
+
+def test_polytope_distance_scale_invariant():
+    # a relative degeneracy test: small bodies keep their facets
+    cube = Polytope(cube_vertices(3))
+    P = np.array([[1.5, 0.1, 0.2], [1.2, 1.3, 0.0], [-2.0, 1.5, 1.2], [0.3, -0.2, 0.1]])
+    ref = geo.signed_distance(cube, P)
+    for t in (1.0, 1e-6, 1e-9):
+        got = geo.signed_distance(geo.scale(cube, t), P * t)
+        assert np.allclose(got, t * ref, rtol=1e-12, atol=0.0)
 
 
 def test_signed_distance_ball_union():
