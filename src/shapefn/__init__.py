@@ -42,7 +42,6 @@ from .estimators import (
     Estimate,
     EstimatorConfig,
     fekete_logcap,
-    mc_surface_area,
     wos_capacity,
     wos_torsion,
     wos_torsion_pointwise,

@@ -15,7 +15,6 @@ from . import functionals, geometry
 from .errors import InternalConsistencyError, ValidationError
 from .estimators import EstimatorConfig
 from .functionals import FunctionalId, assemble, compute_components
-from .geometry import Ball, Ellipsoid
 
 PASS = "pass"
 FAIL = "fail"
@@ -82,10 +81,6 @@ def _components(body, cfg):
     return compute_components(body, cfg, need=("T", "cap", "V", "P"))
 
 
-def _is_ellipsoid(body):
-    return isinstance(body, (Ball, Ellipsoid))
-
-
 # ---------------------------------------------------------------------------
 # d >= 3 checks
 # ---------------------------------------------------------------------------
@@ -129,11 +124,11 @@ def check_thm2(body, cfg=None, body_id="body", comp=None):
     g = assemble(FunctionalId("G"), comp, d)
     gb = exact.g_ball(d)
     rows = []
-    if _is_ellipsoid(body):
+    if body.ellipsoid_axes() is not None:
         rows.append(_row("Thm2", "e32", body_id, g.value, gb, stderr=g.stderr))
     rows.append(_row("Thm2", "e32a", body_id, g.value, d ** (2.0 * d) * gb,
                      stderr=g.stderr))
-    if _is_ellipsoid(body) and d >= 4:
+    if body.ellipsoid_axes() is not None and d >= 4:
         a = geometry.john_sorted_axes(body)
         C, _ = exact.eccentricity(a)
         rhs = (gb * d * (d - 3.0) / ((d - 1.0) * (d - 2.0))
@@ -143,32 +138,44 @@ def check_thm2(body, cfg=None, body_id="body", comp=None):
     return rows
 
 
+def critical_epsilon(d):
+    """Critical epsilon of the constrained problem: Thm 3 (d >= 4) or
+    Thm 5 (d = 2)."""
+    if d >= 4:
+        return math.sqrt((d - 1.0) * (d - 2.0) / (d * (d - 3.0))) - 1.0
+    if d == 2:
+        return 2.0 ** (1.0 / 3.0) - 1.0
+    raise ValidationError("constrained-problem constants need d = 2 or d >= 4")
+
+
+def _q(d, epsilon):
+    """q(d, epsilon) of the constrained d >= 4 problem, positive below the
+    critical epsilon."""
+    return 1.0 - d * (d - 3.0) / ((d - 1.0) * (d - 2.0)) * (1.0 + epsilon) ** 2
+
+
+def ratio_bound(d, epsilon):
+    """Diameter/inradius bound of the constrained problem, for epsilon below
+    the critical value."""
+    if d >= 4:
+        return (2.0 ** d * math.sqrt(d * (d - 1.0) ** d * (d - 2.0) / (d - 3.0))
+                * _q(d, epsilon) ** (1.0 - d))
+    return 2.0 ** (11.0 / 3.0) / (critical_epsilon(d) - epsilon)
+
+
 def thm3_c_constant(d, epsilon):
     """The axis-ratio constant of the constrained d >= 4 problem."""
-    q = 1.0 - d * (d - 3.0) / ((d - 1.0) * (d - 2.0)) * (1.0 + epsilon) ** 2
-    return math.sqrt(d - 1.0) / q
+    return math.sqrt(d - 1.0) / _q(d, epsilon)
 
 
 def check_constraint_constants(d, epsilon):
     """Critical epsilon and diameter/inradius bound for the constrained
     problems (d >= 4 and d = 2), with a divergence check on a grid."""
+    critical = critical_epsilon(d)
     if d >= 4:
         theorem, crit_id, bound_id = "Thm3", "e43", "e45"
-        critical = math.sqrt((d - 1.0) * (d - 2.0) / (d * (d - 3.0))) - 1.0
-
-        def bound(e):
-            q = 1.0 - d * (d - 3.0) / ((d - 1.0) * (d - 2.0)) * (1.0 + e) ** 2
-            return (2.0 ** d * math.sqrt(d * (d - 1.0) ** d * (d - 2.0) / (d - 3.0))
-                    * q ** (1.0 - d))
-    elif d == 2:
-        theorem, crit_id, bound_id = "Thm5", "e69", "e71"
-        critical = 2.0 ** (1.0 / 3.0) - 1.0
-
-        def bound(e):
-            return 2.0 ** (11.0 / 3.0) / (critical - e)
     else:
-        raise ValidationError("constrained-problem constants need d = 2 or d >= 4")
-
+        theorem, crit_id, bound_id = "Thm5", "e69", "e71"
     in_regime = 0.0 <= epsilon < critical
     rows = [_row(theorem, crit_id, f"const_d{d}", epsilon, critical,
                  status=PASS if in_regime else OUT_OF_REGIME,
@@ -178,10 +185,10 @@ def check_constraint_constants(d, epsilon):
                          status=OUT_OF_REGIME))
         return rows
 
-    value = bound(epsilon)
+    value = ratio_bound(d, epsilon)
     # the bound must blow up as epsilon approaches the critical value
     grid = epsilon + (critical - epsilon) * (1.0 - 2.0 ** -np.arange(1.0, 11.0))
-    values = [bound(e) for e in grid]
+    values = [ratio_bound(d, e) for e in grid]
     diverges = all(v2 > v1 for v1, v2 in zip(values, values[1:])) \
         and values[-1] > 100.0 * value
     extra = {"epsilon": epsilon, "diverges_at_critical": diverges,
@@ -204,7 +211,7 @@ def check_thm6(body, alphas=(0.0, 1.0), cfg=None, body_id="body", comp=None):
     for alpha in alphas:
         ga = assemble(FunctionalId("G_alpha", alpha), comp, d)
         ref = exact.g_alpha_ball(d, alpha)
-        if _is_ellipsoid(body):
+        if body.ellipsoid_axes() is not None:
             rows.append(_row("Thm6", "e89", body_id, ga.value, ref,
                              stderr=ga.stderr, extra={"alpha": alpha}))
         rows.append(_row("Thm6", "e81", body_id, ga.value,
@@ -241,7 +248,7 @@ def check_planar(body, alphas=(0.0, 1.0), cfg=None, body_id="body", comp=None):
         raise InternalConsistencyError(
             f"perimeter {comp['P'].value} below rhombus lower bound {p_lower}")
 
-    if _is_ellipsoid(body):
+    if body.ellipsoid_axes() is not None:
         rows.append(_row("Thm4", "e65", body_id, h.value, hb, stderr=h.stderr))
         rows.append(_row("Thm4", "e65iii", body_id, h.value,
                          2.0 ** -0.5 * hb * (1.0 + b[1] / b[0]),
@@ -252,7 +259,7 @@ def check_planar(body, alphas=(0.0, 1.0), cfg=None, body_id="body", comp=None):
     for alpha in alphas:
         ha = assemble(FunctionalId("H_alpha", alpha), comp, 2)
         ref = exact.h_alpha_ball(alpha)
-        if _is_ellipsoid(body):
+        if body.ellipsoid_axes() is not None:
             rows.append(_row("Thm8", "e92e", body_id, ha.value, ref,
                              stderr=ha.stderr, extra={"alpha": alpha}))
         rows.append(_row("Thm8", "e93", body_id, ha.value,

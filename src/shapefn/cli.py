@@ -75,7 +75,7 @@ def _config(args):
         seed = int(os.environ.get("SHAPEFN_SEED", "0"))
     return EstimatorConfig(walk_count=args.walks,
                            shell_epsilon=args.shell_epsilon,
-                           seed=seed, threads=args.threads)
+                           seed=seed)
 
 
 def _emit(doc, path=None):
@@ -200,7 +200,6 @@ def _add_common(p):
     p.add_argument("--shell-epsilon", type=float, default=None)
     p.add_argument("--seed", type=int, default=None,
                    help="estimator seed (default: SHAPEFN_SEED or 0)")
-    p.add_argument("--threads", type=int, default=1)
 
 
 def build_parser():

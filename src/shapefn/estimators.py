@@ -2,20 +2,19 @@
 capacity and logarithmic capacity on general convex bodies.
 
 Randomness is drawn from counter-based Philox streams keyed by
-(seed, batch index, substream), so results are bit-identical for a given
-(seed, body, config) regardless of how batches are scheduled.
+(seed, batch index, substream), so results are bit-identical for a fixed
+body, seed, walk_count and batch_size. A different batch size splits the
+walks over different streams and changes the bits.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from . import geometry
 from .errors import (
     DegenerateEstimateError,
     StuckWalkError,
@@ -35,7 +34,6 @@ from .geometry import (
     diameter_inradius,
     measure,
     signed_distance,
-    unit_ball_volume,
 )
 
 _MAX_WALK_STEPS = 10 ** 6
@@ -48,7 +46,6 @@ class EstimatorConfig:
     escape_radius_factor: float = 2.0
     seed: int = 0
     batch_size: int | None = None
-    threads: int = 1
     fekete_points: int = 128
 
     def __post_init__(self):
@@ -70,7 +67,7 @@ class EstimatorConfig:
         return {"walk_count": self.walk_count, "shell_epsilon": self.shell_epsilon,
                 "escape_radius_factor": self.escape_radius_factor,
                 "seed": self.seed, "batch_size": self.batch_size,
-                "threads": self.threads, "fekete_points": self.fekete_points}
+                "fekete_points": self.fekete_points}
 
 
 @dataclass(frozen=True)
@@ -131,13 +128,6 @@ def _combine_batches(batch_means, sizes, scale=1.0):
     return scale * grand, scale * se
 
 
-def _run_batches(fn, n_batches, threads):
-    if threads <= 1:
-        return [fn(b) for b in range(n_batches)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_batches)))
-
-
 def _sample_interior(body, n, rng):
     lo, hi = bounding_box(body)
     out = np.empty((n, lo.size))
@@ -188,7 +178,7 @@ def wos_torsion(body, cfg=None):
         pos = _sample_interior(body, int(sizes[b]), rng)
         return float(_torsion_walks(body, pos, eps, rng).mean())
 
-    means = _run_batches(one, len(sizes), cfg.threads)
+    means = [one(b) for b in range(len(sizes))]
     value, se = _combine_batches(means, sizes, scale=vol)
     return Estimate(value, se, int(sizes.sum()), "wos_torsion")
 
@@ -205,7 +195,7 @@ def wos_torsion_pointwise(body, point, cfg=None):
         pos = np.tile(p, (int(sizes[b]), 1))
         return float(_torsion_walks(body, pos, eps, rng).mean())
 
-    means = _run_batches(one, len(sizes), cfg.threads)
+    means = [one(b) for b in range(len(sizes))]
     value, se = _combine_batches(means, sizes)
     return Estimate(value, se, int(sizes.sum()), "wos_torsion_pointwise")
 
@@ -274,7 +264,7 @@ def wos_capacity(body, cfg=None):
             caps.append(kap * R ** (d - 2) * h / m)
         return (caps[1] - f * caps[0]) / (1.0 - f), caps
 
-    results = _run_batches(one, len(sizes), cfg.threads)
+    results = [one(b) for b in range(len(sizes))]
     means = [r[0] for r in results]
     if not any(m > 0 for m in means):
         raise DegenerateEstimateError("no capacity walk hit the body")
@@ -389,24 +379,3 @@ def fekete_logcap(body, n_points=None, cfg=None):
     return Estimate(value, abs(v_n - v_2n), 2 * n_points, "fekete",
                     extra={"raw_n": v_n, "raw_2n": v_2n,
                            "converged": bool(ok_n and ok_2n)})
-
-
-def mc_surface_area(body, cfg=None):
-    """Surface area of a d >= 4 ellipsoid by the Cauchy projection formula,
-    calibrated so the unit ball is exact in expectation."""
-    cfg = cfg or EstimatorConfig()
-    if not isinstance(body, Ellipsoid) or body.dimension < 4:
-        raise UnsupportedRepresentationError("mc_surface_area needs a d >= 4 ellipsoid")
-    a = body.semi_axes
-    d = a.size
-    const = d * unit_ball_volume(d) * float(np.prod(a))
-    sizes = _batch_sizes(cfg.walk_count, cfg.resolved_batch_size())
-
-    def one(b):
-        rng = _stream(cfg.seed, b, 0)
-        U = _unit_vectors(rng, int(sizes[b]), d)
-        return float(np.sqrt(np.sum((U / a) ** 2, axis=1)).mean())
-
-    means = _run_batches(one, len(sizes), cfg.threads)
-    value, se = _combine_batches(means, sizes, scale=const)
-    return Estimate(value, se, int(sizes.sum()), "mc_surface_area")

@@ -128,7 +128,8 @@ def carlson_rf(x, y, z, rtol=1e-14):
 _GL_CACHE = {}
 
 
-def _gl01(n):
+def gl01(n):
+    """n-node Gauss-Legendre rule mapped to [0, 1]: (nodes, weights), cached."""
     if n not in _GL_CACHE:
         x, w = np.polynomial.legendre.leggauss(n)
         _GL_CACHE[n] = (0.5 * (x + 1.0), 0.5 * w)
@@ -140,7 +141,7 @@ def adaptive_gl(f, rtol, n0=32, nmax=16384, what="integral"):
     prev = None
     n = n0
     while n <= nmax:
-        x, w = _gl01(n)
+        x, w = gl01(n)
         val = float(w @ f(x))
         if prev is not None and abs(val - prev) <= rtol * max(abs(val), 1e-300):
             return val

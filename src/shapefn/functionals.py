@@ -6,13 +6,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import estimators, geometry
 from . import exact_ellipsoid as exact
-from .errors import UnsupportedRepresentationError, ValidationError
+from .errors import ValidationError
 from .estimators import EstimatorConfig
-from .geometry import Ball, BallUnion, Capsule, Ellipsoid, Polytope
 
 
 @dataclass(frozen=True)
@@ -94,42 +91,30 @@ class Evaluation:
                 "components": {k: v.to_dict() for k, v in self.components.items()}}
 
 
-def _is_exact_ellipsoid(body):
-    return isinstance(body, (Ball, Ellipsoid))
-
-
-def _axes(body):
-    if isinstance(body, Ball):
-        return np.full(body.dimension, body.radius)
-    return body.semi_axes
-
-
 def compute_components(body, cfg=None, need=("T", "cap", "V", "P")):
     """Torsion, capacity, volume and perimeter of a body with per-component
     backend tags; ellipsoids/balls are exact, other bodies stochastic."""
     cfg = cfg or EstimatorConfig()
-    if isinstance(body, Ellipsoid):
-        body = body.canonical()
     d = body.dimension
+    axes = body.ellipsoid_axes()
     comp = {}
     if "T" in need:
-        if _is_exact_ellipsoid(body):
-            comp["T"] = Component(exact.torsion_ellipsoid(_axes(body)), 0.0, "exact")
+        if axes is not None:
+            comp["T"] = Component(exact.torsion_ellipsoid(axes), 0.0, "exact")
         else:
             est = estimators.wos_torsion(body, cfg)
             comp["T"] = Component(est.value, est.standard_error, est.backend)
     if "cap" in need:
         if d >= 3:
-            if _is_exact_ellipsoid(body):
+            if axes is not None:
                 comp["cap"] = Component(
-                    exact.cap_newtonian_ellipsoid(_axes(body)), 0.0, "exact")
+                    exact.cap_newtonian_ellipsoid(axes), 0.0, "exact")
             else:
                 est = estimators.wos_capacity(body, cfg)
                 comp["cap"] = Component(est.value, est.standard_error, est.backend)
         else:
-            if _is_exact_ellipsoid(body):
-                a = _axes(body)
-                comp["cap"] = Component(exact.cap_log_ellipse(a[0], a[1]), 0.0, "exact")
+            if axes is not None:
+                comp["cap"] = Component(exact.cap_log_ellipse(axes[0], axes[1]), 0.0, "exact")
             else:
                 est = estimators.fekete_logcap(body, cfg=cfg)
                 comp["cap"] = Component(est.value, est.standard_error, est.backend)

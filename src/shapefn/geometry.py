@@ -1,14 +1,16 @@
 """Convex body representations and geometric measures.
 
-Bodies are immutable value objects sharing one query contract:
-``contains``, ``signed_distance`` (negative inside), ``bounding_ball``.
-All measure operations are pure functions of the body.
+Each body kind is one immutable class derived from ``Body`` that holds all of
+its geometry: measure, perimeter, signed distance (negative inside) and a
+cheap lower bound on it, bounding ball and box, diameter/inradius, homothety,
+support points, JSON form and the outer John ellipsoid. The module-level
+functions of the same names are the public API, one method call each.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -20,6 +22,7 @@ from .errors import (
     UnsupportedRepresentationError,
     ValidationError,
 )
+from .exact_ellipsoid import gl01
 
 _REP_TOL = 1e-9
 
@@ -36,8 +39,68 @@ def unit_ball_volume(d):
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
+class Body:
+    """One body kind. Points P and directions U are (n, d) float arrays.
+
+    An operation that a kind does not implement raises
+    UnsupportedRepresentationError."""
+
+    def _unsupported(self, operation):
+        return UnsupportedRepresentationError(
+            f"{operation} is not available for {type(self).__name__}")
+
+    def measure(self):
+        """Lebesgue measure."""
+        raise self._unsupported("measure")
+
+    def perimeter(self):
+        """Surface measure (perimeter if d = 2)."""
+        raise self._unsupported("perimeter")
+
+    def signed_distance(self, P):
+        """Distance of each point to the boundary, negative inside."""
+        raise self._unsupported("signed distance")
+
+    def distance_lower(self, P):
+        """Lower bound on |signed distance| of each point."""
+        return np.abs(signed_distance(self, P))
+
+    def bounding_ball(self):
+        """A (not necessarily minimal) enclosing ball: (center, radius)."""
+        raise self._unsupported("bounding ball")
+
+    def bounding_box(self):
+        """Axis-aligned (lo, hi) box containing the body."""
+        raise self._unsupported("bounding box")
+
+    def diameter_inradius(self):
+        """(diameter, inradius)."""
+        raise self._unsupported("diameter/inradius")
+
+    def scaled(self, t):
+        """Homothety about the origin by a factor t > 0."""
+        raise self._unsupported("scaling")
+
+    def support(self, U):
+        """argmax over the body of <x, u> for each unit direction u."""
+        raise self._unsupported("support")
+
+    def to_dict(self):
+        """JSON form, read back by body_from_dict."""
+        raise self._unsupported("serialization")
+
+    def john_outer(self):
+        """Outer John (Loewner) ellipsoid."""
+        raise self._unsupported("John ellipsoid")
+
+    def ellipsoid_axes(self):
+        """Semi-axes when the body is an ellipsoid (balls included), which
+        have exact backends; None otherwise."""
+        return None
+
+
 @dataclass(frozen=True, eq=False)
-class Ball:
+class Ball(Body):
     radius: float
     center: np.ndarray = None
     dimension: int = 3
@@ -52,9 +115,43 @@ class Ball:
             object.__setattr__(self, "center", c)
             object.__setattr__(self, "dimension", c.size)
 
+    def measure(self):
+        return unit_ball_volume(self.dimension) * self.radius ** self.dimension
+
+    def perimeter(self):
+        d = self.dimension
+        return d * unit_ball_volume(d) * self.radius ** (d - 1)
+
+    def signed_distance(self, P):
+        return np.linalg.norm(P - self.center, axis=1) - self.radius
+
+    def bounding_ball(self):
+        return self.center.copy(), self.radius
+
+    def bounding_box(self):
+        return self.center - self.radius, self.center + self.radius
+
+    def diameter_inradius(self):
+        return 2.0 * self.radius, self.radius
+
+    def scaled(self, t):
+        return Ball(self.radius * t, self.center * t)
+
+    def support(self, U):
+        return self.center + self.radius * U
+
+    def to_dict(self):
+        return {"kind": "ball", "radius": self.radius, "center": self.center.tolist()}
+
+    def john_outer(self):
+        return Ellipsoid(np.full(self.dimension, self.radius), self.center)
+
+    def ellipsoid_axes(self):
+        return np.full(self.dimension, self.radius)
+
 
 @dataclass(frozen=True, eq=False)
-class Ellipsoid:
+class Ellipsoid(Body):
     semi_axes: np.ndarray
     center: np.ndarray = None
     orientation: np.ndarray = None  # columns are axis directions; None = axis aligned
@@ -88,15 +185,72 @@ class Ellipsoid:
         order = np.lexsort((np.arange(a.size), -a))
         return a[order]
 
-    def canonical(self):
-        """Axis-aligned copy (all functionals here are rigid-motion invariant)."""
-        if self.orientation is None and not self.center.any():
-            return self
-        return Ellipsoid(self.semi_axes.copy())
+    def _local(self, P):
+        """Points in the frame of the axes."""
+        Q = P - self.center
+        if self.orientation is not None:
+            Q = Q @ self.orientation
+        return Q
+
+    def measure(self):
+        return unit_ball_volume(self.dimension) * float(np.prod(self.semi_axes))
+
+    def perimeter(self):
+        a = self.semi_axes
+        if a.size == 2:
+            return ellipse_perimeter_agm(a[0], a[1])
+        return _ellipsoid_surface_highd(a)
+
+    def signed_distance(self, P):
+        dist, g2 = _ellipsoid_boundary_distance(self.semi_axes, self._local(P))
+        return np.where(g2 < 1.0, -dist, dist)
+
+    def distance_lower(self, P):
+        return ellipsoid_distance_lower_bound(self.semi_axes, self._local(P))
+
+    def bounding_ball(self):
+        return self.center.copy(), float(self.semi_axes.max())
+
+    def bounding_box(self):
+        if self.orientation is None:
+            h = self.semi_axes
+        else:
+            h = np.sqrt(((self.orientation * self.semi_axes[None, :]) ** 2).sum(axis=1))
+        return self.center - h, self.center + h
+
+    def diameter_inradius(self):
+        a = self.semi_axes
+        return 2.0 * float(a.max()), float(a.min())
+
+    def scaled(self, t):
+        return Ellipsoid(self.semi_axes * t, self.center * t, self.orientation)
+
+    def support(self, U):
+        if self.orientation is None:
+            w = self.semi_axes ** 2 * U
+            return self.center + w / np.linalg.norm(w / self.semi_axes[None, :], axis=1, keepdims=True)
+        R = self.orientation
+        Ur = U @ R
+        w = self.semi_axes ** 2 * Ur
+        w = w / np.linalg.norm(w / self.semi_axes[None, :], axis=1, keepdims=True)
+        return self.center + w @ R.T
+
+    def to_dict(self):
+        out = {"kind": "ellipsoid", "semi_axes": self.semi_axes.tolist(),
+               "center": self.center.tolist()}
+        if self.orientation is not None:
+            out["orientation"] = self.orientation.tolist()
+        return out
+
+    def john_outer(self):
+        return self
+
+    def ellipsoid_axes(self):
+        return self.semi_axes
 
 
 @dataclass(frozen=True, eq=False)
-class Polytope:
+class Polytope(Body):
     vertices: np.ndarray
     normals: np.ndarray = None  # outward unit normals
     offsets: np.ndarray = None  # n . x <= offset
@@ -185,9 +339,63 @@ class Polytope:
         object.__setattr__(self, "_pieces", pieces)
         return pieces
 
+    def measure(self):
+        if self.dimension > 3:
+            raise UnsupportedRepresentationError("polytope volume only for d <= 3")
+        return float(self.hull().volume)
+
+    def perimeter(self):
+        if self.dimension > 3:
+            raise UnsupportedRepresentationError("polytope perimeter only for d <= 3")
+        return float(self.hull().area)
+
+    def signed_distance(self, P):
+        sd = (P @ self.normals.T - self.offsets).max(axis=1)
+        out = sd > 0
+        if np.any(out):
+            sd[out] = _polytope_exterior_distance(self, P[out])
+        return sd
+
+    def distance_lower(self, P):
+        # interior: exact facet-plane distance; exterior: the largest
+        # halfspace violation is a valid lower bound
+        return np.abs((P @ self.normals.T - self.offsets).max(axis=1))
+
+    def bounding_ball(self):
+        c = self.vertices.mean(axis=0)
+        return c, float(np.linalg.norm(self.vertices - c, axis=1).max())
+
+    def bounding_box(self):
+        return self.vertices.min(axis=0), self.vertices.max(axis=0)
+
+    def diameter_inradius(self):
+        V = self.vertices
+        D = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=-1)
+        diam = float(D.max())
+        # inscribed-ball LP: maximize r subject to n.x + r <= offset
+        d = self.dimension
+        A = np.hstack([self.normals, np.ones((self.normals.shape[0], 1))])
+        res = linprog(c=np.r_[np.zeros(d), -1.0], A_ub=A, b_ub=self.offsets,
+                      bounds=[(None, None)] * d + [(0, None)], method="highs")
+        if not res.success:
+            raise InternalConsistencyError("inradius LP failed: " + res.message)
+        return diam, float(res.x[-1])
+
+    def scaled(self, t):
+        return Polytope(self.vertices * t)
+
+    def support(self, U):
+        return self.vertices[np.argmax(U @ self.vertices.T, axis=1)]
+
+    def to_dict(self):
+        return {"kind": "polytope", "vertices": self.vertices.tolist()}
+
+    def john_outer(self):
+        return loewner_ellipsoid(self.vertices)
+
 
 @dataclass(frozen=True, eq=False)
-class Capsule:
+class Capsule(Body):
     p: np.ndarray
     q: np.ndarray
     radius: float
@@ -208,9 +416,46 @@ class Capsule:
     def length(self):
         return float(np.linalg.norm(self.q - self.p))
 
+    def measure(self):
+        # cylinder part + full ball
+        d, r, L = self.dimension, self.radius, self.length
+        return unit_ball_volume(d - 1) * r ** (d - 1) * L + unit_ball_volume(d) * r ** d
+
+    def perimeter(self):
+        d, r, L = self.dimension, self.radius, self.length
+        lateral = (d - 1) * unit_ball_volume(d - 1) * r ** (d - 2) * L
+        caps = d * unit_ball_volume(d) * r ** (d - 1)
+        return lateral + caps
+
+    def signed_distance(self, P):
+        v = self.q - self.p
+        t = (P - self.p) @ v / (float(v @ v) or 1.0)  # a point segment: t = 0
+        return _segment_distance(P, self.p[None], v[None], t[:, None]) - self.radius
+
+    def bounding_ball(self):
+        return 0.5 * (self.p + self.q), 0.5 * self.length + self.radius
+
+    def bounding_box(self):
+        lo = np.minimum(self.p, self.q) - self.radius
+        return lo, np.maximum(self.p, self.q) + self.radius
+
+    def diameter_inradius(self):
+        return self.length + 2.0 * self.radius, self.radius
+
+    def scaled(self, t):
+        return Capsule(self.p * t, self.q * t, self.radius * t)
+
+    def support(self, U):
+        ends = np.where((U @ (self.q - self.p))[:, None] >= 0, self.q, self.p)
+        return ends + self.radius * U
+
+    def to_dict(self):
+        return {"kind": "capsule", "p": self.p.tolist(), "q": self.q.tolist(),
+                "radius": self.radius}
+
 
 @dataclass(frozen=True, eq=False)
-class BallUnion:
+class BallUnion(Body):
     centers: np.ndarray
     radii: np.ndarray
     disjoint: bool = True
@@ -233,16 +478,33 @@ class BallUnion:
     def dimension(self):
         return self.centers.shape[1]
 
+    def measure(self):
+        if not self.disjoint:
+            raise UnsupportedRepresentationError(
+                "volume of overlapping ball unions is not implemented")
+        return float(np.sum(unit_ball_volume(self.dimension) * self.radii ** self.dimension))
 
-Body = Ball | Ellipsoid | Polytope | Capsule | BallUnion
+    def signed_distance(self, P):
+        sd_all = (np.linalg.norm(P[:, None, :] - self.centers[None, :, :], axis=-1)
+                  - self.radii[None, :])
+        all_out = np.all(sd_all > 0, axis=1)
+        return np.where(all_out, sd_all.min(axis=1), -np.abs(sd_all).min(axis=1))
 
+    def bounding_ball(self):
+        c = self.centers.mean(axis=0)
+        return c, float((np.linalg.norm(self.centers - c, axis=1) + self.radii).max())
 
-def dimension(body):
-    return body.dimension
+    def bounding_box(self):
+        lo = (self.centers - self.radii[:, None]).min(axis=0)
+        hi = (self.centers + self.radii[:, None]).max(axis=0)
+        return lo, hi
 
+    def scaled(self, t):
+        return BallUnion(self.centers * t, self.radii * t, self.disjoint)
 
-def is_convex(body):
-    return not isinstance(body, BallUnion) or len(body.radii) == 1
+    def to_dict(self):
+        return {"kind": "ball_union", "centers": self.centers.tolist(),
+                "radii": self.radii.tolist(), "disjoint": self.disjoint}
 
 
 # ---------------------------------------------------------------------------
@@ -251,27 +513,7 @@ def is_convex(body):
 
 def measure(body):
     """Lebesgue measure. Exact closed forms; polytopes only for d in {2, 3}."""
-    if hasattr(body, "measure"):
-        return body.measure()
-    d = body.dimension
-    if isinstance(body, Ball):
-        return unit_ball_volume(d) * body.radius ** d
-    if isinstance(body, Ellipsoid):
-        return unit_ball_volume(d) * float(np.prod(body.semi_axes))
-    if isinstance(body, Polytope):
-        if d > 3:
-            raise UnsupportedRepresentationError("polytope volume only for d <= 3")
-        return float(body.hull().volume)
-    if isinstance(body, Capsule):
-        # cylinder part + full ball
-        r, L = body.radius, body.length
-        return unit_ball_volume(d - 1) * r ** (d - 1) * L + unit_ball_volume(d) * r ** d
-    if isinstance(body, BallUnion):
-        if not body.disjoint:
-            raise UnsupportedRepresentationError(
-                "volume of overlapping ball unions is not implemented")
-        return float(np.sum(unit_ball_volume(d) * body.radii ** d))
-    raise UnsupportedRepresentationError(type(body).__name__)
+    return body.measure()
 
 
 def ellipse_perimeter_agm(a, b):
@@ -297,39 +539,6 @@ def ellipse_perimeter_agm(a, b):
     return 4.0 * big * E
 
 
-_GL_NODE_CACHE = {}
-
-
-def _gl_nodes(n):
-    if n not in _GL_NODE_CACHE:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GL_NODE_CACHE[n] = (0.5 * (x + 1.0), 0.5 * w)  # mapped to [0, 1]
-    return _GL_NODE_CACHE[n]
-
-
-def _ellipsoid_surface_3d(axes, tol=1e-9):
-    """Chart quadrature of the parameterized ellipsoid surface (d=3)."""
-    a, b, c = axes
-    prev = None
-    n = 32
-    while n <= 4096:
-        t, wt = _gl_nodes(n)          # theta / pi
-        theta = math.pi * t
-        phi = 2.0 * math.pi * np.arange(n) / n  # periodic -> trapezoid
-        st = np.sin(theta)[:, None]
-        ct = np.cos(theta)[:, None]
-        cp = np.cos(phi)[None, :]
-        sp = np.sin(phi)[None, :]
-        integrand = st * np.sqrt(
-            (b * c * st * cp) ** 2 + (a * c * st * sp) ** 2 + (a * b * ct) ** 2)
-        val = math.pi * (2.0 * math.pi / n) * float(wt @ integrand.sum(axis=1))
-        if prev is not None and abs(val - prev) <= tol * abs(val):
-            return val
-        prev = val
-        n *= 2
-    return prev
-
-
 def _ellipsoid_surface_highd(axes, tol=1e-11):
     """Surface area for any d >= 2 from Cauchy's projection formula.
 
@@ -353,7 +562,7 @@ def _ellipsoid_surface_highd(axes, tol=1e-11):
     prev = None
     n = 64
     while n <= 8192:
-        x, w = _gl_nodes(n)
+        x, w = gl01(n)
         val = float(w @ f(x)) / (2.0 * math.sqrt(math.pi))
         if prev is not None and abs(val - prev) <= tol * max(abs(val), 1e-300):
             break
@@ -367,52 +576,12 @@ def _ellipsoid_surface_highd(axes, tol=1e-11):
 
 def perimeter(body):
     """Surface measure of a convex body (perimeter if d=2)."""
-    d = body.dimension
-    if isinstance(body, BallUnion):
-        raise UnsupportedRepresentationError("perimeter requires a convex body")
-    if isinstance(body, Ball):
-        return d * unit_ball_volume(d) * body.radius ** (d - 1)
-    if isinstance(body, Ellipsoid):
-        a = body.semi_axes
-        if d == 2:
-            return ellipse_perimeter_agm(a[0], a[1])
-        return _ellipsoid_surface_highd(a)
-    if isinstance(body, Polytope):
-        if d > 3:
-            raise UnsupportedRepresentationError("polytope perimeter only for d <= 3")
-        return float(body.hull().area)
-    if isinstance(body, Capsule):
-        r, L = body.radius, body.length
-        lateral = (d - 1) * unit_ball_volume(d - 1) * r ** (d - 2) * L
-        caps = d * unit_ball_volume(d) * r ** (d - 1)
-        return lateral + caps
-    raise UnsupportedRepresentationError(type(body).__name__)
+    return body.perimeter()
 
 
 def diameter_inradius(body):
     """(diameter, inradius) of a convex body."""
-    if hasattr(body, "diameter_inradius"):
-        return body.diameter_inradius()
-    if isinstance(body, Ball):
-        return 2.0 * body.radius, body.radius
-    if isinstance(body, Ellipsoid):
-        a = body.semi_axes
-        return 2.0 * float(a.max()), float(a.min())
-    if isinstance(body, Polytope):
-        V = body.vertices
-        D = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=-1)
-        diam = float(D.max())
-        # inscribed-ball LP: maximize r subject to n.x + r <= offset
-        d = body.dimension
-        A = np.hstack([body.normals, np.ones((body.normals.shape[0], 1))])
-        res = linprog(c=np.r_[np.zeros(d), -1.0], A_ub=A, b_ub=body.offsets,
-                      bounds=[(None, None)] * d + [(0, None)], method="highs")
-        if not res.success:
-            raise InternalConsistencyError("inradius LP failed: " + res.message)
-        return diam, float(res.x[-1])
-    if isinstance(body, Capsule):
-        return body.length + 2.0 * body.radius, body.radius
-    raise UnsupportedRepresentationError("diameter/inradius requires a convex body")
+    return body.diameter_inradius()
 
 
 # ---------------------------------------------------------------------------
@@ -527,149 +696,41 @@ def signed_distance(body, points):
     pts = np.asarray(points, dtype=float)
     single = pts.ndim == 1
     P = np.atleast_2d(pts)
-    d = body.dimension
-    if P.shape[1] != d:
+    if P.shape[1] != body.dimension:
         raise ValidationError("point dimension mismatch")
-
-    if hasattr(body, "signed_distance"):
-        sd = np.asarray(body.signed_distance(P), dtype=float)
-    elif isinstance(body, Ball):
-        sd = np.linalg.norm(P - body.center, axis=1) - body.radius
-    elif isinstance(body, Ellipsoid):
-        Q = P - body.center
-        if body.orientation is not None:
-            Q = Q @ body.orientation
-        dist, g2 = _ellipsoid_boundary_distance(body.semi_axes, Q)
-        sd = np.where(g2 < 1.0, -dist, dist)
-    elif isinstance(body, Polytope):
-        sd = (P @ body.normals.T - body.offsets).max(axis=1)
-        out = sd > 0
-        if np.any(out):
-            sd[out] = _polytope_exterior_distance(body, P[out])
-    elif isinstance(body, Capsule):
-        v = body.q - body.p
-        t = (P - body.p) @ v / (float(v @ v) or 1.0)  # a point segment: t = 0
-        sd = _segment_distance(P, body.p[None], v[None], t[:, None]) - body.radius
-    elif isinstance(body, BallUnion):
-        sd_all = (np.linalg.norm(P[:, None, :] - body.centers[None, :, :], axis=-1)
-                  - body.radii[None, :])
-        all_out = np.all(sd_all > 0, axis=1)
-        sd = np.where(all_out, sd_all.min(axis=1), -np.abs(sd_all).min(axis=1))
-    else:
-        raise UnsupportedRepresentationError(type(body).__name__)
+    sd = np.asarray(body.signed_distance(P), dtype=float)
     return float(sd[0]) if single else sd
 
 
 def boundary_distance_lower(body, points):
     """Lower bound on |signed_distance|, cheap enough for WoS step sizing."""
-    P = np.atleast_2d(np.asarray(points, dtype=float))
-    if hasattr(body, "distance_lower"):
-        return np.asarray(body.distance_lower(P), dtype=float)
-    if isinstance(body, Ellipsoid):
-        Q = P - body.center
-        if body.orientation is not None:
-            Q = Q @ body.orientation
-        return ellipsoid_distance_lower_bound(body.semi_axes, Q)
-    if isinstance(body, Polytope):
-        # interior: exact facet-plane distance; exterior: the largest
-        # halfspace violation is a valid lower bound
-        return np.abs((P @ body.normals.T - body.offsets).max(axis=1))
-    return np.abs(signed_distance(body, P))
+    return body.distance_lower(np.atleast_2d(np.asarray(points, dtype=float)))
 
 
 def contains(body, points):
-    sd = signed_distance(body, points)
-    return sd < 0 if np.isscalar(sd) else sd < 0
+    return signed_distance(body, points) < 0
 
 
 def bounding_ball(body):
     """A (not necessarily minimal) enclosing ball: (center, radius)."""
-    if hasattr(body, "bounding_ball"):
-        return body.bounding_ball()
-    if isinstance(body, Ball):
-        return body.center.copy(), body.radius
-    if isinstance(body, Ellipsoid):
-        return body.center.copy(), float(body.semi_axes.max())
-    if isinstance(body, Polytope):
-        c = body.vertices.mean(axis=0)
-        return c, float(np.linalg.norm(body.vertices - c, axis=1).max())
-    if isinstance(body, Capsule):
-        c = 0.5 * (body.p + body.q)
-        return c, 0.5 * body.length + body.radius
-    if isinstance(body, BallUnion):
-        c = body.centers.mean(axis=0)
-        r = float((np.linalg.norm(body.centers - c, axis=1) + body.radii).max())
-        return c, r
-    raise UnsupportedRepresentationError(type(body).__name__)
+    return body.bounding_ball()
 
 
 def bounding_box(body):
     """Axis-aligned (lo, hi) box containing the body."""
-    if hasattr(body, "bounding_box"):
-        return body.bounding_box()
-    if isinstance(body, Ball):
-        return body.center - body.radius, body.center + body.radius
-    if isinstance(body, Ellipsoid):
-        if body.orientation is None:
-            h = body.semi_axes
-        else:
-            h = np.sqrt(((body.orientation * body.semi_axes[None, :]) ** 2).sum(axis=1))
-        return body.center - h, body.center + h
-    if isinstance(body, Polytope):
-        return body.vertices.min(axis=0), body.vertices.max(axis=0)
-    if isinstance(body, Capsule):
-        lo = np.minimum(body.p, body.q) - body.radius
-        return lo, np.maximum(body.p, body.q) + body.radius
-    if isinstance(body, BallUnion):
-        lo = (body.centers - body.radii[:, None]).min(axis=0)
-        hi = (body.centers + body.radii[:, None]).max(axis=0)
-        return lo, hi
-    raise UnsupportedRepresentationError(type(body).__name__)
-
-
-def inradius(body):
-    return diameter_inradius(body)[1]
+    return body.bounding_box()
 
 
 def scale(body, t):
     """Homothety about the origin by factor t > 0."""
     if t <= 0:
         raise ValidationError("scale factor must be positive")
-    t = float(t)
-    if isinstance(body, Ball):
-        return Ball(body.radius * t, body.center * t)
-    if isinstance(body, Ellipsoid):
-        return Ellipsoid(body.semi_axes * t, body.center * t, body.orientation)
-    if isinstance(body, Polytope):
-        return Polytope(body.vertices * t)
-    if isinstance(body, Capsule):
-        return Capsule(body.p * t, body.q * t, body.radius * t)
-    if isinstance(body, BallUnion):
-        return BallUnion(body.centers * t, body.radii * t, body.disjoint)
-    raise UnsupportedRepresentationError(type(body).__name__)
+    return body.scaled(float(t))
 
 
 def support_point(body, directions):
     """argmax over the body of <x, u> for each unit direction u, (n, d)."""
-    U = np.atleast_2d(np.asarray(directions, dtype=float))
-    if isinstance(body, Ball):
-        return body.center + body.radius * U
-    if isinstance(body, Ellipsoid):
-        if body.orientation is None:
-            w = body.semi_axes ** 2 * U
-            return body.center + w / np.linalg.norm(w / body.semi_axes[None, :], axis=1, keepdims=True)
-        R = body.orientation
-        Ur = U @ R
-        w = body.semi_axes ** 2 * Ur
-        w = w / np.linalg.norm(w / body.semi_axes[None, :], axis=1, keepdims=True)
-        return body.center + w @ R.T
-    if isinstance(body, Polytope):
-        idx = np.argmax(U @ body.vertices.T, axis=1)
-        return body.vertices[idx]
-    if isinstance(body, Capsule):
-        ends = np.where((U @ (body.q - body.p))[:, None] >= 0, body.q, body.p)
-        return ends + body.radius * U
-    raise UnsupportedRepresentationError("support of this variant not available")
+    return body.support(np.atleast_2d(np.asarray(directions, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -755,14 +816,7 @@ def john_pair(body, n_directions=10000, tol=1e-8):
     """(inner, outer) ellipsoid sandwich: outer is the Loewner ellipsoid,
     inner is the outer shrunk by the dimension about its center."""
     d = body.dimension
-    if isinstance(body, Ball):
-        outer = Ellipsoid(np.full(d, body.radius), body.center)
-    elif isinstance(body, Ellipsoid):
-        outer = body
-    elif isinstance(body, Polytope):
-        outer = loewner_ellipsoid(body.vertices)
-    else:
-        raise UnsupportedRepresentationError("john_pair needs a polytope or ellipsoid")
+    outer = body.john_outer()
     inner = Ellipsoid(outer.semi_axes / d, outer.center, outer.orientation)
 
     scale_len = float(outer.semi_axes.max())
@@ -794,23 +848,7 @@ def john_sorted_axes(body):
 # ---------------------------------------------------------------------------
 
 def body_to_dict(body):
-    if isinstance(body, Ball):
-        return {"kind": "ball", "radius": body.radius, "center": body.center.tolist()}
-    if isinstance(body, Ellipsoid):
-        out = {"kind": "ellipsoid", "semi_axes": body.semi_axes.tolist(),
-               "center": body.center.tolist()}
-        if body.orientation is not None:
-            out["orientation"] = body.orientation.tolist()
-        return out
-    if isinstance(body, Polytope):
-        return {"kind": "polytope", "vertices": body.vertices.tolist()}
-    if isinstance(body, Capsule):
-        return {"kind": "capsule", "p": body.p.tolist(), "q": body.q.tolist(),
-                "radius": body.radius}
-    if isinstance(body, BallUnion):
-        return {"kind": "ball_union", "centers": body.centers.tolist(),
-                "radii": body.radii.tolist(), "disjoint": body.disjoint}
-    raise UnsupportedRepresentationError(type(body).__name__)
+    return body.to_dict()
 
 
 def body_from_dict(doc):

@@ -12,33 +12,36 @@ from scipy.optimize import brentq, minimize
 from scipy.special import betainc
 
 from . import exact_ellipsoid as exact
-from . import functionals, geometry
-from .errors import (
-    InternalConsistencyError,
-    ShapeFnError,
-    UnsupportedRepresentationError,
-    ValidationError,
-)
+from . import geometry
+from .bounds import critical_epsilon, ratio_bound
+from .errors import InternalConsistencyError, ShapeFnError, ValidationError
 from .estimators import EstimatorConfig
-from .functionals import FunctionalId, evaluate
-from .geometry import Ball, BallUnion, Capsule, Ellipsoid, Polytope, hull_2d
+from .functionals import evaluate
+from .geometry import BallUnion, Body, Capsule, Ellipsoid, Polytope, hull_2d
 
 _THETA_CLIP = 10.0  # log-axis range; keeps the parameter-to-body map total
 
 
-class SlabBody:
+@dataclass(frozen=True, eq=False)
+class SlabBody(Body):
     """Axis-aligned ellipsoid cut by the symmetric slab |x_d| <= h a_d."""
 
-    def __init__(self, semi_axes, h):
-        a = np.asarray(semi_axes, dtype=float)
+    axes: np.ndarray
+    h: float
+
+    def __post_init__(self):
+        a = np.asarray(self.axes, dtype=float)
         if a.ndim != 1 or a.size < 2 or np.any(a <= 0):
             raise ValidationError("need positive semi-axes")
-        if not 0.0 < h <= 1.0:
+        if not 0.0 < self.h <= 1.0:
             raise ValidationError("slab fraction h must be in (0, 1]")
-        self.axes = a
-        self.h = float(h)
-        self.dimension = a.size
-        self.ellipsoid = Ellipsoid(a)
+        object.__setattr__(self, "axes", a)
+        object.__setattr__(self, "h", float(self.h))
+        object.__setattr__(self, "ellipsoid", Ellipsoid(a))
+
+    @property
+    def dimension(self):
+        return self.axes.size
 
     def measure(self):
         d = self.dimension
@@ -215,38 +218,25 @@ def maximize(f, family, cfg=None, restarts=20, seed=0, xatol=1e-7,
                         tuple(trace), converged)
 
 
-def _constrained_ratio_bound(d, epsilon):
-    if d >= 4:
-        critical = math.sqrt((d - 1.0) * (d - 2.0) / (d * (d - 3.0))) - 1.0
-        q = 1.0 - d * (d - 3.0) / ((d - 1.0) * (d - 2.0)) * (1.0 + epsilon) ** 2
-        bound = (2.0 ** d * math.sqrt(d * (d - 1.0) ** d * (d - 2.0) / (d - 3.0))
-                 * q ** (1.0 - d))
-    elif d == 2:
-        critical = 2.0 ** (1.0 / 3.0) - 1.0
-        bound = 2.0 ** (11.0 / 3.0) / (critical - epsilon)
-    else:
-        raise ValidationError("constrained search needs d = 2 or d >= 4")
-    if epsilon >= critical:
-        raise ValidationError(
-            f"epsilon {epsilon} is at or above the critical value {critical}")
-    return bound
-
-
 def maximize_constrained(f, d, epsilon, cfg=None, restarts=8, seed=0,
                          max_evals=200):
     """Lower bound for the volume-constrained supremum via the slab-cut
     ellipsoid family; the diameter/inradius bound of the constrained
     problem is asserted on the result."""
-    ratio_bound = _constrained_ratio_bound(d, epsilon)
+    critical = critical_epsilon(d)
+    if epsilon >= critical:
+        raise ValidationError(
+            f"epsilon {epsilon} is at or above the critical value {critical}")
+    bound = ratio_bound(d, epsilon)
     family = Family("ellipsoid_slab", d, epsilon)
     result = maximize(f, family, cfg, restarts=restarts, seed=seed,
                       max_evals=max_evals)
     diam, r = geometry.diameter_inradius(result.best_body)
-    if diam / r > ratio_bound * (1.0 + 1e-9):
+    if diam / r > bound * (1.0 + 1e-9):
         raise InternalConsistencyError(
-            f"best body has diam/r = {diam / r}, above the bound {ratio_bound}")
+            f"best body has diam/r = {diam / r}, above the bound {bound}")
     extra = dict(result.extra, epsilon=epsilon, diam_over_inradius=diam / r,
-                 ratio_bound=ratio_bound)
+                 ratio_bound=bound)
     return SearchResult(result.best_params, result.best_body,
                         result.best_value, result.best_eval, result.trace,
                         result.converged, extra)

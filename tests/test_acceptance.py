@@ -145,7 +145,7 @@ def test_criterion_05_stochastic_calibration():
         tor_exact = 4.0 * math.pi / 45.0
         cap_exact = 4.0 * math.pi
 
-        cfg = EstimatorConfig(walk_count=100_000, seed=0, threads=4)
+        cfg = EstimatorConfig(walk_count=100_000, seed=0)
         t = wos_torsion(ball, cfg)
         c = wos_capacity(ball, cfg)
         assert abs(t.value - tor_exact) <= 0.02 * tor_exact
@@ -153,7 +153,7 @@ def test_criterion_05_stochastic_calibration():
 
         hits_t = hits_c = 0
         for seed in range(100):
-            cfg_s = EstimatorConfig(walk_count=10_000, seed=seed, threads=4)
+            cfg_s = EstimatorConfig(walk_count=10_000, seed=seed)
             t = wos_torsion(ball, cfg_s)
             c = wos_capacity(ball, cfg_s)
             hits_t += abs(t.value - tor_exact) <= 3.0 * t.standard_error

@@ -1,10 +1,13 @@
 import csv
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import shapefn
 from shapefn import cli
 from shapefn.cli import EXIT_ESTIMATOR, EXIT_LEDGER_FAILURE, EXIT_OK, EXIT_VALIDATION
 from shapefn.errors import ValidationError
@@ -229,3 +232,8 @@ def test_version(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["--version"])
     assert exc.value.code == 0
+
+
+def test_pyproject_version_matches_package():
+    text = (Path(__file__).resolve().parent.parent / "pyproject.toml").read_text()
+    assert re.search(r'^version = "([^"]+)"$', text, re.M).group(1) == shapefn.__version__

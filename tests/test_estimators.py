@@ -7,7 +7,7 @@ from shapefn import estimators as est
 from shapefn import exact_ellipsoid as ex
 from shapefn import geometry as geo
 from shapefn.errors import UnsupportedRepresentationError, ValidationError
-from shapefn.estimators import EstimatorConfig, fekete_logcap, mc_surface_area
+from shapefn.estimators import EstimatorConfig, fekete_logcap
 from shapefn.estimators import wos_capacity, wos_torsion, wos_torsion_pointwise
 from shapefn.geometry import Ball, Capsule, Ellipsoid, Polytope
 
@@ -57,13 +57,6 @@ def test_torsion_deterministic_and_seed_sensitive():
     assert e1.value == e2.value and e1.standard_error == e2.standard_error
     e3 = wos_torsion(b, EstimatorConfig(walk_count=2000, seed=43))
     assert e3.value != e1.value
-
-
-def test_thread_count_does_not_change_bits():
-    b = Ellipsoid(np.array([1.5, 1.0, 0.7]))
-    v1 = wos_capacity(b, EstimatorConfig(walk_count=4000, seed=7, threads=1)).value
-    v4 = wos_capacity(b, EstimatorConfig(walk_count=4000, seed=7, threads=4)).value
-    assert v1 == v4
 
 
 # ---------------------------------------------------------------------------
@@ -173,15 +166,3 @@ def test_fekete_rejects_3d():
     with pytest.raises(UnsupportedRepresentationError):
         fekete_logcap(Ball(1.0, np.zeros(3)))
 
-
-# ---------------------------------------------------------------------------
-# surface area estimator
-# ---------------------------------------------------------------------------
-
-def test_mc_surface_area_4d():
-    body = Ellipsoid(np.array([2.0, 1.0, 1.0, 1.0]))
-    e = mc_surface_area(body, EstimatorConfig(walk_count=50000, seed=1))
-    exact = geo.perimeter(body)
-    assert abs(e.value - exact) < max(3 * e.standard_error, 0.02 * exact)
-    with pytest.raises(UnsupportedRepresentationError):
-        mc_surface_area(Ball(1.0, np.zeros(3)))

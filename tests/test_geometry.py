@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import minimize
 
+from shapefn import exact_ellipsoid as ex
 from shapefn import geometry as geo
 from shapefn.errors import (
     RankDeficiencyError,
@@ -13,6 +14,7 @@ from shapefn.errors import (
     ValidationError,
 )
 from shapefn.geometry import Ball, BallUnion, Capsule, Ellipsoid, Polytope
+from shapefn.search import SlabBody
 
 
 def cube_vertices(d, half=1.0):
@@ -86,10 +88,33 @@ def test_ellipse_perimeter_agm_terminates_across_ratios():
         assert geo.ellipse_perimeter_agm(ratio, 1.0) == pytest.approx(exact, rel=1e-11)
 
 
+def _ellipsoid_surface_3d(axes, tol=1e-9):
+    """Chart quadrature of the parameterized ellipsoid surface (d=3)."""
+    a, b, c = axes
+    prev = None
+    n = 32
+    while n <= 4096:
+        t, wt = ex.gl01(n)          # theta / pi
+        theta = math.pi * t
+        phi = 2.0 * math.pi * np.arange(n) / n  # periodic -> trapezoid
+        st = np.sin(theta)[:, None]
+        ct = np.cos(theta)[:, None]
+        cp = np.cos(phi)[None, :]
+        sp = np.sin(phi)[None, :]
+        integrand = st * np.sqrt(
+            (b * c * st * cp) ** 2 + (a * c * st * sp) ** 2 + (a * b * ct) ** 2)
+        val = math.pi * (2.0 * math.pi / n) * float(wt @ integrand.sum(axis=1))
+        if prev is not None and abs(val - prev) <= tol * abs(val):
+            return val
+        prev = val
+        n *= 2
+    return prev
+
+
 def test_ellipsoid_surface_chart_vs_projection():
     # two independent quadratures of the d=3 surface area
     for axes in ([1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [3.0, 2.0, 0.5]):
-        chart = geo._ellipsoid_surface_3d(np.array(axes))
+        chart = _ellipsoid_surface_3d(np.array(axes))
         proj = geo._ellipsoid_surface_highd(np.array(axes))
         assert proj == pytest.approx(chart, rel=1e-8)
 
@@ -442,3 +467,50 @@ def test_body_dict_roundtrip(body):
 def test_body_from_dict_rejects_unknown():
     with pytest.raises(ValidationError):
         geo.body_from_dict({"kind": "torus"})
+
+
+# ---------------------------------------------------------------------------
+# body protocol
+# ---------------------------------------------------------------------------
+
+# each body kind with the public operations it does not support
+PROTOCOL_BODIES = {
+    "ball": (Ball(1.0, np.zeros(3)), set()),
+    "ellipsoid": (Ellipsoid(np.array([2.0, 1.0, 0.5])), set()),
+    "polytope2": (Polytope(cube_vertices(2)), set()),
+    "polytope3": (Polytope(cube_vertices(3)), set()),
+    "capsule": (Capsule(np.zeros(3), np.array([2.0, 0, 0]), 0.5), {"john_pair"}),
+    "ball_union": (BallUnion(np.array([[0.0, 0, 0], [4.0, 0, 0]]), np.array([1.0, 1.5])),
+                   {"perimeter", "diameter_inradius", "support_point", "john_pair"}),
+    "slab": (SlabBody(np.array([1.5, 1.0, 0.8, 1.0]), 0.6),
+             {"perimeter", "scale", "support_point", "body_to_dict", "john_pair"}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PROTOCOL_BODIES))
+def test_body_protocol_conformance(kind):
+    # every public operation returns or raises UnsupportedRepresentationError,
+    # never AttributeError or TypeError
+    body, unsupported = PROTOCOL_BODIES[kind]
+    d = body.dimension
+    P = np.random.default_rng(0).uniform(-2.0, 2.0, (5, d))
+    U = geo._sphere_directions(d, 5)
+    calls = {
+        "measure": lambda: geo.measure(body),
+        "perimeter": lambda: geo.perimeter(body),
+        "diameter_inradius": lambda: geo.diameter_inradius(body),
+        "signed_distance": lambda: geo.signed_distance(body, P),
+        "boundary_distance_lower": lambda: geo.boundary_distance_lower(body, P),
+        "bounding_ball": lambda: geo.bounding_ball(body),
+        "bounding_box": lambda: geo.bounding_box(body),
+        "scale": lambda: geo.scale(body, 2.0),
+        "support_point": lambda: geo.support_point(body, U),
+        "body_to_dict": lambda: geo.body_to_dict(body),
+        "john_pair": lambda: geo.john_pair(body),
+    }
+    for name, call in calls.items():
+        if name in unsupported:
+            with pytest.raises(UnsupportedRepresentationError):
+                call()
+        else:
+            call()
