@@ -22,7 +22,7 @@ from .errors import (
     UnsupportedRepresentationError,
     ValidationError,
 )
-from .exact_ellipsoid import gl01
+from .exact_ellipsoid import gl01, omega_d
 
 _REP_TOL = 1e-9
 
@@ -32,11 +32,6 @@ def _as_point(x, d=None):
     if d is not None and p.shape != (d,):
         raise ValidationError(f"expected a point of dimension {d}, got shape {p.shape}")
     return p
-
-
-def unit_ball_volume(d):
-    """Volume of the unit ball in R^d."""
-    return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
 class Body:
@@ -116,11 +111,11 @@ class Ball(Body):
             object.__setattr__(self, "dimension", c.size)
 
     def measure(self):
-        return unit_ball_volume(self.dimension) * self.radius ** self.dimension
+        return omega_d(self.dimension) * self.radius ** self.dimension
 
     def perimeter(self):
         d = self.dimension
-        return d * unit_ball_volume(d) * self.radius ** (d - 1)
+        return d * omega_d(d) * self.radius ** (d - 1)
 
     def signed_distance(self, P):
         return np.linalg.norm(P - self.center, axis=1) - self.radius
@@ -193,7 +188,7 @@ class Ellipsoid(Body):
         return Q
 
     def measure(self):
-        return unit_ball_volume(self.dimension) * float(np.prod(self.semi_axes))
+        return omega_d(self.dimension) * float(np.prod(self.semi_axes))
 
     def perimeter(self):
         a = self.semi_axes
@@ -419,12 +414,12 @@ class Capsule(Body):
     def measure(self):
         # cylinder part + full ball
         d, r, L = self.dimension, self.radius, self.length
-        return unit_ball_volume(d - 1) * r ** (d - 1) * L + unit_ball_volume(d) * r ** d
+        return omega_d(d - 1) * r ** (d - 1) * L + omega_d(d) * r ** d
 
     def perimeter(self):
         d, r, L = self.dimension, self.radius, self.length
-        lateral = (d - 1) * unit_ball_volume(d - 1) * r ** (d - 2) * L
-        caps = d * unit_ball_volume(d) * r ** (d - 1)
+        lateral = (d - 1) * omega_d(d - 1) * r ** (d - 2) * L
+        caps = d * omega_d(d) * r ** (d - 1)
         return lateral + caps
 
     def signed_distance(self, P):
@@ -482,7 +477,7 @@ class BallUnion(Body):
         if not self.disjoint:
             raise UnsupportedRepresentationError(
                 "volume of overlapping ball unions is not implemented")
-        return float(np.sum(unit_ball_volume(self.dimension) * self.radii ** self.dimension))
+        return float(np.sum(omega_d(self.dimension) * self.radii ** self.dimension))
 
     def signed_distance(self, P):
         sd_all = (np.linalg.norm(P[:, None, :] - self.centers[None, :, :], axis=-1)
@@ -571,7 +566,7 @@ def _ellipsoid_surface_highd(axes, tol=1e-11):
     e_gauss = val * math.sqrt(scale)
     e_norm = math.sqrt(2.0) * math.exp(math.lgamma((d + 1) / 2.0) - math.lgamma(d / 2.0))
     mean_proj = e_gauss / e_norm
-    return d * unit_ball_volume(d) * float(np.prod(a)) * mean_proj
+    return d * omega_d(d) * float(np.prod(a)) * mean_proj
 
 
 def perimeter(body):

@@ -45,7 +45,7 @@ class SlabBody(Body):
 
     def measure(self):
         d = self.dimension
-        full = geometry.unit_ball_volume(d) * float(np.prod(self.axes))
+        full = exact.omega_d(d) * float(np.prod(self.axes))
         return full * slab_volume_fraction(d, self.h)
 
     def signed_distance(self, P):

@@ -122,7 +122,7 @@ def test_ellipsoid_surface_chart_vs_projection():
 def test_unit_sphere_surface_highd():
     for d in range(4, 9):
         s = geo.perimeter(Ellipsoid(np.ones(d)))
-        expected = d * geo.unit_ball_volume(d)
+        expected = d * ex.omega_d(d)
         assert s == pytest.approx(expected, rel=1e-9)
 
 
