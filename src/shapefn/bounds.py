@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import exact_ellipsoid as exact
-from . import functionals, geometry
+from . import geometry
 from .errors import InternalConsistencyError, ValidationError
 from .estimators import EstimatorConfig
 from .functionals import FunctionalId, assemble, compute_components
