@@ -1,10 +1,10 @@
 """Monte Carlo and discrete-extremal estimators for torsion, Newtonian
 capacity and logarithmic capacity on general convex bodies.
 
-Randomness is drawn from counter-based Philox streams keyed by
-(seed, batch index, substream), so results are bit-identical for a fixed
-body, seed, walk_count and batch_size. A different batch size splits the
-walks over different streams and changes the bits.
+Walks run in blocks fixed by walk_count alone, each on a counter-based
+Philox stream keyed by (seed, block index, substream), so results are
+bit-identical for a fixed body, seed and walk_count. Standard errors come
+from the per-walk values, so they are finite at any walk count.
 """
 
 from __future__ import annotations
@@ -43,9 +43,7 @@ _MAX_WALK_STEPS = 10 ** 6
 class EstimatorConfig:
     walk_count: int = 100_000
     shell_epsilon: float | None = None  # default: 1e-5 x inradius
-    escape_radius_factor: float = 2.0
     seed: int = 0
-    batch_size: int | None = None
     fekete_points: int = 128
 
     def __post_init__(self):
@@ -53,21 +51,12 @@ class EstimatorConfig:
             raise ValidationError("walk_count must be at least 10^3")
         if self.shell_epsilon is not None and self.shell_epsilon <= 0:
             raise ValidationError("shell_epsilon must be positive")
-        if self.escape_radius_factor < 2:
-            raise ValidationError("escape_radius_factor must be >= 2")
         if self.fekete_points < 16:
             raise ValidationError("fekete_points must be at least 16")
 
-    def resolved_batch_size(self):
-        if self.batch_size is not None:
-            return self.batch_size
-        return max(1000, self.walk_count // 50)
-
     def to_dict(self):
         return {"walk_count": self.walk_count, "shell_epsilon": self.shell_epsilon,
-                "escape_radius_factor": self.escape_radius_factor,
-                "seed": self.seed, "batch_size": self.batch_size,
-                "fekete_points": self.fekete_points}
+                "seed": self.seed, "fekete_points": self.fekete_points}
 
 
 @dataclass(frozen=True)
@@ -109,23 +98,26 @@ def _resolve_epsilon(cfg, body):
     return cfg.shell_epsilon
 
 
-def _batch_sizes(n, batch_size):
-    nb = max(1, math.ceil(n / batch_size))
-    base = n // nb
-    sizes = np.full(nb, base)
-    sizes[: n - base * nb] += 1
-    return sizes
+def _per_walk(n, values):
+    """Mean and standard error of n per-walk values, run in blocks.
 
-
-def _combine_batches(batch_means, sizes, scale=1.0):
-    x = np.asarray(batch_means, dtype=float)
-    w = sizes / sizes.sum()
-    grand = float(w @ x)
-    if len(x) > 1:
-        se = math.sqrt(float(np.sum(w ** 2 * (x - grand) ** 2)) * len(x) / (len(x) - 1))
-    else:
-        se = float("inf")
-    return scale * grand, scale * se
+    The blocks are fixed by n alone: ceil(n / max(1000, n // 50)) of them,
+    sizes differing by at most one. values(b, m) returns block b's m
+    per-walk values, one row per walk and a column per quantity if it is
+    2-D. Block moments are pooled as in Chan, Golub & LeVeque (1979), so no
+    per-walk array outlives its block."""
+    nb = math.ceil(n / max(1000, n // 50))
+    sizes = np.full(nb, n // nb)
+    sizes[: n - sizes.sum()] += 1
+    means, m2 = [], 0.0
+    for b, m in enumerate(sizes):
+        x = np.asarray(values(b, int(m)), dtype=float)
+        means.append(x.mean(axis=0))
+        m2 = m2 + ((x - means[-1]) ** 2).sum(axis=0)
+    means = np.array(means)
+    mean = sizes / n @ means
+    m2 = m2 + sizes @ (means - mean) ** 2
+    return mean, np.sqrt(m2 / (n - 1) / n)
 
 
 def _sample_interior(body, n, rng):
@@ -141,6 +133,17 @@ def _sample_interior(body, n, rng):
     return out
 
 
+def _step_radius(body, pos, eps):
+    """Walk-on-spheres step radius at pos: the cheap lower bound on the
+    boundary distance, replaced by the exact distance where it is below eps."""
+    r = boundary_distance_lower(body, pos)
+    near = r < eps
+    if near.any():
+        r = r.copy()
+        r[near] = np.abs(signed_distance(body, pos[near]))
+    return r
+
+
 def _torsion_walks(body, pos, eps, rng):
     """Accumulated R^2/(2d) along walk-on-spheres paths until absorption."""
     d = body.dimension
@@ -151,11 +154,7 @@ def _torsion_walks(body, pos, eps, rng):
     for _ in range(_MAX_WALK_STEPS):
         if idx.size == 0:
             return acc
-        r = boundary_distance_lower(body, pos[idx])
-        near = r < eps
-        if near.any():
-            r = r.copy()
-            r[near] = np.abs(signed_distance(body, pos[idx][near]))
+        r = _step_radius(body, pos[idx], eps)
         alive = r >= eps
         idx = idx[alive]
         r = r[alive]
@@ -171,40 +170,33 @@ def wos_torsion(body, cfg=None):
     cfg = cfg or EstimatorConfig()
     eps = _resolve_epsilon(cfg, body)
     vol = measure(body)
-    sizes = _batch_sizes(cfg.walk_count, cfg.resolved_batch_size())
 
-    def one(b):
+    def values(b, m):
         rng = _stream(cfg.seed, b, 0)
-        pos = _sample_interior(body, int(sizes[b]), rng)
-        return float(_torsion_walks(body, pos, eps, rng).mean())
+        return _torsion_walks(body, _sample_interior(body, m, rng), eps, rng)
 
-    means = [one(b) for b in range(len(sizes))]
-    value, se = _combine_batches(means, sizes, scale=vol)
-    return Estimate(value, se, int(sizes.sum()), "wos_torsion")
+    mean, se = _per_walk(cfg.walk_count, values)
+    return Estimate(vol * float(mean), vol * float(se), cfg.walk_count, "wos_torsion")
 
 
 def wos_torsion_pointwise(body, point, cfg=None):
     """Estimate of the torsion function u(point) (pointwise oracle)."""
     cfg = cfg or EstimatorConfig()
     eps = _resolve_epsilon(cfg, body)
-    sizes = _batch_sizes(cfg.walk_count, cfg.resolved_batch_size())
     p = np.asarray(point, dtype=float)
 
-    def one(b):
-        rng = _stream(cfg.seed, b, 0)
-        pos = np.tile(p, (int(sizes[b]), 1))
-        return float(_torsion_walks(body, pos, eps, rng).mean())
+    def values(b, m):
+        return _torsion_walks(body, np.tile(p, (m, 1)), eps, _stream(cfg.seed, b, 0))
 
-    means = [one(b) for b in range(len(sizes))]
-    value, se = _combine_batches(means, sizes)
-    return Estimate(value, se, int(sizes.sum()), "wos_torsion_pointwise")
+    mean, se = _per_walk(cfg.walk_count, values)
+    return Estimate(float(mean), float(se), cfg.walk_count, "wos_torsion_pointwise")
 
 
 _WEIGHT_FLOOR = 1e-6  # relative truncation bias, negligible vs Monte Carlo noise
 
 
 def _capacity_hits(body, center, R, n, eps, rng):
-    """Total absorbed weight of n exterior walks launched from the R-sphere.
+    """Absorbed weight of each of n exterior walks launched from the R-sphere.
 
     The escape test is handled by expectation: instead of killing a walk at
     radius rho > R with the exact escape probability, its weight is
@@ -214,22 +206,19 @@ def _capacity_hits(body, center, R, n, eps, rng):
     d = body.dimension
     pos = center + R * _unit_vectors(rng, n, d)
     w = np.ones(n)
-    total = 0.0
+    hits = np.zeros(n)
+    idx = np.arange(n)
     for _ in range(_MAX_WALK_STEPS):
-        if pos.shape[0] == 0:
-            return total
-        r = boundary_distance_lower(body, pos)
-        near = r < eps
-        if near.any():
-            r = r.copy()
-            r[near] = np.abs(signed_distance(body, pos[near]))
+        if idx.size == 0:
+            return hits
+        r = _step_radius(body, pos, eps)
         absorbed = r < eps
         if absorbed.any():
-            total += float(w[absorbed].sum())
-            pos, w, r = pos[~absorbed], w[~absorbed], r[~absorbed]
-        if pos.shape[0] == 0:
-            return total
-        pos = pos + r[:, None] * _unit_vectors(rng, pos.shape[0], d)
+            hits[idx[absorbed]] = w[absorbed]
+            idx, pos, w, r = idx[~absorbed], pos[~absorbed], w[~absorbed], r[~absorbed]
+        if idx.size == 0:
+            return hits
+        pos = pos + r[:, None] * _unit_vectors(rng, idx.size, d)
         rho = np.linalg.norm(pos - center, axis=1)
         far = rho > R
         if far.any():
@@ -237,42 +226,36 @@ def _capacity_hits(body, center, R, n, eps, rng):
             pos[far] = center + R * _unit_vectors(rng, int(far.sum()), d)
         keep = w > _WEIGHT_FLOOR
         if not keep.all():
-            pos, w = pos[keep], w[keep]
+            idx, pos, w = idx[keep], pos[keep], w[keep]
     raise StuckWalkError("capacity walk exceeded step budget")
 
 
 def wos_capacity(body, cfg=None):
     """Newtonian capacity by exterior walk-on-spheres hitting probability,
-    with Richardson extrapolation across launch radii R and 2R."""
+    with Richardson extrapolation across launch radii R and 2R: walk i at R
+    and walk i at 2R, on independent streams, form one extrapolated value."""
     cfg = cfg or EstimatorConfig()
     d = body.dimension
     if d < 3:
         raise UnsupportedRepresentationError("Newtonian capacity needs d >= 3")
     eps = _resolve_epsilon(cfg, body)
     center, rb = bounding_ball(body)
-    R1 = cfg.escape_radius_factor * rb
+    R = 2.0 * rb
     kap = kappa_d(d)
     f = 2.0 ** (2 - d)  # bias decay factor between radii R and 2R
-    sizes = _batch_sizes(cfg.walk_count, cfg.resolved_batch_size())
 
-    def one(b):
-        m = int(sizes[b])
-        caps = []
-        for ridx, R in enumerate((R1, 2.0 * R1)):
-            rng = _stream(cfg.seed, b, 1 + ridx)
-            h = _capacity_hits(body, center, R, m, eps, rng)
-            caps.append(kap * R ** (d - 2) * h / m)
-        return (caps[1] - f * caps[0]) / (1.0 - f), caps
+    def values(b, m):
+        cap_R, cap_2R = (kap * r ** (d - 2)
+                         * _capacity_hits(body, center, r, m, eps, _stream(cfg.seed, b, 1 + k))
+                         for k, r in enumerate((R, 2.0 * R)))
+        return np.stack([(cap_2R - f * cap_R) / (1.0 - f), cap_R, cap_2R], axis=1)
 
-    results = [one(b) for b in range(len(sizes))]
-    means = [r[0] for r in results]
-    if not any(m > 0 for m in means):
+    mean, se = _per_walk(cfg.walk_count, values)
+    value, raw_R, raw_2R = (float(x) for x in mean)
+    if raw_R == 0 and raw_2R == 0:
         raise DegenerateEstimateError("no capacity walk hit the body")
-    value, se = _combine_batches(means, sizes)
-    raw1, _ = _combine_batches([r[1][0] for r in results], sizes)
-    raw2, _ = _combine_batches([r[1][1] for r in results], sizes)
-    return Estimate(value, se, int(sizes.sum()), "wos_capacity",
-                    extra={"raw_R": raw1, "raw_2R": raw2})
+    return Estimate(value, float(se[0]), cfg.walk_count, "wos_capacity",
+                    extra={"raw_R": raw_R, "raw_2R": raw_2R})
 
 
 # ---------------------------------------------------------------------------
@@ -367,15 +350,15 @@ def _fekete_ascent(chart, n, max_sweeps=25, tol=1e-5):
     return diam_n, converged
 
 
-def fekete_logcap(body, n_points=None, cfg=None):
+def fekete_logcap(body, cfg=None):
     """Logarithmic capacity via Fekete-point transfinite diameters at n and
-    2n boundary points, extrapolated linearly in 1/n."""
+    2n boundary points (n = cfg.fekete_points), extrapolated linearly in 1/n."""
     cfg = cfg or EstimatorConfig()
-    n_points = n_points or cfg.fekete_points
+    n = cfg.fekete_points
     chart = _BoundaryChart(body)
-    v_n, ok_n = _fekete_ascent(chart, n_points)
-    v_2n, ok_2n = _fekete_ascent(chart, 2 * n_points)
+    v_n, ok_n = _fekete_ascent(chart, n)
+    v_2n, ok_2n = _fekete_ascent(chart, 2 * n)
     value = 2.0 * v_2n - v_n
-    return Estimate(value, abs(v_n - v_2n), 2 * n_points, "fekete",
+    return Estimate(value, abs(v_n - v_2n), 2 * n, "fekete",
                     extra={"raw_n": v_n, "raw_2n": v_2n,
                            "converged": bool(ok_n and ok_2n)})

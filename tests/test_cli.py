@@ -103,6 +103,15 @@ def test_compute_alpha_functional(ball3, capsys):
     assert json.loads(out)["evaluation"]["functional"] == "G_alpha(1)"
 
 
+def test_compute_at_1000_walks_prints_no_infinity(tmp_path, capsys):
+    cube = write_body(tmp_path / "cube.json", {
+        "kind": "polytope",
+        "vertices": np.array(np.meshgrid(*[[-1.0, 1.0]] * 3)).reshape(3, -1).T.tolist()})
+    code, out, _ = run(["compute", cube, "--functional", "G", "--walks", "1000"], capsys)
+    assert code == EXIT_OK
+    assert "Infinity" not in out
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -26,8 +26,6 @@ def test_config_validation():
     with pytest.raises(ValidationError):
         EstimatorConfig(shell_epsilon=0.0)
     with pytest.raises(ValidationError):
-        EstimatorConfig(escape_radius_factor=1.5)
-    with pytest.raises(ValidationError):
         EstimatorConfig(fekete_points=8)
 
 
@@ -37,12 +35,20 @@ def test_shell_epsilon_must_be_small_vs_inradius():
                     EstimatorConfig(walk_count=1000, shell_epsilon=0.01))
 
 
-def test_combine_batches_equal_sizes_is_plain_mean():
-    means = [1.0, 3.0, 2.0, 4.0]
-    sizes = np.array([10, 10, 10, 10])
-    value, se = est._combine_batches(means, sizes)
-    assert value == pytest.approx(2.5)
-    assert se > 0
+def test_per_walk_pools_blocks_into_the_plain_sample_stderr():
+    calls, blocks = [], []
+
+    def values(b, m):
+        calls.append((b, m))
+        blocks.append(np.random.default_rng(b).exponential(1.0 + b, size=m))
+        return blocks[-1]
+
+    mean, se = est._per_walk(2500, values)
+    assert calls == [(0, 834), (1, 833), (2, 833)]
+    sizes = np.array([834, 833, 833])
+    assert mean == pytest.approx(sizes @ [x.mean() for x in blocks] / 2500, rel=1e-15)
+    every = np.concatenate(blocks)
+    assert se == pytest.approx(np.std(every, ddof=1) / math.sqrt(2500), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -132,18 +138,32 @@ def test_capacity_4d_ball():
     assert abs(e.value - exact) < max(3 * e.standard_error, 0.04 * exact)
 
 
+def test_stderr_calibrated_at_1000_walks():
+    # 1000 walks is a single block; the stderr must still be finite and
+    # cover the exact value at the 3-s.e. rate
+    ball = Ball(1.0, np.zeros(3))
+    for estimator, exact in ((wos_torsion, 4 * math.pi / 45),
+                             (wos_capacity, 4 * math.pi)):
+        covered = 0
+        for seed in range(100):
+            e = estimator(ball, EstimatorConfig(walk_count=1000, seed=seed))
+            assert 0 < e.standard_error < math.inf
+            covered += abs(e.value - exact) <= 3 * e.standard_error
+        assert covered >= 95, estimator.__name__
+
+
 # ---------------------------------------------------------------------------
 # Fekete logarithmic capacity
 # ---------------------------------------------------------------------------
 
 def test_fekete_disk():
-    e = fekete_logcap(Ball(2.0, np.zeros(2)), n_points=48)
+    e = fekete_logcap(Ball(2.0, np.zeros(2)), cfg=EstimatorConfig(fekete_points=48))
     assert e.value == pytest.approx(2.0, rel=0.02)
     assert e.backend == "fekete"
 
 
 def test_fekete_ellipse():
-    e = fekete_logcap(Ellipsoid(np.array([2.0, 1.0])), n_points=48)
+    e = fekete_logcap(Ellipsoid(np.array([2.0, 1.0])), cfg=EstimatorConfig(fekete_points=48))
     assert e.value == pytest.approx(1.5, rel=0.02)
 
 
@@ -151,14 +171,14 @@ def test_fekete_square():
     # square side s: logarithmic capacity s * Gamma(1/4)^2 / (4 pi^(3/2))
     s = 2.0
     exact = s * math.gamma(0.25) ** 2 / (4 * math.pi ** 1.5)
-    e = fekete_logcap(Polytope(cube_vertices(2)), n_points=48)
+    e = fekete_logcap(Polytope(cube_vertices(2)), cfg=EstimatorConfig(fekete_points=48))
     assert e.value == pytest.approx(exact, rel=0.02)
 
 
 def test_fekete_segment():
     # segment of length L: capacity L/4
     seg = Capsule(np.array([0.0, 0.0]), np.array([4.0, 0.0]), 0.0)
-    e = fekete_logcap(seg, n_points=48)
+    e = fekete_logcap(seg, cfg=EstimatorConfig(fekete_points=48))
     assert e.value == pytest.approx(1.0, rel=0.03)
 
 

@@ -153,6 +153,13 @@ def test_stochastic_evaluation_cube():
     assert ev.value < 0.2
 
 
+def test_stochastic_evaluation_finite_bracket_at_1000_walks():
+    ev = evaluate(FunctionalId("G"), Polytope(cube_vertices(3)),
+                  EstimatorConfig(walk_count=1000))
+    assert math.isfinite(ev.bracket[0]) and math.isfinite(ev.bracket[1])
+    assert ev.bracket[0] < ev.value < ev.bracket[1]
+
+
 def test_stochastic_evaluation_square_h():
     cfg = EstimatorConfig(walk_count=5000, seed=2, fekete_points=32)
     ev = evaluate(FunctionalId("H"), Polytope(cube_vertices(2)), cfg)
