@@ -30,7 +30,6 @@ from .geometry import (
     signed_distance,
 )
 from .exact_ellipsoid import (
-    ball_constants,
     cap_log_ellipse,
     cap_newtonian_ellipsoid,
     carlson_rf,

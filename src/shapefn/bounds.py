@@ -77,10 +77,6 @@ def _row(theorem, inequality, body_id, lhs, rhs, stderr=0.0, tol=1e-10,
                        status, float(stderr), tol, extra or {})
 
 
-def _components(body, cfg):
-    return compute_components(body, cfg, need=("T", "cap", "V", "P"))
-
-
 # ---------------------------------------------------------------------------
 # d >= 3 checks
 # ---------------------------------------------------------------------------
@@ -91,7 +87,7 @@ def check_thm1(body, cfg=None, body_id="body", comp=None):
     if d < 3:
         raise ValidationError("need d >= 3")
     cfg = cfg or EstimatorConfig()
-    comp = comp or _components(body, cfg)
+    comp = comp or compute_components(body, cfg)
     g = assemble(FunctionalId("G"), comp, d)
     b = geometry.john_sorted_axes(body)
     gb = exact.g_ball(d)
@@ -120,17 +116,17 @@ def check_thm2(body, cfg=None, body_id="body", comp=None):
     if d < 3:
         raise ValidationError("need d >= 3")
     cfg = cfg or EstimatorConfig()
-    comp = comp or _components(body, cfg)
+    comp = comp or compute_components(body, cfg)
     g = assemble(FunctionalId("G"), comp, d)
     gb = exact.g_ball(d)
+    axes = body.ellipsoid_axes()
     rows = []
-    if body.ellipsoid_axes() is not None:
+    if axes is not None:
         rows.append(_row("Thm2", "e32", body_id, g.value, gb, stderr=g.stderr))
     rows.append(_row("Thm2", "e32a", body_id, g.value, d ** (2.0 * d) * gb,
                      stderr=g.stderr))
-    if body.ellipsoid_axes() is not None and d >= 4:
-        a = geometry.john_sorted_axes(body)
-        C, _ = exact.eccentricity(a)
+    if axes is not None and d >= 4:
+        C, _ = exact.eccentricity(axes)
         rhs = (gb * d * (d - 3.0) / ((d - 1.0) * (d - 2.0))
                / (1.0 - 1.0 / (1.0 + math.sqrt(C))))
         rows.append(_row("Thm2", "e33", body_id, g.value, rhs,
@@ -206,7 +202,7 @@ def check_thm6(body, alphas=(0.0, 1.0), cfg=None, body_id="body", comp=None):
     if d < 3:
         raise ValidationError("need d >= 3")
     cfg = cfg or EstimatorConfig()
-    comp = comp or _components(body, cfg)
+    comp = comp or compute_components(body, cfg)
     rows = []
     for alpha in alphas:
         ga = assemble(FunctionalId("G_alpha", alpha), comp, d)
@@ -236,7 +232,7 @@ def check_planar(body, alphas=(0.0, 1.0), cfg=None, body_id="body", comp=None):
     if body.dimension != 2:
         raise ValidationError("need d = 2")
     cfg = cfg or EstimatorConfig()
-    comp = comp or _components(body, cfg)
+    comp = comp or compute_components(body, cfg)
     h = assemble(FunctionalId("H"), comp, 2)
     b = geometry.john_sorted_axes(body)
     hb = exact.H_BALL
@@ -296,7 +292,7 @@ def ledger(bodies, cfg=None, alphas=(0.0, 1.0), epsilon=0.1):
         body = bodies[body_id]
         d = body.dimension
         dims.add(d)
-        comp = _components(body, cfg)
+        comp = compute_components(body, cfg)
         if d == 2:
             rows += check_planar(body, alphas, cfg, body_id, comp)
         else:

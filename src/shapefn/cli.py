@@ -15,8 +15,10 @@ from . import __version__, bounds, geometry, search
 from .errors import (
     DegenerateEstimateError,
     QuadratureError,
+    RankDeficiencyError,
     ShapeFnError,
     StuckWalkError,
+    UnsupportedRepresentationError,
     ValidationError,
 )
 from .estimators import EstimatorConfig
@@ -59,14 +61,16 @@ def dumps(obj, indent=0):
     raise ValidationError(f"cannot serialize {type(obj).__name__}")
 
 
-def _manifest(args, cfg, bodies=(), outputs=()):
-    return {"command": args.command,
-            "bodies": list(bodies),
-            "functional": getattr(args, "functional", None),
-            "config": cfg.to_dict(),
-            "seed": cfg.seed,
-            "outputs": list(outputs),
-            "version": __version__}
+def _manifest(args, cfg=None, bodies=(), outputs=()):
+    """Run manifest; cfg is None for the exact counterexample table."""
+    doc = {"command": args.command,
+           "bodies": list(bodies),
+           "functional": getattr(args, "functional", None),
+           "outputs": list(outputs),
+           "version": __version__}
+    if cfg is not None:
+        doc.update(config=cfg.to_dict(), seed=cfg.seed)
+    return doc
 
 
 def _config(args):
@@ -168,6 +172,8 @@ def cmd_search(args):
 
 
 def cmd_counterexample(args):
+    if args.kmax < 1:
+        raise ValidationError("--kmax must be at least 1")
     ks = []
     k = 1
     while k <= args.kmax:
@@ -184,10 +190,8 @@ def cmd_counterexample(args):
             fh.write(",".join(cols) + "\n")
             for row in table:
                 fh.write(",".join(dumps(row[c]) for c in cols) + "\n")
-    cfg = _config(args)
     _emit({"table": table,
-           "manifest": _manifest(args, cfg,
-                                 outputs=[args.out_csv] if args.out_csv else [])})
+           "manifest": _manifest(args, outputs=[args.out_csv] if args.out_csv else [])})
     return EXIT_OK
 
 
@@ -247,7 +251,6 @@ def build_parser():
     p.add_argument("--beta", type=float, default=0.5)
     p.add_argument("--kmax", type=int, default=2 ** 22)
     p.add_argument("--out-csv", default=None)
-    _add_common(p)
     p.set_defaults(fn=cmd_counterexample)
     return ap
 
@@ -256,7 +259,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValidationError, OSError, ValueError) as e:
+    except (ValidationError, RankDeficiencyError, UnsupportedRepresentationError,
+            OSError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_VALIDATION
     except (StuckWalkError, DegenerateEstimateError, QuadratureError) as e:

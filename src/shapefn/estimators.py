@@ -28,6 +28,7 @@ from .geometry import (
     Capsule,
     Ellipsoid,
     Polytope,
+    _unit_vectors,
     bounding_ball,
     bounding_box,
     boundary_distance_lower,
@@ -76,11 +77,6 @@ def _stream(seed, batch, sub):
     # 128-bit Philox key: (seed | batch | substream)
     key = ((int(seed) & (2 ** 64 - 1)) << 64) | (int(batch) << 3) | int(sub)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _unit_vectors(rng, n, d):
-    v = rng.standard_normal((n, d))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def _shell_reference(body):

@@ -5,7 +5,6 @@ ball reference constants entering the shape functionals."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -54,30 +53,6 @@ def h_alpha_ball(alpha):
     return 2.0 ** ((4.0 * alpha - 9.0) / 2.0) * math.pi ** ((2.0 * alpha - 5.0) / 2.0)
 
 
-@dataclass(frozen=True)
-class BallConstants:
-    d: int
-    omega: float
-    tau: float
-    kappa: float | None
-    g: float | None
-    h: float | None
-    g_alpha: dict = field(default_factory=dict)
-    h_alpha: dict = field(default_factory=dict)
-
-
-def ball_constants(d, alpha_list=()):
-    """All unit-ball reference constants in dimension d (1e-14 relative)."""
-    if d < 2:
-        raise ValidationError("need d >= 2")
-    kappa = kappa_d(d) if d >= 3 else None
-    g = g_ball(d) if d >= 3 else None
-    h = H_BALL if d == 2 else None
-    ga = {a: g_alpha_ball(d, a) for a in alpha_list} if d >= 3 else {}
-    ha = {a: h_alpha_ball(a) for a in alpha_list} if d == 2 else {}
-    return BallConstants(d, omega_d(d), tau_d(d), kappa, g, h, ga, ha)
-
-
 def _constants_self_test():
     # closed-form (d-2)/(d+2) against the raw kappa*tau/omega^2 assembly
     for d in range(3, 33):
@@ -103,7 +78,10 @@ def torsion_ellipsoid(a):
     return omega_d(d) / (d + 2.0) * float(np.prod(a)) / float(np.sum(a ** -2.0))
 
 
-def carlson_rf(x, y, z, rtol=1e-14):
+_RF_RTOL = 1e-14  # relative accuracy of carlson_rf
+
+
+def carlson_rf(x, y, z):
     """Carlson symmetric integral R_F by the duplication algorithm."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -114,7 +92,7 @@ def carlson_rf(x, y, z, rtol=1e-14):
         x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
         mu = (x + y + z) / 3.0
         dev = np.maximum(np.abs(x - mu), np.maximum(np.abs(y - mu), np.abs(z - mu)))
-        if np.all(dev <= rtol ** (1.0 / 6.0) * mu):
+        if np.all(dev <= _RF_RTOL ** (1.0 / 6.0) * mu):
             break
     X = 1.0 - x / mu
     Y = 1.0 - y / mu
@@ -126,6 +104,7 @@ def carlson_rf(x, y, z, rtol=1e-14):
 
 
 _GL_CACHE = {}
+_GL_N0, _GL_NMAX = 32, 16384  # smallest and largest rules of adaptive_gl
 
 
 def gl01(n):
@@ -136,11 +115,11 @@ def gl01(n):
     return _GL_CACHE[n]
 
 
-def adaptive_gl(f, rtol, n0=32, nmax=16384, what="integral"):
+def adaptive_gl(f, rtol, what="integral"):
     """Gauss-Legendre on [0, 1] with node doubling until stable."""
     prev = None
-    n = n0
-    while n <= nmax:
+    n = _GL_N0
+    while n <= _GL_NMAX:
         x, w = gl01(n)
         val = float(w @ f(x))
         if prev is not None and abs(val - prev) <= rtol * max(abs(val), 1e-300):
@@ -196,11 +175,14 @@ def eccentricity(a):
     return C, b[0] ** 2 / ((d - 1.0) * b[-1] ** 2)
 
 
-def g_ellipsoid_direct(a, cross_check_tol=1e-8):
+_G_CROSS_CHECK_TOL = 1e-8
+
+
+def g_ellipsoid_direct(a):
     """G(E(a)) by direct quadrature of its eccentricity representation.
 
     Cross-checked against the torsion * capacity / volume^2 assembly; a
-    disagreement beyond cross_check_tol raises."""
+    relative disagreement beyond _G_CROSS_CHECK_TOL raises."""
     a = np.asarray(a, dtype=float)
     d = a.size
     if d < 3 or np.any(a <= 0):
@@ -218,7 +200,7 @@ def g_ellipsoid_direct(a, cross_check_tol=1e-8):
     val = g_ball(d) * (2.0 * d / (d - 2.0)) / J
     assembled = (torsion_ellipsoid(a) * cap_newtonian_ellipsoid(a)
                  / (omega_d(d) * float(np.prod(a))) ** 2)
-    if abs(val - assembled) > cross_check_tol * abs(assembled):
+    if abs(val - assembled) > _G_CROSS_CHECK_TOL * abs(assembled):
         raise InternalConsistencyError(
             f"G(E(a)) quadrature {val} disagrees with component assembly {assembled}")
     return val

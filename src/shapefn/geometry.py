@@ -10,7 +10,7 @@ functions of the same names are the public API, one method call each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
@@ -25,6 +25,9 @@ from .errors import (
 from .exact_ellipsoid import gl01, omega_d
 
 _REP_TOL = 1e-9
+_LOEWNER_TOL = 1e-8  # Khachiyan stopping gap
+_LOEWNER_MAX_ITER = 200000
+_JOHN_TOL = 1e-8  # inner-ellipsoid containment slack, relative to the largest axis
 
 
 def _as_point(x, d=None):
@@ -32,6 +35,18 @@ def _as_point(x, d=None):
     if d is not None and p.shape != (d,):
         raise ValidationError(f"expected a point of dimension {d}, got shape {p.shape}")
     return p
+
+
+def _check_spans(P):
+    n, d = P.shape
+    if n < d + 1 or np.linalg.matrix_rank(P - P.mean(axis=0)) < d:
+        raise RankDeficiencyError("points do not affinely span R^d")
+
+
+def _unit_vectors(rng, n, d):
+    """n directions drawn uniformly from the unit sphere in R^d."""
+    v = rng.standard_normal((n, d))
+    return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 class Body:
@@ -246,35 +261,28 @@ class Ellipsoid(Body):
 
 @dataclass(frozen=True, eq=False)
 class Polytope(Body):
+    """Convex hull of its vertices; the facets come from Qhull."""
+
     vertices: np.ndarray
-    normals: np.ndarray = None  # outward unit normals
-    offsets: np.ndarray = None  # n . x <= offset
+    normals: np.ndarray = field(init=False)  # outward unit normals
+    offsets: np.ndarray = field(init=False)  # n . x <= offset
 
     def __post_init__(self):
         V = np.asarray(self.vertices, dtype=float)
         if V.ndim != 2:
             raise ValidationError("vertices must be an (n, d) array")
-        d = V.shape[1]
-        if self.normals is None or self.offsets is None:
-            hull = ConvexHull(V)
-            eq = hull.equations  # n . x + b <= 0
-            N = eq[:, :-1]
-            c = -eq[:, -1]
-            if d == 2:
-                V = V[hull.vertices]  # counterclockwise order
-            else:
-                V = V[np.sort(np.unique(hull.simplices))]
-            object.__setattr__(self, "_hull", hull)
+        _check_spans(V)
+        hull = ConvexHull(V)
+        eq = hull.equations  # n . x + b <= 0
+        norms = np.linalg.norm(eq[:, :-1], axis=1)
+        if V.shape[1] == 2:
+            V = V[hull.vertices]  # counterclockwise order
         else:
-            N = np.asarray(self.normals, dtype=float)
-            c = np.asarray(self.offsets, dtype=float)
-            object.__setattr__(self, "_hull", None)
-        norms = np.linalg.norm(N, axis=1)
-        N = N / norms[:, None]
-        c = c / norms
+            V = V[np.sort(np.unique(hull.simplices))]
+        object.__setattr__(self, "_hull", hull)
         object.__setattr__(self, "vertices", V)
-        object.__setattr__(self, "normals", N)
-        object.__setattr__(self, "offsets", c)
+        object.__setattr__(self, "normals", eq[:, :-1] / norms[:, None])
+        object.__setattr__(self, "offsets", -eq[:, -1] / norms)
         self._check_representations()
 
     def _check_representations(self):
@@ -290,11 +298,7 @@ class Polytope(Body):
         return self.vertices.shape[1]
 
     def hull(self):
-        h = getattr(self, "_hull", None)
-        if h is None:
-            h = ConvexHull(self.vertices)
-            object.__setattr__(self, "_hull", h)
-        return h
+        return self._hull
 
     def boundary_pieces(self):
         """(W, off, S, D) for the exterior distance kernel, built on first use.
@@ -729,46 +733,18 @@ def support_point(body, directions):
 
 
 # ---------------------------------------------------------------------------
-# hull / Loewner ellipsoid / John pair
+# Loewner ellipsoid / John pair
 # ---------------------------------------------------------------------------
 
-def hull_2d(points):
-    """Convex hull of planar points by the monotone chain, CCW Polytope."""
-    P = np.asarray(points, dtype=float)
-    if P.ndim != 2 or P.shape[1] != 2 or P.shape[0] < 3:
-        raise ValidationError("need at least 3 planar points")
-    pts = sorted(map(tuple, P))
-
-    def half(seq):
-        out = []
-        for p in seq:
-            while len(out) >= 2:
-                (x1, y1), (x2, y2) = out[-2], out[-1]
-                if (x2 - x1) * (p[1] - y1) - (y2 - y1) * (p[0] - x1) <= 0:
-                    out.pop()
-                else:
-                    break
-            out.append(p)
-        return out
-
-    lower = half(pts)
-    upper = half(reversed(pts))
-    verts = lower[:-1] + upper[:-1]
-    if len(verts) < 3:
-        raise RankDeficiencyError("points are collinear")
-    return Polytope(np.array(verts))
-
-
-def loewner_ellipsoid(points, tol=1e-8, max_iter=200000):
+def loewner_ellipsoid(points):
     """Minimum-volume enclosing ellipsoid by Khachiyan's barycentric ascent
     with Wolfe-Atwood decrease steps (relative volume gap <= 1e-7)."""
     P = np.asarray(points, dtype=float)
+    _check_spans(P)
     n, d = P.shape
-    if n < d + 1 or np.linalg.matrix_rank(P - P.mean(axis=0)) < d:
-        raise RankDeficiencyError("points do not affinely span R^d")
     Q = np.hstack([P, np.ones((n, 1))])  # (n, d+1)
     u = np.full(n, 1.0 / n)
-    for it in range(max_iter):
+    for _ in range(_LOEWNER_MAX_ITER):
         V = Q.T @ (u[:, None] * Q)
         Vinv = np.linalg.inv(V)
         M = np.einsum("ij,jk,ik->i", Q, Vinv, Q)
@@ -778,7 +754,7 @@ def loewner_ellipsoid(points, tol=1e-8, max_iter=200000):
         Mact = np.where(active, M, np.inf)
         jm = int(np.argmin(Mact))
         km = 1.0 - M[jm] / (d + 1)
-        if kp <= tol and km <= tol:
+        if kp <= _LOEWNER_TOL and km <= _LOEWNER_TOL:
             break
         if kp >= km:
             j, Mj = jp, M[jp]
@@ -801,13 +777,7 @@ def loewner_ellipsoid(points, tol=1e-8, max_iter=200000):
     return Ellipsoid(axes[order], center, evecs[:, order])
 
 
-def _sphere_directions(d, n, seed=0):
-    rng = np.random.default_rng(seed)
-    U = rng.standard_normal((n, d))
-    return U / np.linalg.norm(U, axis=1, keepdims=True)
-
-
-def john_pair(body, n_directions=10000, tol=1e-8):
+def john_pair(body, n_directions=10000):
     """(inner, outer) ellipsoid sandwich: outer is the Loewner ellipsoid,
     inner is the outer shrunk by the dimension about its center."""
     d = body.dimension
@@ -815,13 +785,13 @@ def john_pair(body, n_directions=10000, tol=1e-8):
     inner = Ellipsoid(outer.semi_axes / d, outer.center, outer.orientation)
 
     scale_len = float(outer.semi_axes.max())
-    U = _sphere_directions(d, n_directions)
+    U = _unit_vectors(np.random.default_rng(0), n_directions, d)
     # inner boundary points must lie in the body
     bd = inner.semi_axes[None, :] * U
     if inner.orientation is not None:
         bd = bd @ inner.orientation.T
     bd = inner.center + bd
-    if np.any(signed_distance(body, bd) > tol * scale_len):
+    if np.any(signed_distance(body, bd) > _JOHN_TOL * scale_len):
         raise InternalConsistencyError("inner John ellipsoid not contained in body")
     # body support points must lie in the outer ellipsoid
     sp = support_point(body, U) - outer.center

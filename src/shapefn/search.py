@@ -17,7 +17,7 @@ from .bounds import critical_epsilon, ratio_bound
 from .errors import InternalConsistencyError, ShapeFnError, ValidationError
 from .estimators import EstimatorConfig
 from .functionals import evaluate
-from .geometry import BallUnion, Body, Capsule, Ellipsoid, Polytope, hull_2d
+from .geometry import BallUnion, Body, Capsule, Ellipsoid, Polytope
 
 _THETA_CLIP = 10.0  # log-axis range; keeps the parameter-to-body map total
 
@@ -44,9 +44,7 @@ class SlabBody(Body):
         return self.axes.size
 
     def measure(self):
-        d = self.dimension
-        full = exact.omega_d(d) * float(np.prod(self.axes))
-        return full * slab_volume_fraction(d, self.h)
+        return self.ellipsoid.measure() * slab_volume_fraction(self.dimension, self.h)
 
     def signed_distance(self, P):
         # interior: min of member distances; exterior: max of member signed
@@ -102,7 +100,7 @@ def _cut_ellipse_polygon(axes, h, n_points=256):
     t = np.linspace(-phi, phi, n_points // 2)
     arcs = np.concatenate([t, math.pi - t[::-1]])
     pts = np.stack([axes[0] * np.cos(arcs), axes[1] * np.sin(arcs)], axis=-1)
-    return hull_2d(pts)
+    return Polytope(pts)
 
 
 @dataclass(frozen=True)
@@ -183,8 +181,7 @@ class SearchResult:
                 "extra": self.extra}
 
 
-def maximize(f, family, cfg=None, restarts=20, seed=0, xatol=1e-7,
-             max_evals=4000):
+def maximize(f, family, cfg=None, restarts=20, seed=0, max_evals=4000):
     """Nelder-Mead maximization over the family's reduced parameter space.
 
     Stochastic backends are evaluated under common random numbers (the
@@ -206,7 +203,7 @@ def maximize(f, family, cfg=None, restarts=20, seed=0, xatol=1e-7,
     for _ in range(restarts):
         x0 = rng.uniform(-0.7, 0.7, family.n_params)
         res = minimize(neg, x0, method="Nelder-Mead",
-                       options={"xatol": xatol, "fatol": 1e-14,
+                       options={"xatol": 1e-7, "fatol": 1e-14,
                                 "maxfev": max_evals, "maxiter": max_evals})
         if -res.fun > best_val:
             best_val, best_x = -res.fun, res.x

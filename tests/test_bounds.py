@@ -91,6 +91,13 @@ def test_thm2_rows_ellipsoid():
     e33 = next(r for r in rows if r.inequality == "e33")
     assert e33.extra["eccentricity"] == pytest.approx(ex.eccentricity(
         np.array([2.0, 1.0, 1.0, 0.5]))[0])
+    # the bound reads the ellipsoid's own axes: rotation, centre and axis
+    # order leave it unchanged to the bit
+    Q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))
+    moved = Ellipsoid(np.array([1.0, 0.5, 2.0, 1.0]), np.array([0.3, -0.2, 0.1, 0.5]), Q)
+    e33m = next(r for r in check_thm2(moved, CFG, "e4m") if r.inequality == "e33")
+    assert e33m.rhs == e33.rhs and e33m.extra == e33.extra
+    assert e33m.lhs == pytest.approx(e33.lhs, rel=1e-14) and e33m.status == PASS
 
 
 def test_thm2_no_e33_for_d3():

@@ -89,6 +89,14 @@ def test_compute_wrong_dimension(ball3, capsys):
     assert code == EXIT_VALIDATION
 
 
+def test_compute_h_on_planar_ball_union_is_a_validation_error(tmp_path, capsys):
+    pair = write_body(tmp_path / "pair.json", {
+        "kind": "ball_union", "centers": [[0.0, 0.0], [4.0, 0.0]], "radii": [1.0, 1.0]})
+    code, _, err = run(["compute", pair, "--functional", "H", "--walks", "1000"], capsys)
+    assert code == EXIT_VALIDATION
+    assert "error" in err
+
+
 def test_compute_seed_env_default(ball3, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SHAPEFN_SEED", "99")
     code, out, _ = run(["compute", ball3, "--functional", "G"], capsys)
@@ -156,6 +164,18 @@ def test_verify_skips_bad_files(corpus, capsys, tmp_path):
     assert "skipped broken.json" in err
     assert "skipped unknown.json" in err
     assert json.loads(out)["summary"]["fail"] == 0
+
+
+def test_verify_skips_collinear_polygon(corpus, capsys, tmp_path):
+    write_body(corpus / "flat.json", {"kind": "polytope",
+                                      "vertices": [[0, 0], [1, 1], [2, 2], [3, 3]]})
+    code, out, err = run(["verify", str(corpus),
+                          "--out-csv", str(tmp_path / "l.csv"),
+                          "--out-json", str(tmp_path / "l.json"),
+                          "--walks", "2000"], capsys)
+    assert code == EXIT_OK
+    assert "skipped flat.json" in err
+    assert "flat" not in json.loads(out)["manifest"]["bodies"]
 
 
 def test_verify_empty_corpus(tmp_path, capsys):
@@ -235,6 +255,24 @@ def test_counterexample_table(capsys, tmp_path):
 def test_counterexample_bad_beta(capsys):
     code, _, _ = run(["counterexample", "--beta", "2.0", "--kmax", "4"], capsys)
     assert code == EXIT_VALIDATION
+
+
+def test_counterexample_kmax_below_one(capsys):
+    code, _, err = run(["counterexample", "--kmax", "0"], capsys)
+    assert code == EXIT_VALIDATION
+    assert "kmax" in err
+
+
+def test_counterexample_takes_no_estimator_flags(capsys):
+    # the table is exact: no walk count, shell width or seed to set or report
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["counterexample", "--kmax", "4", "--walks", "1000"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(["counterexample", "--kmax", "4"], capsys)
+    assert code == EXIT_OK
+    manifest = json.loads(out)["manifest"]
+    assert "config" not in manifest and "seed" not in manifest
 
 
 def test_version(capsys):

@@ -62,17 +62,6 @@ def test_alpha_range_validation():
         ex.h_alpha_ball(1.6)
 
 
-def test_ball_constants_bundle():
-    bc = ex.ball_constants(3, alpha_list=(0.0, 1.0))
-    assert bc.g == pytest.approx(0.2)
-    assert bc.h is None
-    assert set(bc.g_alpha) == {0.0, 1.0}
-    bc2 = ex.ball_constants(2, alpha_list=(1.0,))
-    assert bc2.kappa is None and bc2.g is None
-    assert bc2.h == pytest.approx(ex.H_BALL)
-    assert set(bc2.h_alpha) == {1.0}
-
-
 # ---------------------------------------------------------------------------
 # torsion
 # ---------------------------------------------------------------------------

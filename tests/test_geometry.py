@@ -404,12 +404,14 @@ def test_support_point_ellipsoid():
 
 
 # ---------------------------------------------------------------------------
-# hull / Loewner / John
+# Polytope hull / Loewner / John
 # ---------------------------------------------------------------------------
 
-def test_hull_2d_collinear_raises():
+def test_polytope_collinear_raises():
     with pytest.raises(RankDeficiencyError):
-        geo.hull_2d(np.array([[0.0, 0], [1, 1], [2, 2], [3, 3]]))
+        Polytope(np.array([[0.0, 0], [1, 1], [2, 2], [3, 3]]))
+    with pytest.raises(RankDeficiencyError):
+        Polytope(cube_vertices(2) @ np.array([[1.0, 0, 0], [0, 1, 0]]))  # flat in R^3
 
 
 def test_loewner_cube():
@@ -494,7 +496,7 @@ def test_body_protocol_conformance(kind):
     body, unsupported = PROTOCOL_BODIES[kind]
     d = body.dimension
     P = np.random.default_rng(0).uniform(-2.0, 2.0, (5, d))
-    U = geo._sphere_directions(d, 5)
+    U = geo._unit_vectors(np.random.default_rng(0), 5, d)
     calls = {
         "measure": lambda: geo.measure(body),
         "perimeter": lambda: geo.perimeter(body),

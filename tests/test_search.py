@@ -143,6 +143,27 @@ def test_slab_family_planar_is_polygon():
     assert isinstance(body, Polytope)
 
 
+@pytest.mark.parametrize("h, log_a1", [(0.3, -0.5), (0.6, 0.0), (0.9, 0.7)])
+def test_slab_family_planar_vertices_are_the_arc_samples(h, log_a1):
+    logit = math.log(h / (1.0 - h))
+    body = Family("ellipsoid_slab", 2, 0.1).to_body([log_a1, logit])
+    assert isinstance(body, Polytope)
+    # the cut height as Family.to_body forms it: the logistic of the last
+    # parameter, projected up to the volume threshold
+    h = max(1.0 / (1.0 + math.exp(-logit)), search.slab_fraction_inverse(2, 1.0 / 1.1))
+    phi = math.asin(h)
+    t = np.linspace(-phi, phi, 128)
+    arcs = np.concatenate([t, math.pi - t[::-1]])
+    samples = np.stack([math.exp(log_a1) * np.cos(arcs), np.sin(arcs)], axis=-1)
+    V = body.vertices
+    assert V.shape == (256, 2)
+    assert sorted(map(tuple, V)) == sorted(map(tuple, samples))
+    # counterclockwise and convex: every turn is to the left
+    e = np.roll(V, -1, axis=0) - V
+    f = np.roll(e, -1, axis=0)
+    assert np.all(e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0] > 0.0)
+
+
 # ---------------------------------------------------------------------------
 # maximization
 # ---------------------------------------------------------------------------
