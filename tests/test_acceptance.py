@@ -163,14 +163,14 @@ def test_criterion_05_stochastic_calibration():
 
 
 def test_criterion_06_fekete_logcap():
-    with criterion(6, "Fekete logarithmic capacity: disk, ellipse, segment",
+    with criterion(6, "Symm logarithmic capacity: disk, ellipse, segment",
                    60.0):
         assert fekete_logcap(Ball(1.0, np.zeros(2))).value == pytest.approx(
-            1.0, rel=0.01)
+            1.0, rel=1e-6)
         assert fekete_logcap(Ellipsoid(np.array([2.0, 1.0]))).value == \
-            pytest.approx(1.5, rel=0.01)
+            pytest.approx(1.5, rel=1e-6)
         seg = Capsule(np.array([0.0, 0.0]), np.array([4.0, 0.0]), 0.0)
-        assert fekete_logcap(seg).value == pytest.approx(1.0, rel=0.02)
+        assert fekete_logcap(seg).value == pytest.approx(1.0, rel=1e-7)
 
 
 def test_criterion_07_counterexample_divergence():
@@ -229,7 +229,7 @@ def test_criterion_09_scale_invariance():
                 assert abs(v - base) <= 1e-10 * abs(base), (f.name, t)
 
         # stochastic backends under common random numbers
-        cfg = EstimatorConfig(walk_count=10_000, seed=0, fekete_points=64)
+        cfg = EstimatorConfig(walk_count=10_000, seed=0)
         cube = Polytope(cube_vertices(3))
         base = evaluate(FunctionalId("G"), cube, cfg)
         square = Polytope(cube_vertices(2))
@@ -266,7 +266,7 @@ def test_criterion_10_desk_scale_limits():
         assert res4.best_value >= 0.9 * ex.g_ball(4)
         assert res4.extra["diam_over_inradius"] <= res4.extra["ratio_bound"]
 
-        cfg2 = EstimatorConfig(walk_count=1000, seed=0, fekete_points=16)
+        cfg2 = EstimatorConfig(walk_count=1000, seed=0)
         res2 = maximize_constrained(FunctionalId("H"), 2, 0.1, cfg2,
                                     restarts=2, seed=0, max_evals=40)
         assert res2.best_value >= 0.9 * ex.H_BALL

@@ -33,7 +33,7 @@ def cube_vertices(d, half=1.0):
     return np.array(np.meshgrid(*[[-1.0, 1.0]] * d)).reshape(d, -1).T * half
 
 
-CFG = EstimatorConfig(walk_count=4000, seed=0, fekete_points=32)
+CFG = EstimatorConfig(walk_count=4000, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +196,7 @@ def test_planar_e95_constant():
 
 
 def test_planar_square():
-    cfg = EstimatorConfig(walk_count=4000, seed=1, fekete_points=32)
+    cfg = EstimatorConfig(walk_count=4000, seed=1)
     rows = check_planar(Polytope(cube_vertices(2)), alphas=(1.0,), cfg=cfg,
                         body_id="square")
     # non-ellipse: no sharp rows, but all coarse rows must hold

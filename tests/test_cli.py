@@ -97,6 +97,14 @@ def test_compute_h_on_planar_ball_union_is_a_validation_error(tmp_path, capsys):
     assert "error" in err
 
 
+def test_compute_h_on_planar_round_capsule_is_a_validation_error(tmp_path, capsys):
+    capsule = write_body(tmp_path / "capsule.json", {
+        "kind": "capsule", "p": [0.0, 0.0], "q": [4.0, 0.0], "radius": 0.5})
+    code, _, err = run(["compute", capsule, "--functional", "H", "--walks", "1000"], capsys)
+    assert code == EXIT_VALIDATION
+    assert "error" in err
+
+
 def test_compute_seed_env_default(ball3, capsys, tmp_path, monkeypatch):
     monkeypatch.setenv("SHAPEFN_SEED", "99")
     code, out, _ = run(["compute", ball3, "--functional", "G"], capsys)

@@ -25,8 +25,6 @@ def test_config_validation():
         EstimatorConfig(walk_count=500)
     with pytest.raises(ValidationError):
         EstimatorConfig(shell_epsilon=0.0)
-    with pytest.raises(ValidationError):
-        EstimatorConfig(fekete_points=8)
 
 
 def test_shell_epsilon_must_be_small_vs_inradius():
@@ -153,36 +151,83 @@ def test_stderr_calibrated_at_1000_walks():
 
 
 # ---------------------------------------------------------------------------
-# Fekete logarithmic capacity
+# logarithmic capacity from Symm's equation
 # ---------------------------------------------------------------------------
 
+SQUARE_LOGCAP = math.gamma(0.25) ** 2 / (2 * math.pi ** 1.5)  # [-1, 1]^2
+
+
+def random_heptagon(seed=7):
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.uniform(0.0, 2 * math.pi, 7))
+    return Polytope(rng.uniform(0.5, 2.0) * np.stack([np.cos(t), np.sin(t)], axis=1)
+                    + rng.uniform(-1, 1, 2))
+
+
 def test_fekete_disk():
-    e = fekete_logcap(Ball(2.0, np.zeros(2)), cfg=EstimatorConfig(fekete_points=48))
-    assert e.value == pytest.approx(2.0, rel=0.02)
-    assert e.backend == "fekete"
+    e = fekete_logcap(Ball(2.0, np.zeros(2)))
+    assert abs(e.value - 2.0) <= 1e-6
+    assert e.backend == "symm"
 
 
 def test_fekete_ellipse():
-    e = fekete_logcap(Ellipsoid(np.array([2.0, 1.0])), cfg=EstimatorConfig(fekete_points=48))
-    assert e.value == pytest.approx(1.5, rel=0.02)
+    for a, b in ((2.0, 1.0), (10.0, 1.0)):
+        e = fekete_logcap(Ellipsoid(np.array([a, b])))
+        assert abs(e.value - (a + b) / 2) <= 1e-6
 
 
 def test_fekete_square():
-    # square side s: logarithmic capacity s * Gamma(1/4)^2 / (4 pi^(3/2))
-    s = 2.0
-    exact = s * math.gamma(0.25) ** 2 / (4 * math.pi ** 1.5)
-    e = fekete_logcap(Polytope(cube_vertices(2)), cfg=EstimatorConfig(fekete_points=48))
-    assert e.value == pytest.approx(exact, rel=0.02)
+    e = fekete_logcap(Polytope(cube_vertices(2)))
+    assert abs(e.value - SQUARE_LOGCAP) <= 1e-6
 
 
 def test_fekete_segment():
     # segment of length L: capacity L/4
     seg = Capsule(np.array([0.0, 0.0]), np.array([4.0, 0.0]), 0.0)
-    e = fekete_logcap(seg, cfg=EstimatorConfig(fekete_points=48))
-    assert e.value == pytest.approx(1.0, rel=0.03)
+    e = fekete_logcap(seg)
+    assert abs(e.value - 1.0) <= 1e-7
+
+
+@pytest.mark.parametrize("t", [1e-6, 1e3])
+def test_logcap_is_homogeneous(t):
+    for body in (Polytope(cube_vertices(2)), random_heptagon(),
+                 Capsule(np.array([0.5, 1.0]), np.array([4.0, -2.0]), 0.0),
+                 Ellipsoid(np.array([2.0, 1.0]))):
+        base = fekete_logcap(body).value
+        assert fekete_logcap(geo.scale(body, t)).value == pytest.approx(t * base, rel=1e-12)
+
+
+def test_logcap_stderr_covers_the_error(monkeypatch):
+    heptagon = random_heptagon()
+    with monkeypatch.context() as m:
+        m.setattr(est, "_PANELS", 512)
+        ref = fekete_logcap(heptagon).extra["raw_2n"]
+    for body, exact in ((Polytope(cube_vertices(2)), SQUARE_LOGCAP), (heptagon, ref)):
+        e = fekete_logcap(body)
+        assert 0 < e.standard_error < math.inf
+        assert abs(e.value - exact) <= 4 * e.standard_error
+
+
+def test_logcap_does_not_depend_on_the_start_vertex():
+    V = random_heptagon().vertices
+    base = est._arc_logcap(V, closed=True)
+    for k in range(1, 7):
+        rolled = est._arc_logcap(np.roll(V, k, axis=0), closed=True)
+        assert rolled[:2] == pytest.approx(base[:2], rel=1e-13, abs=0)
 
 
 def test_fekete_rejects_3d():
     with pytest.raises(UnsupportedRepresentationError):
         fekete_logcap(Ball(1.0, np.zeros(3)))
 
+
+@pytest.mark.parametrize("body", [
+    geo.BallUnion(np.array([[0.0, 0.0], [4.0, 0.0]]), np.array([1.0, 1.0])),
+    Capsule(np.array([0.0, 0.0]), np.array([4.0, 0.0]), 0.5),
+    Polytope(cube_vertices(3)),
+    Ellipsoid(np.array([2.0, 1.0, 0.5])),
+    Capsule(np.zeros(3), np.ones(3), 0.0),
+], ids=["ball_union2", "capsule2", "cube", "ellipsoid3", "segment3"])
+def test_logcap_rejects_unsupported_bodies(body):
+    with pytest.raises(UnsupportedRepresentationError):
+        fekete_logcap(body)

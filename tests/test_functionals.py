@@ -161,9 +161,9 @@ def test_stochastic_evaluation_finite_bracket_at_1000_walks():
 
 
 def test_stochastic_evaluation_square_h():
-    cfg = EstimatorConfig(walk_count=5000, seed=2, fekete_points=32)
+    cfg = EstimatorConfig(walk_count=5000, seed=2)
     ev = evaluate(FunctionalId("H"), Polytope(cube_vertices(2)), cfg)
-    assert ev.components["cap"].backend == "fekete"
+    assert ev.components["cap"].backend == "symm"
     assert 0 < ev.value < ex.H_BALL
 
 
