@@ -3,9 +3,13 @@ boundary-integral solver for planar logarithmic capacity, on general convex
 bodies.
 
 Walks run in blocks fixed by walk_count alone, each on a counter-based
-Philox stream keyed by (seed, block index, substream), so results are
-bit-identical for a fixed body, seed and walk_count. Standard errors come
-from the per-walk values, so they are finite at any walk count.
+Philox stream keyed by (seed, block index, substream). All blocks of one
+estimator call, and both of capacity's launch radii, advance together in
+one lock-step loop, in waves of at most _WAVE walkers so that memory does
+not grow with walk_count. Each stream draws for its own walkers only, so
+results are bit-identical for a fixed body, seed and walk_count, whatever
+the wave size. Standard errors come from the per-walk values, so they are
+finite at any walk count.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from .geometry import (
     Capsule,
     Ellipsoid,
     Polytope,
-    _unit_vectors,
+    _DISTANCE_BLOCK,
     bounding_ball,
     bounding_box,
     boundary_distance_lower,
@@ -40,6 +44,7 @@ from .geometry import (
 )
 
 _MAX_WALK_STEPS = 10 ** 6
+_WAVE = 32 * _DISTANCE_BLOCK  # walkers advanced together; bounds the walk state
 
 
 @dataclass(frozen=True)
@@ -93,26 +98,55 @@ def _resolve_epsilon(cfg, body):
     return cfg.shell_epsilon
 
 
-def _per_walk(n, values):
-    """Mean and standard error of n per-walk values, run in blocks.
-
-    The blocks are fixed by n alone: ceil(n / max(1000, n // 50)) of them,
-    sizes differing by at most one. values(b, m) returns block b's m
-    per-walk values, one row per walk and a column per quantity if it is
-    2-D. Block moments are pooled as in Chan, Golub & LeVeque (1979), so no
-    per-walk array outlives its block."""
+def _block_sizes(n):
+    """Walks per block: ceil(n / max(1000, n // 50)) blocks, fixed by n alone,
+    with sizes differing by at most one."""
     nb = math.ceil(n / max(1000, n // 50))
     sizes = np.full(nb, n // nb)
     sizes[: n - sizes.sum()] += 1
+    return sizes
+
+
+def _waves(sizes, streams):
+    """Runs [lo, hi) of consecutive blocks that advance together: at most
+    _WAVE walkers each, a block of m walks holding streams x m of them, and at
+    least one block."""
+    lo = 0
+    while lo < sizes.size:
+        fit = np.searchsorted(np.cumsum(streams * sizes[lo:]), _WAVE, side="right")
+        hi = lo + max(1, int(fit))
+        yield lo, hi
+        lo = hi
+
+
+def _pool(sizes, waves):
+    """Mean and standard error of per-walk values from their block moments,
+    pooled as in Chan, Golub & LeVeque (1979). waves yields the values of
+    consecutive whole blocks, one row per walk in block order and a column
+    per quantity if 2-D, so no per-walk array outlives its wave."""
     means, m2 = [], 0.0
-    for b, m in enumerate(sizes):
-        x = np.asarray(values(b, int(m)), dtype=float)
-        means.append(x.mean(axis=0))
-        m2 = m2 + ((x - means[-1]) ** 2).sum(axis=0)
+    for x in waves:
+        lo = 0
+        while lo < x.shape[0]:
+            block = x[lo: lo + sizes[len(means)]]
+            lo += block.shape[0]
+            means.append(block.mean(axis=0))
+            m2 = m2 + ((block - means[-1]) ** 2).sum(axis=0)
+    n = int(sizes.sum())
     means = np.array(means)
     mean = sizes / n @ means
     m2 = m2 + sizes @ (means - mean) ** 2
     return mean, np.sqrt(m2 / (n - 1) / n)
+
+
+def _unit_steps(gens, sid, d):
+    """Unit vectors for walkers on the streams gens[sid], sid non-decreasing.
+    Each stream draws for its own walkers, in their order, exactly as if it
+    ran alone; a stream with no walker here draws nothing."""
+    counts = np.bincount(sid, minlength=len(gens))
+    v = np.concatenate([gens[s].standard_normal((c, d)) for s, c in enumerate(counts) if c])
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return v
 
 
 def _sample_interior(body, n, rng):
@@ -139,13 +173,12 @@ def _step_radius(body, pos, eps):
     return r
 
 
-def _torsion_walks(body, pos, eps, rng):
-    """Accumulated R^2/(2d) along walk-on-spheres paths until absorption."""
+def _torsion_walks(body, pos, sid, gens, eps):
+    """Accumulated R^2/(2d) along walk-on-spheres paths until absorption.
+    Walker i starts at pos[i] (advanced in place) and steps on gens[sid[i]]."""
     d = body.dimension
-    n = pos.shape[0]
-    acc = np.zeros(n)
-    idx = np.arange(n)
-    pos = pos.copy()
+    acc = np.zeros(pos.shape[0])
+    idx = np.arange(pos.shape[0])
     for _ in range(_MAX_WALK_STEPS):
         if idx.size == 0:
             return acc
@@ -156,53 +189,62 @@ def _torsion_walks(body, pos, eps, rng):
         if idx.size == 0:
             return acc
         acc[idx] += r * r / (2.0 * d)
-        pos[idx] += r[:, None] * _unit_vectors(rng, idx.size, d)
+        pos[idx] += r[:, None] * _unit_steps(gens, sid[idx], d)
     raise StuckWalkError("torsion walk exceeded step budget; shell_epsilon too small?")
+
+
+def _torsion_mean(body, cfg, start):
+    """Pooled mean and standard error of the torsion walk accumulator.
+    start(rng, m) gives a block's m starting points from the block's stream,
+    which then draws the block's steps."""
+    eps = _resolve_epsilon(cfg, body)
+    sizes = _block_sizes(cfg.walk_count)
+
+    def wave(lo, hi):
+        gens = [_stream(cfg.seed, b, 0) for b in range(lo, hi)]
+        pos = np.concatenate([start(g, m) for g, m in zip(gens, sizes[lo:hi])])
+        return _torsion_walks(body, pos, np.repeat(np.arange(hi - lo), sizes[lo:hi]),
+                              gens, eps)
+
+    return _pool(sizes, (wave(lo, hi) for lo, hi in _waves(sizes, 1)))
 
 
 def wos_torsion(body, cfg=None):
     """Torsional rigidity T(body) = |body| x mean of the walk accumulator."""
     cfg = cfg or EstimatorConfig()
-    eps = _resolve_epsilon(cfg, body)
     vol = measure(body)
-
-    def values(b, m):
-        rng = _stream(cfg.seed, b, 0)
-        return _torsion_walks(body, _sample_interior(body, m, rng), eps, rng)
-
-    mean, se = _per_walk(cfg.walk_count, values)
+    mean, se = _torsion_mean(body, cfg, lambda rng, m: _sample_interior(body, m, rng))
     return Estimate(vol * float(mean), vol * float(se), cfg.walk_count, "wos_torsion")
 
 
 def wos_torsion_pointwise(body, point, cfg=None):
-    """Estimate of the torsion function u(point) (pointwise oracle)."""
+    """Estimate of the torsion function u(point) (pointwise oracle); exactly
+    0 on the boundary. A point outside the body is a ValidationError."""
     cfg = cfg or EstimatorConfig()
-    eps = _resolve_epsilon(cfg, body)
     p = np.asarray(point, dtype=float)
-
-    def values(b, m):
-        return _torsion_walks(body, np.tile(p, (m, 1)), eps, _stream(cfg.seed, b, 0))
-
-    mean, se = _per_walk(cfg.walk_count, values)
+    if signed_distance(body, p) > 0:
+        raise ValidationError("the torsion function is defined only in the body")
+    mean, se = _torsion_mean(body, cfg, lambda rng, m: np.tile(p, (m, 1)))
     return Estimate(float(mean), float(se), cfg.walk_count, "wos_torsion_pointwise")
 
 
 _WEIGHT_FLOOR = 1e-6  # relative truncation bias, negligible vs Monte Carlo noise
 
 
-def _capacity_hits(body, center, R, n, eps, rng):
-    """Absorbed weight of each of n exterior walks launched from the R-sphere.
+def _capacity_hits(body, center, R, sid, gens, eps):
+    """Absorbed weight of exterior walks, walker i launched from the sphere
+    of radius R[i] and stepping on gens[sid[i]].
 
     The escape test is handled by expectation: instead of killing a walk at
     radius rho > R with the exact escape probability, its weight is
     multiplied by the survival probability (R/rho)^(d-2) and it re-enters
-    uniformly on the R-sphere. This removes the kill/survive variance; the
+    uniformly on its R-sphere. This removes the kill/survive variance; the
     walk is dropped once its weight is below a floor."""
     d = body.dimension
-    pos = center + R * _unit_vectors(rng, n, d)
-    w = np.ones(n)
-    hits = np.zeros(n)
-    idx = np.arange(n)
+    pos = center + R[:, None] * _unit_steps(gens, sid, d)
+    w = np.ones(R.size)
+    hits = np.zeros(R.size)
+    idx = np.arange(R.size)
     for _ in range(_MAX_WALK_STEPS):
         if idx.size == 0:
             return hits
@@ -213,12 +255,13 @@ def _capacity_hits(body, center, R, n, eps, rng):
             idx, pos, w, r = idx[~absorbed], pos[~absorbed], w[~absorbed], r[~absorbed]
         if idx.size == 0:
             return hits
-        pos = pos + r[:, None] * _unit_vectors(rng, idx.size, d)
+        pos = pos + r[:, None] * _unit_steps(gens, sid[idx], d)
         rho = np.linalg.norm(pos - center, axis=1)
-        far = rho > R
+        far = rho > R[idx]
         if far.any():
-            w[far] *= (R / rho[far]) ** (d - 2)
-            pos[far] = center + R * _unit_vectors(rng, int(far.sum()), d)
+            Rf = R[idx[far]]
+            w[far] *= (Rf / rho[far]) ** (d - 2)
+            pos[far] = center + Rf[:, None] * _unit_steps(gens, sid[idx[far]], d)
         keep = w > _WEIGHT_FLOOR
         if not keep.all():
             idx, pos, w = idx[keep], pos[keep], w[keep]
@@ -238,14 +281,19 @@ def wos_capacity(body, cfg=None):
     R = 2.0 * rb
     kap = kappa_d(d)
     f = 2.0 ** (2 - d)  # bias decay factor between radii R and 2R
+    sizes = _block_sizes(cfg.walk_count)
 
-    def values(b, m):
-        cap_R, cap_2R = (kap * r ** (d - 2)
-                         * _capacity_hits(body, center, r, m, eps, _stream(cfg.seed, b, 1 + k))
-                         for k, r in enumerate((R, 2.0 * R)))
+    def wave(lo, hi):
+        # the R walks of blocks lo..hi-1, then their 2R walks, on streams 1 and 2
+        m = sizes[lo:hi]
+        gens = [_stream(cfg.seed, b, k) for k in (1, 2) for b in range(lo, hi)]
+        sid = np.repeat(np.arange(2 * (hi - lo)), np.tile(m, 2))
+        hits = _capacity_hits(body, center, np.repeat([R, 2.0 * R], m.sum()), sid, gens, eps)
+        cap_R, cap_2R = (kap * r ** (d - 2) * h
+                         for r, h in zip((R, 2.0 * R), np.split(hits, 2)))
         return np.stack([(cap_2R - f * cap_R) / (1.0 - f), cap_R, cap_2R], axis=1)
 
-    mean, se = _per_walk(cfg.walk_count, values)
+    mean, se = _pool(sizes, (wave(lo, hi) for lo, hi in _waves(sizes, 2)))
     value, raw_R, raw_2R = (float(x) for x in mean)
     if raw_R == 0 and raw_2R == 0:
         raise DegenerateEstimateError("no capacity walk hit the body")

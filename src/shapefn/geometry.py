@@ -49,6 +49,19 @@ def _unit_vectors(rng, n, d):
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
+def _matmul(A, B):
+    """A @ B, each entry rounded alike whatever the operands' sizes: numpy
+    sends a product with one row or one column to BLAS gemv or dot, which
+    round differently from gemm, so a lone row of A or column of B is
+    computed as a pair. The distance kernels use this so that a walker's
+    steps do not depend on its company."""
+    if A.shape[0] == 1:
+        return (np.repeat(A, 2, axis=0) @ B)[:1]
+    if B.ndim == 2 and B.shape[1] == 1:
+        return (A @ np.repeat(B, 2, axis=1))[:, :1]
+    return A @ B
+
+
 class Body:
     """One body kind. Points P and directions U are (n, d) float arrays.
 
@@ -199,7 +212,7 @@ class Ellipsoid(Body):
         """Points in the frame of the axes."""
         Q = P - self.center
         if self.orientation is not None:
-            Q = Q @ self.orientation
+            Q = _matmul(Q, self.orientation)
         return Q
 
     def measure(self):
@@ -348,8 +361,19 @@ class Polytope(Body):
             raise UnsupportedRepresentationError("polytope perimeter only for d <= 3")
         return float(self.hull().area)
 
+    def _plane_excess(self, P):
+        """max over facets of n . p - offset, _DISTANCE_BLOCK points at a time:
+        a wider product crosses the BLAS threading threshold, which costs
+        memory and buys no speed. The product is facets x points, so the max
+        runs along the long axis."""
+        out = np.empty(P.shape[0])
+        for lo in range(0, P.shape[0], _DISTANCE_BLOCK):
+            X = _matmul(self.normals, P[lo:lo + _DISTANCE_BLOCK].T)
+            out[lo:lo + _DISTANCE_BLOCK] = (X - self.offsets[:, None]).max(axis=0)
+        return out
+
     def signed_distance(self, P):
-        sd = (P @ self.normals.T - self.offsets).max(axis=1)
+        sd = self._plane_excess(P)
         out = sd > 0
         if np.any(out):
             sd[out] = _polytope_exterior_distance(self, P[out])
@@ -358,7 +382,7 @@ class Polytope(Body):
     def distance_lower(self, P):
         # interior: exact facet-plane distance; exterior: the largest
         # halfspace violation is a valid lower bound
-        return np.abs((P @ self.normals.T - self.offsets).max(axis=1))
+        return np.abs(self._plane_excess(P))
 
     def bounding_ball(self):
         c = self.vertices.mean(axis=0)
@@ -428,7 +452,7 @@ class Capsule(Body):
 
     def signed_distance(self, P):
         v = self.q - self.p
-        t = (P - self.p) @ v / (float(v @ v) or 1.0)  # a point segment: t = 0
+        t = _matmul(P - self.p, v) / (float(v @ v) or 1.0)  # a point segment: t = 0
         return _segment_distance(P, self.p[None], v[None], t[:, None]) - self.radius
 
     def bounding_ball(self):
@@ -608,7 +632,7 @@ def _polytope_exterior_distance(body, P):
     out = np.empty(P.shape[0])
     for lo in range(0, P.shape[0], _DISTANCE_BLOCK):
         B = P[lo:lo + _DISTANCE_BLOCK]
-        X = B @ W - off
+        X = _matmul(B, W) - off
         best = _segment_distance(B, S, D, X[:, :k])
         if m:
             inside = (X[:, k:k + 3 * m].reshape(-1, 3, m) >= 0.0).all(axis=1)

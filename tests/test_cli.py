@@ -157,7 +157,8 @@ def test_verify_clean_corpus(corpus, capsys, tmp_path):
     with open(out_csv, newline="") as fh:
         lines = list(csv.reader(fh))
     assert len(lines) == doc["summary"]["rows"] + 1
-    assert len(json.loads(open(out_json).read())) == doc["summary"]["rows"]
+    with open(out_json) as fh:
+        assert len(json.load(fh)) == doc["summary"]["rows"]
 
 
 def test_verify_skips_bad_files(corpus, capsys, tmp_path):

@@ -362,6 +362,33 @@ def test_polytope_distance_scale_invariant():
         assert np.allclose(got, t * ref, rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("poly", [Polytope(cube_vertices(3)), _random_hull_3d()],
+                         ids=["cube", "random12"])
+def test_polytope_plane_product_is_blocked_bit_for_bit(poly):
+    # 5000 points span several kernel blocks; each row must equal its own
+    # one-row evaluation, and an empty batch gives an empty result
+    P = np.random.default_rng(5).uniform(-2.0, 2.0, size=(5000, 3))
+    inside = geo.signed_distance(poly, P) < 0
+    assert 100 < inside.sum() < 4900
+    for kernel in (poly.signed_distance, poly.distance_lower):
+        rows = np.concatenate([kernel(p[None]) for p in P])
+        assert kernel(P).tobytes() == rows.tobytes()
+        assert kernel(np.empty((0, 3))).shape == (0,)
+
+
+@pytest.mark.parametrize("body", [
+    Capsule(np.array([0.1, 0.2, -0.3]), np.array([1.3, -0.7, 0.9]), 0.4),
+    Ellipsoid(np.array([1.3, 0.9, 0.6, 0.5]), np.full(4, 0.1),
+              np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))[0]),
+], ids=["capsule3", "rotated_ellipsoid4"])
+def test_distance_kernels_round_a_lone_row_as_in_a_batch(body):
+    # a one-row matrix product would go through BLAS gemv and round differently
+    P = np.random.default_rng(6).uniform(-2.0, 2.0, size=(1000, body.dimension))
+    for kernel in (body.signed_distance, body.distance_lower):
+        rows = np.concatenate([kernel(p[None]) for p in P])
+        assert kernel(P).tobytes() == rows.tobytes()
+
+
 def test_signed_distance_ball_union():
     u = BallUnion(np.array([[0.0, 0, 0], [10.0, 0, 0]]), np.array([1.0, 2.0]))
     assert geo.signed_distance(u, np.array([0.0, 0, 0])) == pytest.approx(-1.0)
