@@ -4,12 +4,13 @@ bodies.
 
 Walks run in blocks fixed by walk_count alone, each on a counter-based
 Philox stream keyed by (seed, block index, substream). All blocks of one
-estimator call, and both of capacity's launch radii, advance together in
-one lock-step loop, in waves of at most _WAVE walkers so that memory does
-not grow with walk_count. Each stream draws for its own walkers only, so
-results are bit-identical for a fixed body, seed and walk_count, whatever
-the wave size. Standard errors come from the per-walk values, so they are
-finite at any walk count.
+estimator call advance together in one lock-step loop, in waves of at most
+_WAVE walkers so that memory does not grow with walk_count. Each stream
+draws for its own walkers only, so results are bit-identical for a fixed
+body, seed and walk_count, whatever the wave size. Capacity walks launch
+from one sphere and re-enter it from the exact exterior harmonic measure,
+so no extrapolation across radii is needed. Standard errors come from the
+per-walk values, so they are finite at any walk count.
 """
 
 from __future__ import annotations
@@ -107,13 +108,12 @@ def _block_sizes(n):
     return sizes
 
 
-def _waves(sizes, streams):
+def _waves(sizes):
     """Runs [lo, hi) of consecutive blocks that advance together: at most
-    _WAVE walkers each, a block of m walks holding streams x m of them, and at
-    least one block."""
+    _WAVE walkers each, and at least one block."""
     lo = 0
     while lo < sizes.size:
-        fit = np.searchsorted(np.cumsum(streams * sizes[lo:]), _WAVE, side="right")
+        fit = np.searchsorted(np.cumsum(sizes[lo:]), _WAVE, side="right")
         hi = lo + max(1, int(fit))
         yield lo, hi
         lo = hi
@@ -139,12 +139,18 @@ def _pool(sizes, waves):
     return mean, np.sqrt(m2 / (n - 1) / n)
 
 
-def _unit_steps(gens, sid, d):
-    """Unit vectors for walkers on the streams gens[sid], sid non-decreasing.
-    Each stream draws for its own walkers, in their order, exactly as if it
-    ran alone; a stream with no walker here draws nothing."""
+def _per_stream(gens, sid, draw):
+    """draw(gen, count) for the walkers on the streams gens[sid], sid
+    non-decreasing, in walker order. Each stream draws for its own walkers,
+    in their order, exactly as if it ran alone; a stream with no walker here
+    draws nothing."""
     counts = np.bincount(sid, minlength=len(gens))
-    v = np.concatenate([gens[s].standard_normal((c, d)) for s, c in enumerate(counts) if c])
+    return np.concatenate([draw(gens[s], c) for s, c in enumerate(counts) if c])
+
+
+def _unit_steps(gens, sid, d):
+    """Uniform unit vectors for walkers on the streams gens[sid]."""
+    v = _per_stream(gens, sid, lambda g, c: g.standard_normal((c, d)))
     v /= np.linalg.norm(v, axis=1, keepdims=True)
     return v
 
@@ -173,7 +179,7 @@ def _step_radius(body, pos, eps):
     return r
 
 
-def _torsion_walks(body, pos, sid, gens, eps):
+def _torsion_walks(body, pos, sid, gens, eps, diag):
     """Accumulated R^2/(2d) along walk-on-spheres paths until absorption.
     Walker i starts at pos[i] (advanced in place) and steps on gens[sid[i]]."""
     d = body.dimension
@@ -182,6 +188,8 @@ def _torsion_walks(body, pos, sid, gens, eps):
     for _ in range(_MAX_WALK_STEPS):
         if idx.size == 0:
             return acc
+        diag["walker_steps"] += idx.size
+        diag["iterations"] += 1
         r = _step_radius(body, pos[idx], eps)
         alive = r >= eps
         idx = idx[alive]
@@ -194,27 +202,29 @@ def _torsion_walks(body, pos, sid, gens, eps):
 
 
 def _torsion_mean(body, cfg, start):
-    """Pooled mean and standard error of the torsion walk accumulator.
-    start(rng, m) gives a block's m starting points from the block's stream,
-    which then draws the block's steps."""
+    """Pooled mean and standard error of the torsion walk accumulator, and
+    the walks' counters. start(rng, m) gives a block's m starting points from
+    the block's stream, which then draws the block's steps."""
     eps = _resolve_epsilon(cfg, body)
     sizes = _block_sizes(cfg.walk_count)
+    diag = {"walker_steps": 0, "iterations": 0}
 
     def wave(lo, hi):
         gens = [_stream(cfg.seed, b, 0) for b in range(lo, hi)]
         pos = np.concatenate([start(g, m) for g, m in zip(gens, sizes[lo:hi])])
         return _torsion_walks(body, pos, np.repeat(np.arange(hi - lo), sizes[lo:hi]),
-                              gens, eps)
+                              gens, eps, diag)
 
-    return _pool(sizes, (wave(lo, hi) for lo, hi in _waves(sizes, 1)))
+    mean, se = _pool(sizes, (wave(lo, hi) for lo, hi in _waves(sizes)))
+    return float(mean), float(se), {"diag": diag}
 
 
 def wos_torsion(body, cfg=None):
     """Torsional rigidity T(body) = |body| x mean of the walk accumulator."""
     cfg = cfg or EstimatorConfig()
     vol = measure(body)
-    mean, se = _torsion_mean(body, cfg, lambda rng, m: _sample_interior(body, m, rng))
-    return Estimate(vol * float(mean), vol * float(se), cfg.walk_count, "wos_torsion")
+    mean, se, extra = _torsion_mean(body, cfg, lambda rng, m: _sample_interior(body, m, rng))
+    return Estimate(vol * mean, vol * se, cfg.walk_count, "wos_torsion", extra)
 
 
 def wos_torsion_pointwise(body, point, cfg=None):
@@ -224,30 +234,80 @@ def wos_torsion_pointwise(body, point, cfg=None):
     p = np.asarray(point, dtype=float)
     if signed_distance(body, p) > 0:
         raise ValidationError("the torsion function is defined only in the body")
-    mean, se = _torsion_mean(body, cfg, lambda rng, m: np.tile(p, (m, 1)))
-    return Estimate(float(mean), float(se), cfg.walk_count, "wos_torsion_pointwise")
+    mean, se, extra = _torsion_mean(body, cfg, lambda rng, m: np.tile(p, (m, 1)))
+    return Estimate(mean, se, cfg.walk_count, "wos_torsion_pointwise", extra)
 
 
-_WEIGHT_FLOOR = 1e-6  # relative truncation bias, negligible vs Monte Carlo noise
+# Russian roulette plays below this weight. Against 1e-6, 0.1 and 0.5 at 10^4
+# walks, 0.3 gave the most 1/(stderr^2 x seconds) on the cube, 4-ball and prolate
+# spheroid, or within timing noise of it
+_ROULETTE = 0.3
 
 
-def _capacity_hits(body, center, R, sid, gens, eps):
-    """Absorbed weight of exterior walks, walker i launched from the sphere
-    of radius R[i] and stepping on gens[sid[i]].
+def _reenter(x, R, gens, sid, diag):
+    """Points y, |y| = R, drawn from the exterior harmonic measure seen from
+    each row of x (|x| > R; both relative to the sphere's centre), whose
+    density is proportional to |x - y|^-d. Walker i draws on gens[sid[i]].
 
-    The escape test is handled by expectation: instead of killing a walk at
-    radius rho > R with the exact escape probability, its weight is
-    multiplied by the survival probability (R/rho)^(d-2) and it re-enters
-    uniformly on its R-sphere. This removes the kill/survive variance; the
-    walk is dropped once its weight is below a floor."""
+    The cosine 1 - w of the angle (x, y) follows the d = 3 law, in which
+    1/|x - y| is uniform. With u uniform, delta = |x|/R - 1 and a = 1 + delta,
+    w = 2 delta^2 (1-u)(a+u) / D and 2 - w = 2 u (delta+u)(a+1)^2 / D, where
+    D = a (delta + 2u)^2, so no digits cancel for walkers just outside R.
+    In d >= 4 a draw is kept with probability p^((d-3)/2), where
+    p = (1 - t^2) |x|^2 / |x - y|^2 = 4q(a - q) / (delta^2 + 4q) <= 1 and
+    q = u (delta + u); rejected walkers draw again."""
+    n, d = x.shape
+    k = 1 if d == 3 else 2  # uniforms per draw: u, and the acceptance test's
+    dist = np.linalg.norm(x, axis=1)
+    y = np.empty_like(x)
+    todo = np.arange(n)
+    while todo.size:
+        diag["reentry_proposals"] += todo.size
+        z = _per_stream(gens, sid[todo],
+                        lambda g, c: np.hstack([g.random((c, k)), g.standard_normal((c, d))]))
+        u = z[:, 0]
+        delta = (dist[todo] - R) / R
+        a = 1.0 + delta
+        if d > 3:
+            q = u * (delta + u)
+            ok = z[:, 1] < (4.0 * q * (a - q) / (delta * delta + 4.0 * q)) ** (0.5 * (d - 3))
+            kept, todo = todo[ok], todo[~ok]
+            u, delta, a, z = u[ok], delta[ok], a[ok], z[ok]
+        else:
+            kept, todo = todo, todo[:0]
+        D = a * (delta + 2.0 * u) ** 2
+        w = 2.0 * delta * delta * (1.0 - u) * (a + u) / D
+        sin = np.sqrt(w * 2.0 * u * (delta + u) * (a + 1.0) ** 2 / D)
+        xh = x[kept] / dist[kept, None]
+        e = z[:, k:]
+        e -= (e * xh).sum(axis=1, keepdims=True) * xh
+        e /= np.linalg.norm(e, axis=1, keepdims=True)
+        v = (1.0 - w)[:, None] * xh + sin[:, None] * e
+        y[kept] = R / np.linalg.norm(v, axis=1, keepdims=True) * v  # e is orthogonal to ulps
+    diag["reentries"] += n
+    return y
+
+
+def _capacity_hits(body, center, R, sid, gens, eps, diag):
+    """Absorbed weight of exterior walks launched uniformly on the sphere of
+    radius R about center, walker i stepping on gens[sid[i]].
+
+    A walker that steps out to radius rho > R keeps the weight
+    (R/rho)^(d-2), its chance to return to the R-sphere, and re-enters where
+    it would return: at a point of the exterior harmonic measure. So the
+    walk's expected absorbed weight is exactly its hitting probability.
+    Below the weight _ROULETTE a walker survives with probability
+    weight / _ROULETTE and then carries that weight, which keeps the mean."""
     d = body.dimension
-    pos = center + R[:, None] * _unit_steps(gens, sid, d)
-    w = np.ones(R.size)
-    hits = np.zeros(R.size)
-    idx = np.arange(R.size)
+    pos = center + R * _unit_steps(gens, sid, d)
+    w = np.ones(sid.size)
+    hits = np.zeros(sid.size)
+    idx = np.arange(sid.size)
     for _ in range(_MAX_WALK_STEPS):
         if idx.size == 0:
             return hits
+        diag["walker_steps"] += idx.size
+        diag["iterations"] += 1
         r = _step_radius(body, pos, eps)
         absorbed = r < eps
         if absorbed.any():
@@ -256,22 +316,31 @@ def _capacity_hits(body, center, R, sid, gens, eps):
         if idx.size == 0:
             return hits
         pos = pos + r[:, None] * _unit_steps(gens, sid[idx], d)
-        rho = np.linalg.norm(pos - center, axis=1)
-        far = rho > R[idx]
-        if far.any():
-            Rf = R[idx[far]]
-            w[far] *= (Rf / rho[far]) ** (d - 2)
-            pos[far] = center + Rf[:, None] * _unit_steps(gens, sid[idx[far]], d)
-        keep = w > _WEIGHT_FLOOR
-        if not keep.all():
+        x = pos - center
+        rho = np.linalg.norm(x, axis=1)
+        far = np.flatnonzero(rho > R)
+        if far.size == 0:
+            continue
+        w[far] *= (R / rho[far]) ** (d - 2)
+        low = far[w[far] < _ROULETTE]
+        if low.size:
+            spin = _per_stream(gens, sid[idx[low]], lambda g, c: g.random(c))
+            won = spin * _ROULETTE < w[low]
+            w[low] = np.where(won, _ROULETTE, 0.0)
+            diag["roulette_kills"] += int(low.size - won.sum())
+            far = far[w[far] > 0.0]
+        pos[far] = center + _reenter(x[far], R, gens, sid[idx[far]], diag)
+        if low.size:
+            keep = w > 0.0
             idx, pos, w = idx[keep], pos[keep], w[keep]
     raise StuckWalkError("capacity walk exceeded step budget")
 
 
 def wos_capacity(body, cfg=None):
-    """Newtonian capacity by exterior walk-on-spheres hitting probability,
-    with Richardson extrapolation across launch radii R and 2R: walk i at R
-    and walk i at 2R, on independent streams, form one extrapolated value."""
+    """Newtonian capacity kappa_d R^(d-2) P(hit) by exterior walk-on-spheres
+    from the sphere of radius R = 2 x the bounding radius, with exact
+    harmonic-measure re-entry. extra["diag"] holds deterministic counters of
+    the walks (the lock-step iterations also depend on the wave size)."""
     cfg = cfg or EstimatorConfig()
     d = body.dimension
     if d < 3:
@@ -279,26 +348,21 @@ def wos_capacity(body, cfg=None):
     eps = _resolve_epsilon(cfg, body)
     center, rb = bounding_ball(body)
     R = 2.0 * rb
-    kap = kappa_d(d)
-    f = 2.0 ** (2 - d)  # bias decay factor between radii R and 2R
     sizes = _block_sizes(cfg.walk_count)
+    diag = dict.fromkeys(("walker_steps", "iterations", "reentries", "reentry_proposals",
+                          "roulette_kills"), 0)
 
     def wave(lo, hi):
-        # the R walks of blocks lo..hi-1, then their 2R walks, on streams 1 and 2
-        m = sizes[lo:hi]
-        gens = [_stream(cfg.seed, b, k) for k in (1, 2) for b in range(lo, hi)]
-        sid = np.repeat(np.arange(2 * (hi - lo)), np.tile(m, 2))
-        hits = _capacity_hits(body, center, np.repeat([R, 2.0 * R], m.sum()), sid, gens, eps)
-        cap_R, cap_2R = (kap * r ** (d - 2) * h
-                         for r, h in zip((R, 2.0 * R), np.split(hits, 2)))
-        return np.stack([(cap_2R - f * cap_R) / (1.0 - f), cap_R, cap_2R], axis=1)
+        gens = [_stream(cfg.seed, b, 1) for b in range(lo, hi)]
+        sid = np.repeat(np.arange(hi - lo), sizes[lo:hi])
+        return _capacity_hits(body, center, R, sid, gens, eps, diag)
 
-    mean, se = _pool(sizes, (wave(lo, hi) for lo, hi in _waves(sizes, 2)))
-    value, raw_R, raw_2R = (float(x) for x in mean)
-    if raw_R == 0 and raw_2R == 0:
+    mean, se = _pool(sizes, (wave(lo, hi) for lo, hi in _waves(sizes)))
+    if mean == 0:
         raise DegenerateEstimateError("no capacity walk hit the body")
-    return Estimate(value, float(se[0]), cfg.walk_count, "wos_capacity",
-                    extra={"raw_R": raw_R, "raw_2R": raw_2R})
+    scale = kappa_d(d) * R ** (d - 2)
+    return Estimate(scale * float(mean), scale * float(se), cfg.walk_count, "wos_capacity",
+                    extra={"diag": diag})
 
 
 # ---------------------------------------------------------------------------
