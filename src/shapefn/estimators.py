@@ -249,7 +249,7 @@ def _reenter(x, R, gens, sid, diag):
     each row of x (|x| > R; both relative to the sphere's centre), whose
     density is proportional to |x - y|^-d. Walker i draws on gens[sid[i]].
 
-    The cosine 1 - w of the angle (x, y) follows the d = 3 law, in which
+    The cosine t = 1 - w of the angle (x, y) follows the d = 3 law, where
     1/|x - y| is uniform. With u uniform, delta = |x|/R - 1 and a = 1 + delta,
     w = 2 delta^2 (1-u)(a+u) / D and 2 - w = 2 u (delta+u)(a+1)^2 / D, where
     D = a (delta + 2u)^2, so no digits cancel for walkers just outside R.
@@ -257,7 +257,7 @@ def _reenter(x, R, gens, sid, diag):
     p = (1 - t^2) |x|^2 / |x - y|^2 = 4q(a - q) / (delta^2 + 4q) <= 1 and
     q = u (delta + u); rejected walkers draw again."""
     n, d = x.shape
-    k = 1 if d == 3 else 2  # uniforms per draw: u, and the acceptance test's
+    k = 1 if d == 3 else 2  # uniforms per draw: u, and in d >= 4 the acceptance test's
     dist = np.linalg.norm(x, axis=1)
     y = np.empty_like(x)
     todo = np.arange(n)
