@@ -168,14 +168,16 @@ def _sample_interior(body, n, rng):
     return out
 
 
-def _step_radius(body, pos, eps):
+def _step_radius(body, pos, eps, diag):
     """Walk-on-spheres step radius at pos: the cheap lower bound on the
-    boundary distance, replaced by the exact distance where it is below eps."""
+    boundary distance, replaced by the exact distance where it is below eps.
+    diag["exact_fallbacks"] counts the points sent to the exact kernel."""
     r = boundary_distance_lower(body, pos)
     near = r < eps
     if near.any():
         r = r.copy()
         r[near] = np.abs(signed_distance(body, pos[near]))
+        diag["exact_fallbacks"] += int(np.count_nonzero(near))
     return r
 
 
@@ -190,7 +192,7 @@ def _torsion_walks(body, pos, sid, gens, eps, diag):
             return acc
         diag["walker_steps"] += idx.size
         diag["iterations"] += 1
-        r = _step_radius(body, pos[idx], eps)
+        r = _step_radius(body, pos[idx], eps, diag)
         alive = r >= eps
         idx = idx[alive]
         r = r[alive]
@@ -207,7 +209,7 @@ def _torsion_mean(body, cfg, start):
     the block's stream, which then draws the block's steps."""
     eps = _resolve_epsilon(cfg, body)
     sizes = _block_sizes(cfg.walk_count)
-    diag = {"walker_steps": 0, "iterations": 0}
+    diag = {"walker_steps": 0, "iterations": 0, "exact_fallbacks": 0}
 
     def wave(lo, hi):
         gens = [_stream(cfg.seed, b, 0) for b in range(lo, hi)]
@@ -308,7 +310,7 @@ def _capacity_hits(body, center, R, sid, gens, eps, diag):
             return hits
         diag["walker_steps"] += idx.size
         diag["iterations"] += 1
-        r = _step_radius(body, pos, eps)
+        r = _step_radius(body, pos, eps, diag)
         absorbed = r < eps
         if absorbed.any():
             hits[idx[absorbed]] = w[absorbed]
@@ -349,8 +351,8 @@ def wos_capacity(body, cfg=None):
     center, rb = bounding_ball(body)
     R = 2.0 * rb
     sizes = _block_sizes(cfg.walk_count)
-    diag = dict.fromkeys(("walker_steps", "iterations", "reentries", "reentry_proposals",
-                          "roulette_kills"), 0)
+    diag = dict.fromkeys(("walker_steps", "iterations", "exact_fallbacks", "reentries",
+                          "reentry_proposals", "roulette_kills"), 0)
 
     def wave(lo, hi):
         gens = [_stream(cfg.seed, b, 1) for b in range(lo, hi)]

@@ -701,14 +701,25 @@ def _ellipsoid_boundary_distance(axes, pts):
 
 
 def ellipsoid_distance_lower_bound(axes, pts):
-    """Conservative bound never exceeding the true boundary distance.
+    """Lower bound on the distance from points to the boundary of an
+    axis-aligned ellipsoid, exact to first order at the end of a long axis.
 
-    |g - 1| * a_min with g = sqrt(sum x_i^2/a_i^2); valid inside and outside
-    since |grad g| <= 1/a_min everywhere.
+    A step v, |v| = delta, changes g^2 = |p / a|^2 by 2 (p / a^2).v + |v / a|^2,
+    which lies in [-2 X delta + delta^2 / a_max^2, 2 X delta + delta^2 / a_min^2]
+    with X = |p / a^2|. So reaching g^2 = 1 needs delta >= |1 - g^2| / (X + sqrt(D)),
+    D = X^2 + (1 - g^2) / a_min^2 inside and X^2 - (g^2 - 1) / a_max^2 =
+    sum (p_i / a_i)^2 (1 / a_i^2 - 1 / a_max^2) + 1 / a_max^2 outside, both sums
+    of non-negative terms. Returns the larger of this and |g - 1| a_min.
     """
     a = np.asarray(axes, dtype=float)
-    g = np.sqrt(np.sum((np.atleast_2d(pts) / a) ** 2, axis=1))
-    return np.abs(g - 1.0) * a.min()
+    lo, hi = a.min(), a.max()
+    q2 = (np.atleast_2d(pts) / a) ** 2
+    g2 = q2.sum(axis=1)
+    X2 = (q2 / (a * a)).sum(axis=1)
+    c = 1.0 - g2
+    D = np.where(c > 0.0, X2 + c / (lo * lo),
+                 (q2 * ((hi - a) * (hi + a) / (a * hi) ** 2)).sum(axis=1) + hi ** -2)
+    return np.maximum(np.abs(c) / (np.sqrt(X2) + np.sqrt(D)), np.abs(np.sqrt(g2) - 1.0) * lo)
 
 
 def signed_distance(body, points):

@@ -54,11 +54,11 @@ class SlabBody(Body):
         return np.maximum(np.atleast_1d(sd_e), sd_s)
 
     def distance_lower(self, P):
-        g = np.sqrt(np.sum((P / self.axes) ** 2, axis=1))
-        lb_e = np.abs(g - 1.0) * float(self.axes.min())
+        lb_e = geometry.ellipsoid_distance_lower_bound(self.axes, P)
+        in_e = np.sum((P / self.axes) ** 2, axis=1) <= 1.0
         sd_s = np.abs(P[:, -1]) - self.h * self.axes[-1]
-        inside = (g <= 1.0) & (sd_s <= 0.0)
-        out = np.maximum(np.where(g > 1.0, lb_e, 0.0), np.maximum(sd_s, 0.0))
+        inside = in_e & (sd_s <= 0.0)
+        out = np.maximum(np.where(in_e, 0.0, lb_e), np.maximum(sd_s, 0.0))
         return np.where(inside, np.minimum(lb_e, -sd_s), out)
 
     def bounding_ball(self):

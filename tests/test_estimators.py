@@ -80,13 +80,19 @@ def wave_free(e):
 @pytest.mark.parametrize("wave", [1, 2500])
 def test_estimates_do_not_depend_on_the_wave_size(monkeypatch, wave):
     # wave 1 runs each block alone; 2500 puts two blocks in a wave.
-    # A random hull's plane products are inexact, so their rounding shows.
+    # A random hull's plane products are inexact, so their rounding shows;
+    # the elongated slab sends many points to the exact ellipsoid kernel.
     V = np.random.default_rng(12).standard_normal((12, 3))
-    hull = Polytope(V / np.linalg.norm(V, axis=1, keepdims=True))
+    bodies = (Polytope(V / np.linalg.norm(V, axis=1, keepdims=True)),
+              SlabBody([2.4, 1.0, 0.5, 0.35], 0.3))
     cfg = EstimatorConfig(walk_count=5000, seed=3)
-    ref = [wave_free(wos_torsion(hull, cfg)), wave_free(wos_capacity(hull, cfg))]
+
+    def run():
+        return [wave_free(f(b, cfg)) for b in bodies for f in (wos_torsion, wos_capacity)]
+
+    ref = run()
     monkeypatch.setattr(est, "_WAVE", wave)
-    assert [wave_free(wos_torsion(hull, cfg)), wave_free(wos_capacity(hull, cfg))] == ref
+    assert run() == ref
 
 
 def test_walk_counters_repeat_and_d3_reentry_never_rejects():
@@ -96,6 +102,9 @@ def test_walk_counters_repeat_and_d3_reentry_never_rejects():
         first, second = estimator(cube, cfg), estimator(cube, cfg)
         assert first.extra == second.extra
         assert first.extra["diag"]["walker_steps"] > first.extra["diag"]["iterations"] > 0
+        assert 0 < first.extra["diag"]["exact_fallbacks"] < first.extra["diag"]["walker_steps"]
+        if estimator is wos_torsion:  # a walk ends where the exact distance is below eps
+            assert first.extra["diag"]["exact_fallbacks"] >= cfg.walk_count
     diag = wos_capacity(cube, cfg).extra["diag"]
     assert diag["reentries"] == diag["reentry_proposals"] > 0
     assert diag["roulette_kills"] > 0
@@ -105,7 +114,8 @@ def test_walk_counters_repeat_and_d3_reentry_never_rejects():
 
 # value.hex() and standard_error.hex() of each estimator at seed 0. Torsion's
 # were recorded before the blocks of one call shared a lock-step loop,
-# capacity's when it took up harmonic-measure re-entry and roulette: any
+# capacity's when it took up harmonic-measure re-entry and roulette, the
+# slab's when its step radii took up the quadratic ellipsoid bound: any
 # change to the walks' arithmetic or draws shows
 PINNED_BITS = {
     ("ball3", 1000): {
@@ -139,18 +149,18 @@ PINNED_BITS = {
         "wos_capacity": ("0x1.0b52cc36b08dep+4", "0x1.378b0d03059f5p-3"),
     },
     ("slab", 1000): {
-        "wos_torsion": ("0x1.e20e1cfd44603p-4", "0x1.3207c566af4e4p-8"),
+        "wos_torsion": ("0x1.e20e1cfd44600p-4", "0x1.3207c566af4e4p-8"),
         "wos_torsion_pointwise": ("0x1.579d3db09d352p-4", "0x1.cc6601ba09de7p-10"),
-        "wos_capacity": ("0x1.744bc5e27b8bdp+3", "0x1.1b06ee6c6c25fp-2"),
+        "wos_capacity": ("0x1.744bc5e27b8bcp+3", "0x1.1b06ee6c6c25fp-2"),
     },
     ("slab", 2500): {
-        "wos_torsion": ("0x1.dfd71607184e3p-4", "0x1.87fe501cbbf4dp-9"),
-        "wos_torsion_pointwise": ("0x1.6fc7acf698a3cp-4", "0x1.41848f7816827p-10"),
-        "wos_capacity": ("0x1.758a8e5cc378fp+3", "0x1.664c30f845b2cp-3"),
+        "wos_torsion": ("0x1.dfd71607184e5p-4", "0x1.87fe501cbbf46p-9"),
+        "wos_torsion_pointwise": ("0x1.6fc7acf698a3dp-4", "0x1.41848f7816826p-10"),
+        "wos_capacity": ("0x1.758a8e5cc378fp+3", "0x1.664c30f845b2dp-3"),
     },
     ("slab", 10000): {
-        "wos_torsion": ("0x1.e8d893a266585p-4", "0x1.913eb9a113a58p-10"),
-        "wos_torsion_pointwise": ("0x1.674be38b727fbp-4", "0x1.37966d19a49ccp-11"),
+        "wos_torsion": ("0x1.e8d893a266584p-4", "0x1.913eb9a113a5bp-10"),
+        "wos_torsion_pointwise": ("0x1.674be38b727fcp-4", "0x1.37966d19a49cdp-11"),
         "wos_capacity": ("0x1.6e01e89191121p+3", "0x1.670c47525004bp-4"),
     },
     ("square", 1000): {
@@ -259,6 +269,19 @@ def test_capacity_scaling_with_common_random_numbers(t):
         assert e2.standard_error == pytest.approx(t ** (d - 2) * e1.standard_error, rel=1e-12)
 
 
+def test_torsion_pooled_over_seeds_is_unbiased_on_an_elongated_ellipsoid():
+    # 20 x 10^4 walks; the step radii near the ends of the long axis come
+    # from the quadratic ellipsoid bound, the absorptions from the exact kernel
+    axes = [3.0, 1.0, 0.5]
+    runs = [wos_torsion(Ellipsoid(np.array(axes)), EstimatorConfig(walk_count=10_000, seed=s))
+            for s in range(20)]
+    mean = np.mean([e.value for e in runs])
+    se = math.sqrt(sum(e.standard_error ** 2 for e in runs)) / len(runs)
+    assert abs(mean - ex.torsion_ellipsoid(axes)) < 3 * se
+    # 361,452 walker-steps at seed 0 plus 10 %; |g - 1| a_min steps took 1,148,320
+    assert runs[0].extra["diag"]["walker_steps"] <= 398_000
+
+
 # ---------------------------------------------------------------------------
 # capacity accuracy
 # ---------------------------------------------------------------------------
@@ -268,8 +291,8 @@ def test_capacity_unit_ball_3d():
     exact = 4 * math.pi
     assert abs(e.value - exact) < max(3 * e.standard_error, 0.02 * exact)
     assert set(e.extra) == {"diag"}
-    assert set(e.extra["diag"]) == {"walker_steps", "iterations", "reentries",
-                                    "reentry_proposals", "roulette_kills"}
+    assert set(e.extra["diag"]) == {"walker_steps", "iterations", "exact_fallbacks",
+                                    "reentries", "reentry_proposals", "roulette_kills"}
 
 
 def test_capacity_prolate_spheroid():

@@ -149,16 +149,55 @@ def test_signed_distance_ellipsoid_matches_ball():
     assert np.allclose(sd_e, sd_b, atol=1e-9)
 
 
-@settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(0.3, 4.0), min_size=2, max_size=4),
-       st.integers(0, 2 ** 31 - 1))
-def test_ellipsoid_distance_lower_bound_valid(axes, seed):
-    e = Ellipsoid(np.array(axes))
-    d = len(axes)
-    pts = np.random.default_rng(seed).normal(size=(50, d)) * max(axes)
-    lb = geo.boundary_distance_lower(e, pts)
-    sd = np.abs(geo.signed_distance(e, pts))
-    assert np.all(lb <= sd + 1e-9)
+def bound_test_points(axes, seed):
+    """Directions scaled to g = |p / a| in [0, 0.99] and in [1.01, 1000]."""
+    rng = np.random.default_rng(seed)
+    u = rng.standard_normal((80, axes.size))
+    u /= np.linalg.norm(u / axes, axis=1, keepdims=True)
+    g = np.concatenate([rng.uniform(0.0, 0.99, 40), np.exp(rng.uniform(0.01, 6.9, 40))])
+    return u * g[:, None]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.floats(-3.0, 0.0), min_size=2, max_size=6),
+       st.integers(-3, 3), st.integers(0, 2 ** 31 - 1))
+def test_ellipsoid_distance_lower_bound_valid(log10_ratios, scale, seed):
+    # axis ratios down to 1e-3 in d = 2..6, at interior and exterior points:
+    # below the exact distance, never below |g - 1| a_min, and homogeneous
+    a = 10.0 ** np.array(log10_ratios) * 2.0 ** scale
+    P = bound_test_points(a, seed)
+    lb = geo.boundary_distance_lower(Ellipsoid(a), P)
+    assert np.all(lb <= np.abs(geo.signed_distance(Ellipsoid(a), P)) * (1 + 1e-13))
+    g = np.sqrt(np.sum((P / a) ** 2, axis=1))
+    assert np.all(lb >= np.abs(g - 1.0) * a.min())
+    for t in (2.0 ** -20, 0.5, 8.0):
+        assert np.array_equal(geo.ellipsoid_distance_lower_bound(t * a, t * P), t * lb)
+    # at g = 1 +- 1e-6 the exact kernel's own rounding shows
+    shell = P / g[:, None] * (1.0 + 1e-6 * np.sign(g - 1.0))[:, None]
+    sd = np.abs(geo.signed_distance(Ellipsoid(a), shell))
+    assert np.all(geo.boundary_distance_lower(Ellipsoid(a), shell) <= sd + 1e-15 * a.max())
+
+
+@pytest.mark.parametrize("x", [1.0 - 1e-3, 1.0 + 1e-3], ids=["inside", "outside"])
+def test_ellipsoid_distance_lower_bound_is_tight_at_a_long_axis_tip(x):
+    a = np.array([1.0, 0.1, 0.1])
+    p = np.array([[x, 0.0, 0.0]])
+    exact = abs(geo.signed_distance(Ellipsoid(a), p)[0])
+    assert exact == pytest.approx(1e-3, rel=1e-9)
+    assert geo.ellipsoid_distance_lower_bound(a, p)[0] >= 0.95 * exact
+    # |g - 1| a_min alone gives a tenth of it
+    assert abs(np.linalg.norm(p / a) - 1.0) * a.min() == pytest.approx(0.1 * exact)
+
+
+def test_ellipsoid_distance_lower_bound_is_finite_at_the_extremes():
+    # pytest turns RuntimeWarning into an error
+    a = np.array([2.0, 1.0, 1e-3, 0.5])
+    assert geo.ellipsoid_distance_lower_bound(a, np.zeros((1, 4)))[0] == 1e-3
+    u = np.random.default_rng(8).standard_normal((200, 4))
+    on = u / np.linalg.norm(u / a, axis=1, keepdims=True)
+    assert np.all(geo.ellipsoid_distance_lower_bound(a, on) <= 1e-14)
+    far = geo.ellipsoid_distance_lower_bound(a, 1e12 * on)
+    assert np.all(np.isfinite(far) & (far > 0.0))
 
 
 def test_ellipsoid_boundary_distance_on_axis_points():

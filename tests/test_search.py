@@ -69,6 +69,26 @@ def test_slab_body_distance_contract():
     assert np.array_equal(sd < 0, inside)
 
 
+def test_elongated_slab_distance_lower_is_valid_near_the_cut_edge():
+    b = SlabBody([2.4, 1.0, 0.5, 0.35], 0.3)
+    rng = np.random.default_rng(7)
+    # points of the cut edge (on the ellipsoid, |x_4| = h a_4) moved by 1e-6 to 0.3
+    edge = rng.standard_normal((3000, 4))
+    edge[:, :3] *= math.sqrt(1.0 - 0.3 ** 2) / np.linalg.norm(edge[:, :3] / b.axes[:3], axis=1,
+                                                             keepdims=True)
+    edge[:, 3] = np.sign(edge[:, 3]) * 0.3 * 0.35
+    v = rng.standard_normal((3000, 4))
+    v *= 10.0 ** rng.uniform(-6.0, -0.5, (3000, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
+    P = np.concatenate([edge + v, rng.normal(size=(3000, 4)) * b.axes])
+    sd = b.signed_distance(P)
+    lb = b.distance_lower(P)
+    assert 1000 < np.sum(sd < 0) < 5000
+    assert np.all(lb >= 0) and np.all(lb <= np.abs(sd) * (1 + 1e-13))
+    # near the end of the long axis the bound is close to the distance
+    tip = np.array([[2.4 - 1e-3, 0.0, 0.0, 0.0]])
+    assert b.distance_lower(tip)[0] >= 0.9 * abs(b.signed_distance(tip)[0])
+
+
 def test_slab_body_dispatch_through_geometry():
     b = SlabBody([1.0, 1.0, 1.0], 0.7)
     c, R = geo.bounding_ball(b)
