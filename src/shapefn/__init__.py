@@ -7,7 +7,6 @@ __version__ = "1.0.0"
 from .errors import (
     DegenerateEstimateError,
     InternalConsistencyError,
-    QuadratureError,
     RankDeficiencyError,
     ShapeFnError,
     StuckWalkError,
@@ -35,6 +34,7 @@ from .exact_ellipsoid import (
     carlson_rf,
     eccentricity,
     g_ellipsoid_direct,
+    perimeter_ellipsoid,
     torsion_ellipsoid,
 )
 from .estimators import (

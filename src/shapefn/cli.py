@@ -14,7 +14,6 @@ import numpy as np
 from . import __version__, bounds, geometry, search
 from .errors import (
     DegenerateEstimateError,
-    QuadratureError,
     RankDeficiencyError,
     ShapeFnError,
     StuckWalkError,
@@ -263,7 +262,7 @@ def main(argv=None):
             OSError, ValueError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_VALIDATION
-    except (StuckWalkError, DegenerateEstimateError, QuadratureError) as e:
+    except (StuckWalkError, DegenerateEstimateError) as e:
         sys.stderr.write(f"estimator failure: {e}\n")
         return EXIT_ESTIMATOR
 

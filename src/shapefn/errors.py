@@ -13,14 +13,6 @@ class RankDeficiencyError(ShapeFnError):
     """Input points do not affinely span the ambient space."""
 
 
-class QuadratureError(ShapeFnError):
-    """Quadrature failed to reach the requested tolerance."""
-
-    def __init__(self, message, achieved=None):
-        super().__init__(message)
-        self.achieved = achieved
-
-
 class StuckWalkError(ShapeFnError):
     """A walk-on-spheres trajectory exceeded the step budget."""
 

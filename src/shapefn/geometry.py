@@ -9,7 +9,6 @@ functions of the same names are the public API, one method call each.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ from .errors import (
     UnsupportedRepresentationError,
     ValidationError,
 )
-from .exact_ellipsoid import gl01, omega_d
+from .exact_ellipsoid import omega_d, perimeter_ellipsoid
 
 _REP_TOL = 1e-9
 _LOEWNER_TOL = 1e-8  # Khachiyan stopping gap
@@ -219,10 +218,7 @@ class Ellipsoid(Body):
         return omega_d(self.dimension) * float(np.prod(self.semi_axes))
 
     def perimeter(self):
-        a = self.semi_axes
-        if a.size == 2:
-            return ellipse_perimeter_agm(a[0], a[1])
-        return _ellipsoid_surface_highd(a)
+        return perimeter_ellipsoid(self.semi_axes)
 
     def signed_distance(self, P):
         dist, g2 = _ellipsoid_boundary_distance(self.semi_axes, self._local(P))
@@ -537,64 +533,6 @@ class BallUnion(Body):
 def measure(body):
     """Lebesgue measure. Exact closed forms; polytopes only for d in {2, 3}."""
     return body.measure()
-
-
-def ellipse_perimeter_agm(a, b):
-    """Perimeter of an ellipse via AGM evaluation of the complete elliptic
-    integral of the second kind (1e-12 relative)."""
-    big, small = (a, b) if a >= b else (b, a)
-    if big == small:
-        return 2.0 * math.pi * big
-    x, y = 1.0, small / big
-    c = math.sqrt(1.0 - y * y)
-    csum = 0.5 * c * c
-    pow2 = 0.5
-    # quadratic convergence: ~7 iterations; the cap guards against x - y
-    # stagnating at a few ulps
-    for _ in range(64):
-        if c <= 1e-16 * x:
-            break
-        x, y, c = 0.5 * (x + y), math.sqrt(x * y), 0.5 * (x - y)
-        pow2 *= 2.0
-        csum += pow2 * c * c
-    K = math.pi / (2.0 * x)
-    E = K * (1.0 - csum)
-    return 4.0 * big * E
-
-
-def _ellipsoid_surface_highd(axes, tol=1e-11):
-    """Surface area for any d >= 2 from Cauchy's projection formula.
-
-    S = d omega_d (prod a) E_u sqrt(sum u_i^2/a_i^2) over the unit sphere;
-    the spherical average reduces to a 1-D integral via the Gaussian
-    representation of sqrt(.).
-    """
-    a = np.asarray(axes, dtype=float)
-    d = a.size
-    ci = 1.0 / a ** 2
-    scale = ci.max()
-    ci = ci / scale  # condition the integrand; sqrt(scale) restored below
-
-    def f(w):
-        # t = (w/(1-w))^2 ; 1-D reduction of E_gauss[sqrt(sum c g^2)]
-        v = w / (1.0 - w)
-        t = v * v
-        prod = np.prod(1.0 + 2.0 * ci[:, None] * t[None, :], axis=0) ** -0.5
-        return 2.0 * (1.0 - prod) / w ** 2
-
-    prev = None
-    n = 64
-    while n <= 8192:
-        x, w = gl01(n)
-        val = float(w @ f(x)) / (2.0 * math.sqrt(math.pi))
-        if prev is not None and abs(val - prev) <= tol * max(abs(val), 1e-300):
-            break
-        prev = val
-        n *= 2
-    e_gauss = val * math.sqrt(scale)
-    e_norm = math.sqrt(2.0) * math.exp(math.lgamma((d + 1) / 2.0) - math.lgamma(d / 2.0))
-    mean_proj = e_gauss / e_norm
-    return d * omega_d(d) * float(np.prod(a)) * mean_proj
 
 
 def perimeter(body):

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -211,6 +212,24 @@ def test_verify_tamper_negative_control(corpus, capsys, tmp_path):
     tampered = [r for r in json.loads((tmp_path / "l.json").read_text())
                 if r["extra"].get("tampered")]
     assert len(tampered) == 1 and tampered[0]["status"] == "fail"
+
+
+def test_verify_needle_ellipsoids(tmp_path, capsys):
+    # axis ratios down to 1e-6 in d = 2..6 stay on the exact backends: a
+    # fixed quadrature rule, so seconds at most and no estimator failure
+    d = tmp_path / "needles"
+    d.mkdir()
+    for name, axes in (("n5", [1, 1, 1, 1, 1e-6]), ("n6", [1, 1, 1, 1, 1, 1e-3]),
+                       ("n4", [1, 1, 1, 1e-6]), ("n2", [2, 1e-6])):
+        write_body(d / f"{name}.json", {"kind": "ellipsoid", "semi_axes": axes})
+    t0 = time.perf_counter()
+    code, out, _ = run(["verify", str(d), "--out-csv", str(tmp_path / "l.csv"),
+                        "--out-json", str(tmp_path / "l.json")], capsys)
+    assert time.perf_counter() - t0 < 5.0
+    assert code == EXIT_OK
+    assert json.loads(out)["summary"]["fail"] == 0
+    rows = json.loads((tmp_path / "l.json").read_text())
+    assert rows and all(r["status"] != "fail" for r in rows)
 
 
 # ---------------------------------------------------------------------------

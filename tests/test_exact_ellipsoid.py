@@ -193,3 +193,127 @@ def test_g_direct_scale_invariant():
     a = np.array([2.0, 1.0, 0.5])
     assert ex.g_ellipsoid_direct(3.7 * a) == pytest.approx(
         ex.g_ellipsoid_direct(a), rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# the trapezoid rule in log t against independent oracles
+# ---------------------------------------------------------------------------
+
+mpmath = pytest.importorskip("mpmath")
+
+# per d: a random body, a needle (one short axis), a long rod (one long
+# axis) and a mixed body, axis ratios down to 1e-6
+ORACLE_RNG = np.random.default_rng(7)
+ORACLE_AXES = [
+    axes
+    for d in range(3, 9)
+    for axes in (ORACLE_RNG.uniform(0.2, 5.0, size=d),
+                 np.r_[np.ones(d - 1), 1e-6],
+                 np.r_[1e6, np.ones(d - 1)],
+                 np.r_[3.0, np.geomspace(1.0, 1e-6, d - 1)])
+]
+
+
+def _mp_quad(f, scales):
+    # tanh-sinh on [0, inf) split at the integrand's scale points
+    with mpmath.workdps(30):
+        return mpmath.quad(f, [0] + sorted({mpmath.mpf(float(s)) for s in scales})
+                           + [mpmath.inf])
+
+
+def mp_carlson(a):
+    with mpmath.workdps(30):
+        a2 = [mpmath.mpf(float(x)) ** 2 for x in a]
+        return _mp_quad(lambda t: 1 / mpmath.sqrt(mpmath.fprod(x + t for x in a2)), a2)
+
+
+def mp_surface(a):
+    d = len(a)
+    with mpmath.workdps(30):
+        c2 = [2 / mpmath.mpf(float(x)) ** 2 for x in a]
+        integral = _mp_quad(
+            lambda t: (1 - 1 / mpmath.sqrt(mpmath.fprod(1 + c * t for c in c2))) * t ** -1.5,
+            [1 / c for c in c2])
+        e_gauss = integral / (2 * mpmath.sqrt(mpmath.pi))
+        e_norm = mpmath.sqrt(2) * mpmath.gamma((d + 1) / mpmath.mpf(2)) / mpmath.gamma(d / mpmath.mpf(2))
+        omega = mpmath.pi ** (d / mpmath.mpf(2)) / mpmath.gamma(d / mpmath.mpf(2) + 1)
+        return d * omega * mpmath.fprod(mpmath.mpf(float(x)) for x in a) * e_gauss / e_norm
+
+
+def _ids(axes_list):
+    return [f"d{a.size}-{i % 4}" for i, a in enumerate(axes_list)]
+
+
+@pytest.mark.parametrize("a", [a for a in ORACLE_AXES if a.size >= 4],
+                         ids=_ids([a for a in ORACLE_AXES if a.size >= 4]))
+def test_carlson_integral_and_capacity_against_mpmath(a):
+    d = a.size
+    e_ref = mp_carlson(a)
+    assert ex.carlson_integral(a) == pytest.approx(float(e_ref), rel=1e-12)
+    with mpmath.workdps(30):
+        kappa = 4 * mpmath.pi ** (d / mpmath.mpf(2)) / mpmath.gamma((d - 2) / mpmath.mpf(2))
+        cap_ref = kappa / (d / mpmath.mpf(2) - 1) / e_ref
+    assert ex.cap_newtonian_ellipsoid(a) == pytest.approx(float(cap_ref), rel=1e-12)
+
+
+@pytest.mark.parametrize("a", ORACLE_AXES, ids=_ids(ORACLE_AXES))
+def test_surface_against_mpmath(a):
+    assert ex.perimeter_ellipsoid(a) == pytest.approx(float(mp_surface(a)), rel=1e-12)
+
+
+def test_ellipse_perimeter_against_scipy():
+    from scipy.special import ellipe
+    a, b = 2.0, 1.0
+    exact = 4 * a * ellipe(1 - (b / a) ** 2)
+    assert ex.perimeter_ellipsoid([a, b]) == pytest.approx(exact, rel=1e-14)
+
+
+def test_ellipse_perimeter_across_ratios():
+    from scipy.special import ellipe
+    for ratio in (5.0, 0.2, 1e-6, 1e6, 1.0 + 1e-15, 1e-12, 1e12):
+        exact = 4 * max(ratio, 1.0) * ellipe(1 - (min(ratio, 1.0) / max(ratio, 1.0)) ** 2)
+        assert ex.perimeter_ellipsoid([ratio, 1.0]) == pytest.approx(exact, rel=1e-14)
+
+
+@pytest.mark.parametrize("d", range(3, 9))
+def test_g_direct_on_needles(d):
+    # g_ellipsoid_direct raises if it strays 1e-8 from the assembly; the
+    # value itself is checked against the mpmath assembly at 1e-12
+    for a in (np.r_[np.ones(d - 1), 1e-6], np.r_[1e6, np.ones(d - 1)]):
+        e_ref = mp_carlson(a)
+        with mpmath.workdps(30):
+            ref = (mpmath.mpf(d - 2) / (d + 2) * 2 * d / (d - 2)
+                   / (mpmath.fsum(mpmath.mpf(float(x)) ** -2 for x in a)
+                      * mpmath.fprod(mpmath.mpf(float(x)) for x in a) * e_ref))
+        assert ex.g_ellipsoid_direct(a) == pytest.approx(float(ref), rel=1e-12)
+
+
+def test_every_rule_call_evaluates_once_on_few_nodes(monkeypatch):
+    # RuntimeWarnings are errors under this suite, so this also checks that
+    # no integrand over- or underflows with a warning at extreme ratios
+    rule = ex.adaptive_gl
+    sizes = []
+
+    def counted(f, scales):
+        calls = []
+
+        def once(t):
+            calls.append(t.size)
+            return f(t)
+        value = rule(once, scales)
+        assert len(calls) == 1
+        sizes.append(calls[0])
+        return value
+
+    monkeypatch.setattr(ex, "adaptive_gl", counted)
+    for d in range(2, 9):
+        for a in (np.ones(d), np.r_[np.ones(d - 1), 1e-12], np.r_[1e12, np.ones(d - 1)],
+                  np.geomspace(1e-12, 1e12, d)):
+            assert np.isfinite(ex.perimeter_ellipsoid(a))
+            if d >= 3:
+                assert np.isfinite(ex.g_ellipsoid_direct(a))
+            if d >= 4:
+                assert np.isfinite(ex.cap_newtonian_ellipsoid(a))
+    # 28 surfaces, 24 G (each quadrature twice at d >= 4), 20 capacities
+    assert len(sizes) == 28 + 24 + 20 + 20
+    assert max(sizes) <= 10_000

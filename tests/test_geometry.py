@@ -72,29 +72,15 @@ def test_perimeter_golden():
     assert geo.perimeter(c) == pytest.approx(6.0 + 2 * math.pi, rel=1e-14)
 
 
-def test_ellipse_perimeter_agm_against_scipy():
-    from scipy.special import ellipe
-    a, b = 2.0, 1.0
-    exact = 4 * a * ellipe(1 - (b / a) ** 2)
-    assert geo.ellipse_perimeter_agm(a, b) == pytest.approx(exact, rel=1e-12)
-
-
-def test_ellipse_perimeter_agm_terminates_across_ratios():
-    # regression: the AGM gap (x - y)/2 can stagnate at a few ulps, so an
-    # absolute cutoff loops forever for ratios like 5:1
-    from scipy.special import ellipe
-    for ratio in (5.0, 0.2, 1e-6, 1e6, 1.0 + 1e-15):
-        exact = 4 * max(ratio, 1.0) * ellipe(1 - (min(ratio, 1.0) / max(ratio, 1.0)) ** 2)
-        assert geo.ellipse_perimeter_agm(ratio, 1.0) == pytest.approx(exact, rel=1e-11)
-
-
 def _ellipsoid_surface_3d(axes, tol=1e-9):
-    """Chart quadrature of the parameterized ellipsoid surface (d=3)."""
+    """Chart quadrature of the parameterized ellipsoid surface (d=3):
+    Gauss-Legendre in theta, the periodic trapezoid rule in phi."""
     a, b, c = axes
     prev = None
     n = 32
     while n <= 4096:
-        t, wt = ex.gl01(n)          # theta / pi
+        x, w = np.polynomial.legendre.leggauss(n)
+        t, wt = 0.5 * (x + 1.0), 0.5 * w  # theta / pi
         theta = math.pi * t
         phi = 2.0 * math.pi * np.arange(n) / n  # periodic -> trapezoid
         st = np.sin(theta)[:, None]
@@ -115,7 +101,7 @@ def test_ellipsoid_surface_chart_vs_projection():
     # two independent quadratures of the d=3 surface area
     for axes in ([1.0, 1.0, 1.0], [2.0, 1.0, 1.0], [3.0, 2.0, 0.5]):
         chart = _ellipsoid_surface_3d(np.array(axes))
-        proj = geo._ellipsoid_surface_highd(np.array(axes))
+        proj = ex.perimeter_ellipsoid(np.array(axes))
         assert proj == pytest.approx(chart, rel=1e-8)
 
 
