@@ -73,12 +73,7 @@ def _manifest(args, cfg=None, bodies=(), outputs=()):
 
 
 def _config(args):
-    seed = args.seed
-    if seed is None:
-        seed = int(os.environ.get("SHAPEFN_SEED", "0"))
-    return EstimatorConfig(walk_count=args.walks,
-                           shell_epsilon=args.shell_epsilon,
-                           seed=seed)
+    return EstimatorConfig(walk_count=args.walks, seed=args.seed)
 
 
 def _emit(doc, path=None):
@@ -134,18 +129,6 @@ def cmd_verify(args):
     alphas = tuple(float(a) for a in args.alphas.split(","))
     rows, summary = bounds.ledger(bodies, cfg, alphas=alphas,
                                   epsilon=args.epsilon)
-    if args.self_test_tamper:
-        # negative control: corrupt the first passing row so the ledger
-        # exit path is exercised
-        for i, r in enumerate(rows):
-            if r.status == bounds.PASS and math.isfinite(r.rhs):
-                rows[i] = bounds.BoundReport(
-                    r.theorem, r.inequality, r.body_id,
-                    2.0 * abs(r.rhs) + 1.0, r.rhs, bounds.FAIL,
-                    r.stderr, r.tol, dict(r.extra, tampered=True))
-                summary[bounds.PASS] -= 1
-                summary[bounds.FAIL] += 1
-                break
     bounds.write_csv(rows, args.out_csv)
     bounds.write_json(rows, args.out_json)
     _emit({"summary": summary,
@@ -200,9 +183,7 @@ def cmd_counterexample(args):
 
 def _add_common(p):
     p.add_argument("--walks", type=int, default=100_000)
-    p.add_argument("--shell-epsilon", type=float, default=None)
-    p.add_argument("--seed", type=int, default=None,
-                   help="estimator seed (default: SHAPEFN_SEED or 0)")
+    p.add_argument("--seed", type=int, default=0, help="estimator seed")
 
 
 def build_parser():
@@ -225,7 +206,6 @@ def build_parser():
     p.add_argument("--out-json", default="ledger.json")
     p.add_argument("--alphas", default="0,1")
     p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--self-test-tamper", action="store_true")
     _add_common(p)
     p.set_defaults(fn=cmd_verify)
 

@@ -51,18 +51,14 @@ _WAVE = 32 * _DISTANCE_BLOCK  # walkers advanced together; bounds the walk state
 @dataclass(frozen=True)
 class EstimatorConfig:
     walk_count: int = 100_000
-    shell_epsilon: float | None = None  # default: 1e-5 x inradius
     seed: int = 0
 
     def __post_init__(self):
         if self.walk_count < 1000:
             raise ValidationError("walk_count must be at least 10^3")
-        if self.shell_epsilon is not None and self.shell_epsilon <= 0:
-            raise ValidationError("shell_epsilon must be positive")
 
     def to_dict(self):
-        return {"walk_count": self.walk_count, "shell_epsilon": self.shell_epsilon,
-                "seed": self.seed}
+        return {"walk_count": self.walk_count, "seed": self.seed}
 
 
 @dataclass(frozen=True)
@@ -84,19 +80,13 @@ def _stream(seed, batch, sub):
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _shell_reference(body):
+def _shell_epsilon(body):
+    """Width of the absorbing shell: 1e-5 x the inradius, or x the smallest
+    radius of a ball union. A fixed fraction of the body's own length keeps
+    the walks, like G and H, invariant under homothety."""
     if isinstance(body, BallUnion):
-        return float(body.radii.min())
-    return diameter_inradius(body)[1]
-
-
-def _resolve_epsilon(cfg, body):
-    ref = _shell_reference(body)
-    if cfg.shell_epsilon is None:
-        return 1e-5 * ref
-    if cfg.shell_epsilon > 1e-3 * ref:
-        raise ValidationError("shell_epsilon must be <= 1e-3 x body inradius")
-    return cfg.shell_epsilon
+        return 1e-5 * float(body.radii.min())
+    return 1e-5 * diameter_inradius(body)[1]
 
 
 def _block_sizes(n):
@@ -200,14 +190,14 @@ def _torsion_walks(body, pos, sid, gens, eps, diag):
             return acc
         acc[idx] += r * r / (2.0 * d)
         pos[idx] += r[:, None] * _unit_steps(gens, sid[idx], d)
-    raise StuckWalkError("torsion walk exceeded step budget; shell_epsilon too small?")
+    raise StuckWalkError("torsion walk exceeded step budget")
 
 
 def _torsion_mean(body, cfg, start):
     """Pooled mean and standard error of the torsion walk accumulator, and
     the walks' counters. start(rng, m) gives a block's m starting points from
     the block's stream, which then draws the block's steps."""
-    eps = _resolve_epsilon(cfg, body)
+    eps = _shell_epsilon(body)
     sizes = _block_sizes(cfg.walk_count)
     diag = {"walker_steps": 0, "iterations": 0, "exact_fallbacks": 0}
 
@@ -347,7 +337,7 @@ def wos_capacity(body, cfg=None):
     d = body.dimension
     if d < 3:
         raise UnsupportedRepresentationError("Newtonian capacity needs d >= 3")
-    eps = _resolve_epsilon(cfg, body)
+    eps = _shell_epsilon(body)
     center, rb = bounding_ball(body)
     R = 2.0 * rb
     sizes = _block_sizes(cfg.walk_count)
@@ -432,7 +422,7 @@ def _arc_logcap(V, closed):
     return caps[0], caps[1], 2 * int(m.sum())
 
 
-def fekete_logcap(body, cfg=None):
+def fekete_logcap(body):
     """Logarithmic capacity of a planar polygon, segment, disk or ellipse:
     exp(V) from Symm's equation on graded straight panels (Dijkstra &
     Hochstenbach 2008; Ransford & Rostand 2007).
@@ -443,7 +433,7 @@ def fekete_logcap(body, cfg=None):
     as a polygon, and extrapolated for their N^-2 order, (4 v9 - v8) / 3, so
     its closed form stays an independent check. The standard error is
     |v2 - v1| (|v9 - v8|), and walk_count_used is the finer level's panel
-    count. cfg is not used: the result is deterministic."""
+    count."""
     planar = body.dimension == 2
     if planar and isinstance(body, (Ball, Ellipsoid)):
         a = body.ellipsoid_axes()

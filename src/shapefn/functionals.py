@@ -116,7 +116,7 @@ def compute_components(body, cfg=None, need=("T", "cap", "V", "P")):
             if axes is not None:
                 comp["cap"] = Component(exact.cap_log_ellipse(axes[0], axes[1]), 0.0, "exact")
             else:
-                est = estimators.fekete_logcap(body, cfg=cfg)
+                est = estimators.fekete_logcap(body)
                 comp["cap"] = Component(est.value, est.standard_error, est.backend)
     if "V" in need:
         comp["V"] = Component(geometry.measure(body), 0.0, "exact")

@@ -475,9 +475,10 @@ class Capsule(Body):
 
 @dataclass(frozen=True, eq=False)
 class BallUnion(Body):
+    """A union of closed balls, pairwise disjoint (checked on construction)."""
+
     centers: np.ndarray
     radii: np.ndarray
-    disjoint: bool = True
 
     def __post_init__(self):
         C = np.atleast_2d(np.asarray(self.centers, dtype=float))
@@ -486,28 +487,25 @@ class BallUnion(Body):
             raise ValidationError("centers/radii mismatch or non-positive radius")
         object.__setattr__(self, "centers", C)
         object.__setattr__(self, "radii", r)
-        if self.disjoint and C.shape[0] > 1:
+        if C.shape[0] > 1:
             D = np.linalg.norm(C[:, None, :] - C[None, :, :], axis=-1)
             gap = D - (r[:, None] + r[None, :])
             np.fill_diagonal(gap, np.inf)
             if gap.min() <= 0:
-                raise ValidationError("balls flagged disjoint but closed balls touch")
+                raise ValidationError("the closed balls of a ball union must be disjoint")
 
     @property
     def dimension(self):
         return self.centers.shape[1]
 
     def measure(self):
-        if not self.disjoint:
-            raise UnsupportedRepresentationError(
-                "volume of overlapping ball unions is not implemented")
         return float(np.sum(omega_d(self.dimension) * self.radii ** self.dimension))
 
     def signed_distance(self, P):
-        sd_all = (np.linalg.norm(P[:, None, :] - self.centers[None, :, :], axis=-1)
-                  - self.radii[None, :])
-        all_out = np.all(sd_all > 0, axis=1)
-        return np.where(all_out, sd_all.min(axis=1), -np.abs(sd_all).min(axis=1))
+        # inside a ball every other ball is farther than its own boundary, as
+        # the balls are disjoint, so the smallest member distance is exact
+        return (np.linalg.norm(P[:, None, :] - self.centers[None, :, :], axis=-1)
+                - self.radii[None, :]).min(axis=1)
 
     def bounding_ball(self):
         c = self.centers.mean(axis=0)
@@ -519,11 +517,11 @@ class BallUnion(Body):
         return lo, hi
 
     def scaled(self, t):
-        return BallUnion(self.centers * t, self.radii * t, self.disjoint)
+        return BallUnion(self.centers * t, self.radii * t)
 
     def to_dict(self):
         return {"kind": "ball_union", "centers": self.centers.tolist(),
-                "radii": self.radii.tolist(), "disjoint": self.disjoint}
+                "radii": self.radii.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -679,10 +677,6 @@ def boundary_distance_lower(body, points):
     return body.distance_lower(np.atleast_2d(np.asarray(points, dtype=float)))
 
 
-def contains(body, points):
-    return signed_distance(body, points) < 0
-
-
 def bounding_ball(body):
     """A (not necessarily minimal) enclosing ball: (center, radius)."""
     return body.bounding_ball()
@@ -750,15 +744,16 @@ def loewner_ellipsoid(points):
     return Ellipsoid(axes[order], center, evecs[:, order])
 
 
-def john_pair(body, n_directions=10000):
+def john_pair(body):
     """(inner, outer) ellipsoid sandwich: outer is the Loewner ellipsoid,
-    inner is the outer shrunk by the dimension about its center."""
+    inner is the outer shrunk by the dimension about its center. Both
+    containments are checked on 10^4 fixed random directions."""
     d = body.dimension
     outer = body.john_outer()
     inner = Ellipsoid(outer.semi_axes / d, outer.center, outer.orientation)
 
     scale_len = float(outer.semi_axes.max())
-    U = _unit_vectors(np.random.default_rng(0), n_directions, d)
+    U = _unit_vectors(np.random.default_rng(0), 10_000, d)
     # inner boundary points must lie in the body
     bd = inner.semi_axes[None, :] * U
     if inner.orientation is not None:
@@ -802,7 +797,7 @@ def body_from_dict(doc):
         if kind == "capsule":
             return Capsule(doc["p"], doc["q"], doc["radius"])
         if kind == "ball_union":
-            return BallUnion(doc["centers"], doc["radii"], doc.get("disjoint", True))
+            return BallUnion(doc["centers"], doc["radii"])
     except KeyError as exc:
         raise ValidationError(f"missing body field: {exc}") from exc
     raise ValidationError(f"unknown body kind: {kind!r}")

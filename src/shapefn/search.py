@@ -94,10 +94,10 @@ def slab_fraction_inverse(d, frac):
                         1e-12, 1.0, xtol=1e-13))
 
 
-def _cut_ellipse_polygon(axes, h, n_points=256):
-    """Planar ellipse cut by |y| <= h a_2, as the hull of boundary samples."""
+def _cut_ellipse_polygon(axes, h):
+    """Planar ellipse cut by |y| <= h a_2, as the hull of 256 boundary samples."""
     phi = math.asin(min(h, 1.0))
-    t = np.linspace(-phi, phi, n_points // 2)
+    t = np.linspace(-phi, phi, 128)
     arcs = np.concatenate([t, math.pi - t[::-1]])
     pts = np.stack([axes[0] * np.cos(arcs), axes[1] * np.sin(arcs)], axis=-1)
     return Polytope(pts)

@@ -205,7 +205,7 @@ def test_criterion_08_john_loewner():
         for body in corpus:
             # john_pair verifies containment on 10^4 directions and raises
             # on any violation
-            inner, outer = geo.john_pair(body, n_directions=10_000)
+            inner, outer = geo.john_pair(body)
             assert inner.semi_axes == pytest.approx(
                 outer.semi_axes / body.dimension)
 

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import re
@@ -9,9 +10,9 @@ import numpy as np
 import pytest
 
 import shapefn
-from shapefn import cli
+from shapefn import bounds, cli, estimators
 from shapefn.cli import EXIT_ESTIMATOR, EXIT_LEDGER_FAILURE, EXIT_OK, EXIT_VALIDATION
-from shapefn.errors import ValidationError
+from shapefn.errors import StuckWalkError, ValidationError
 
 
 def write_body(path, doc):
@@ -106,13 +107,6 @@ def test_compute_h_on_planar_round_capsule_is_a_validation_error(tmp_path, capsy
     assert "error" in err
 
 
-def test_compute_seed_env_default(ball3, capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("SHAPEFN_SEED", "99")
-    code, out, _ = run(["compute", ball3, "--functional", "G"], capsys)
-    assert code == EXIT_OK
-    assert json.loads(out)["manifest"]["seed"] == 99
-
-
 def test_compute_alpha_functional(ball3, capsys):
     code, out, _ = run(["compute", ball3, "--functional", "G_alpha",
                         "--alpha", "1.0"], capsys)
@@ -120,13 +114,40 @@ def test_compute_alpha_functional(ball3, capsys):
     assert json.loads(out)["evaluation"]["functional"] == "G_alpha(1)"
 
 
-def test_compute_at_1000_walks_prints_no_infinity(tmp_path, capsys):
-    cube = write_body(tmp_path / "cube.json", {
+@pytest.fixture()
+def cube(tmp_path):
+    return write_body(tmp_path / "cube.json", {
         "kind": "polytope",
         "vertices": np.array(np.meshgrid(*[[-1.0, 1.0]] * 3)).reshape(3, -1).T.tolist()})
+
+
+def test_compute_at_1000_walks_prints_no_infinity(cube, capsys):
     code, out, _ = run(["compute", cube, "--functional", "G", "--walks", "1000"], capsys)
     assert code == EXIT_OK
     assert "Infinity" not in out
+
+
+def test_compute_estimator_failure_exits_3(cube, capsys, monkeypatch):
+    def stuck(body, cfg=None):
+        raise StuckWalkError("capacity walk exceeded step budget")
+
+    monkeypatch.setattr(estimators, "wos_capacity", stuck)
+    code, _, err = run(["compute", cube, "--functional", "G", "--walks", "1000"], capsys)
+    assert code == EXIT_ESTIMATOR
+    assert "estimator failure" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "body.json", "--functional", "G", "--shell-epsilon", "1e-6"],
+    ["verify", "corpus", "--shell-epsilon", "1e-6"],
+    ["verify", "corpus", "--self-test-tamper"],
+], ids=["compute-shell-epsilon", "verify-shell-epsilon", "verify-self-test-tamper"])
+def test_removed_flags_are_usage_errors(argv, capsys):
+    # the shell width is fixed and the tamper control lives in the tests
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == EXIT_VALIDATION
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -201,8 +222,23 @@ def test_verify_missing_dir(capsys):
     assert code == EXIT_VALIDATION
 
 
-def test_verify_tamper_negative_control(corpus, capsys, tmp_path):
-    code, out, _ = run(["verify", str(corpus), "--self-test-tamper",
+def test_verify_tamper_negative_control(corpus, capsys, tmp_path, monkeypatch):
+    # the ledger reports one finite passing row as failed: verify must exit 1
+    ledger = bounds.ledger
+
+    def tampered(*args, **kwargs):
+        rows, summary = ledger(*args, **kwargs)
+        i = next(i for i, r in enumerate(rows)
+                 if r.status == bounds.PASS and math.isfinite(r.rhs))
+        r = rows[i]
+        rows[i] = dataclasses.replace(r, lhs=2.0 * abs(r.rhs) + 1.0, status=bounds.FAIL,
+                                      extra=dict(r.extra, tampered=True))
+        summary[bounds.PASS] -= 1
+        summary[bounds.FAIL] += 1
+        return rows, summary
+
+    monkeypatch.setattr(bounds, "ledger", tampered)
+    code, out, _ = run(["verify", str(corpus),
                         "--out-csv", str(tmp_path / "l.csv"),
                         "--out-json", str(tmp_path / "l.json"),
                         "--walks", "2000"], capsys)

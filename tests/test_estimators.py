@@ -24,14 +24,13 @@ def cube_vertices(d, half=1.0):
 def test_config_validation():
     with pytest.raises(ValidationError):
         EstimatorConfig(walk_count=500)
-    with pytest.raises(ValidationError):
-        EstimatorConfig(shell_epsilon=0.0)
 
 
-def test_shell_epsilon_must_be_small_vs_inradius():
-    with pytest.raises(ValidationError):
-        wos_torsion(Ball(1.0, np.zeros(3)),
-                    EstimatorConfig(walk_count=1000, shell_epsilon=0.01))
+def test_config_has_no_shell_width():
+    # the shell is 1e-5 x the inradius, fixed so the walks scale with the body
+    with pytest.raises(TypeError):
+        EstimatorConfig(shell_epsilon=1e-6)
+    assert EstimatorConfig().to_dict() == {"walk_count": 100_000, "seed": 0}
 
 
 def test_pool_combines_blocks_into_the_plain_sample_stderr():
