@@ -176,9 +176,12 @@ def perimeter_ellipsoid(a):
 
 
 def cap_newtonian_ellipsoid(a):
-    """cp(closure of E(a)) = kappa_d / (d/2 - 1) / e(a), d >= 3."""
+    """cp(closure of E(a)) = kappa_d / (d/2 - 1) / e(a), d >= 3; on a ball of
+    radius r the closed form kappa_d r^(d-2), free of quadrature rounding."""
     a = np.asarray(a, dtype=float)
     d = a.size
+    if d >= 3 and a[0] > 0 and np.all(a == a[0]):
+        return kappa_d(d) * float(a[0]) ** (d - 2)
     return kappa_d(d) / (d / 2.0 - 1.0) / carlson_integral(a)
 
 

@@ -125,6 +125,12 @@ def test_capacity_unit_ball():
             ex.kappa_d(d), rel=1e-12)
 
 
+@pytest.mark.parametrize("r", [0.7, 1.3])
+@pytest.mark.parametrize("d", range(3, 9))
+def test_capacity_ball_is_the_closed_form(d, r):
+    assert ex.cap_newtonian_ellipsoid(np.full(d, r)) == ex.kappa_d(d) * r ** (d - 2)
+
+
 def test_capacity_prolate_analytic():
     assert ex.cap_newtonian_ellipsoid([2.0, 1.0, 1.0]) == pytest.approx(
         prolate_capacity(2.0, 1.0), rel=1e-12)
@@ -314,6 +320,7 @@ def test_every_rule_call_evaluates_once_on_few_nodes(monkeypatch):
                 assert np.isfinite(ex.g_ellipsoid_direct(a))
             if d >= 4:
                 assert np.isfinite(ex.cap_newtonian_ellipsoid(a))
-    # 28 surfaces, 24 G (each quadrature twice at d >= 4), 20 capacities
-    assert len(sizes) == 28 + 24 + 20 + 20
+    # 28 surfaces, 24 G (each quadrature twice at d >= 4 off the ball), 15
+    # capacities: a ball's capacity is its closed form, with no quadrature
+    assert len(sizes) == 28 + 24 + 15 + 15
     assert max(sizes) <= 10_000
