@@ -133,15 +133,24 @@ def _per_stream(gens, sid, draw):
     """draw(gen, count) for the walkers on the streams gens[sid], sid
     non-decreasing, in walker order. Each stream draws for its own walkers,
     in their order, exactly as if it ran alone; a stream with no walker here
-    draws nothing."""
+    draws nothing. A lone stream, the case of every 1000-walk call, draws
+    for all its walkers in one call."""
+    if len(gens) == 1:
+        return draw(gens[0], sid.size)
     counts = np.bincount(sid, minlength=len(gens))
     return np.concatenate([draw(gens[s], c) for s, c in enumerate(counts) if c])
+
+
+def _norms(x):
+    """Row norms of x (n, d), as np.linalg.norm(x, axis=1) computes them,
+    without its Python overhead on the walks' small arrays."""
+    return np.sqrt((x * x).sum(axis=1))
 
 
 def _unit_steps(gens, sid, d):
     """Uniform unit vectors for walkers on the streams gens[sid]."""
     v = _per_stream(gens, sid, lambda g, c: g.standard_normal((c, d)))
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    v /= _norms(v)[:, None]
     return v
 
 
@@ -151,7 +160,7 @@ def _sample_interior(body, n, rng):
     have = 0
     while have < n:
         cand = lo + (hi - lo) * rng.random((2 * (n - have) + 16, lo.size))
-        keep = cand[signed_distance(body, cand) < 0]
+        keep = cand[body.inside(cand)]
         take = min(n - have, keep.shape[0])
         out[have: have + take] = keep[:take]
         have += take
@@ -160,36 +169,45 @@ def _sample_interior(body, n, rng):
 
 def _step_radius(body, pos, eps, diag):
     """Walk-on-spheres step radius at pos: the cheap lower bound on the
-    boundary distance, replaced by the exact distance where it is below eps.
-    diag["exact_fallbacks"] counts the points sent to the exact kernel."""
+    boundary distance. Where it is below eps, the body's upper bound is asked
+    too: a point whose upper bound is below eps as well is absorbed with its
+    lower bound, a radius the walks never use, and only the band
+    lower < eps <= upper gets the exact distance. diag["upper_absorbed"] and
+    diag["exact_fallbacks"] count the points of each kind."""
     r = boundary_distance_lower(body, pos)
-    near = r < eps
-    if near.any():
-        r = r.copy()
-        r[near] = np.abs(signed_distance(body, pos[near]))
-        diag["exact_fallbacks"] += int(np.count_nonzero(near))
+    near = np.flatnonzero(r < eps)
+    if near.size:
+        band = near[body.distance_upper(pos[near]) >= eps]
+        diag["upper_absorbed"] += near.size - band.size
+        if band.size:
+            r[band] = np.abs(signed_distance(body, pos[band]))
+            diag["exact_fallbacks"] += band.size
     return r
 
 
 def _torsion_walks(body, pos, sid, gens, eps, diag):
     """Accumulated R^2/(2d) along walk-on-spheres paths until absorption.
-    Walker i starts at pos[i] (advanced in place) and steps on gens[sid[i]]."""
+    Walker i starts at pos[i] and steps on gens[sid[i]]. Only live walkers
+    are kept, in their order, so a step indexes nothing; a walker's sum is
+    written out when it is absorbed. pos itself is not advanced."""
     d = body.dimension
-    acc = np.zeros(pos.shape[0])
+    out = np.zeros(pos.shape[0])
     idx = np.arange(pos.shape[0])
+    acc = np.zeros(pos.shape[0])
     for _ in range(_MAX_WALK_STEPS):
-        if idx.size == 0:
-            return acc
         diag["walker_steps"] += idx.size
         diag["iterations"] += 1
-        r = _step_radius(body, pos[idx], eps, diag)
-        alive = r >= eps
-        idx = idx[alive]
-        r = r[alive]
-        if idx.size == 0:
-            return acc
-        acc[idx] += r * r / (2.0 * d)
-        pos[idx] += r[:, None] * _unit_steps(gens, sid[idx], d)
+        r = _step_radius(body, pos, eps, diag)
+        dead = r < eps
+        if dead.any():
+            out[idx[dead]] = acc[dead]
+            alive = ~dead
+            idx = idx[alive]
+            if idx.size == 0:
+                return out
+            acc, pos, sid, r = acc[alive], pos[alive], sid[alive], r[alive]
+        acc = acc + r * r / (2.0 * d)
+        pos = pos + r[:, None] * _unit_steps(gens, sid, d)
     raise StuckWalkError("torsion walk exceeded step budget")
 
 
@@ -199,7 +217,7 @@ def _torsion_mean(body, cfg, start):
     the block's stream, which then draws the block's steps."""
     eps = _shell_epsilon(body)
     sizes = _block_sizes(cfg.walk_count)
-    diag = {"walker_steps": 0, "iterations": 0, "exact_fallbacks": 0}
+    diag = {"walker_steps": 0, "iterations": 0, "exact_fallbacks": 0, "upper_absorbed": 0}
 
     def wave(lo, hi):
         gens = [_stream(cfg.seed, b, 0) for b in range(lo, hi)]
@@ -250,7 +268,7 @@ def _reenter(x, R, gens, sid, diag):
     q = u (delta + u); rejected walkers draw again."""
     n, d = x.shape
     k = 1 if d == 3 else 2  # uniforms per draw: u, and in d >= 4 the acceptance test's
-    dist = np.linalg.norm(x, axis=1)
+    dist = _norms(x)
     y = np.empty_like(x)
     todo = np.arange(n)
     while todo.size:
@@ -273,16 +291,17 @@ def _reenter(x, R, gens, sid, diag):
         xh = x[kept] / dist[kept, None]
         e = z[:, k:]
         e -= (e * xh).sum(axis=1, keepdims=True) * xh
-        e /= np.linalg.norm(e, axis=1, keepdims=True)
+        e /= _norms(e)[:, None]
         v = (1.0 - w)[:, None] * xh + sin[:, None] * e
-        y[kept] = R / np.linalg.norm(v, axis=1, keepdims=True) * v  # e is orthogonal to ulps
+        y[kept] = R / _norms(v)[:, None] * v  # e is orthogonal to ulps
     diag["reentries"] += n
     return y
 
 
 def _capacity_hits(body, center, R, sid, gens, eps, diag):
     """Absorbed weight of exterior walks launched uniformly on the sphere of
-    radius R about center, walker i stepping on gens[sid[i]].
+    radius R about center, walker i stepping on gens[sid[i]]. Like the
+    torsion walks, only live walkers are kept.
 
     A walker that steps out to radius rho > R keeps the weight
     (R/rho)^(d-2), its chance to return to the R-sphere, and re-enters where
@@ -304,27 +323,28 @@ def _capacity_hits(body, center, R, sid, gens, eps, diag):
         absorbed = r < eps
         if absorbed.any():
             hits[idx[absorbed]] = w[absorbed]
-            idx, pos, w, r = idx[~absorbed], pos[~absorbed], w[~absorbed], r[~absorbed]
-        if idx.size == 0:
-            return hits
-        pos = pos + r[:, None] * _unit_steps(gens, sid[idx], d)
+            live = ~absorbed
+            idx, sid, pos, w, r = idx[live], sid[live], pos[live], w[live], r[live]
+            if idx.size == 0:
+                return hits
+        pos = pos + r[:, None] * _unit_steps(gens, sid, d)
         x = pos - center
-        rho = np.linalg.norm(x, axis=1)
+        rho = _norms(x)
         far = np.flatnonzero(rho > R)
         if far.size == 0:
             continue
         w[far] *= (R / rho[far]) ** (d - 2)
         low = far[w[far] < _ROULETTE]
         if low.size:
-            spin = _per_stream(gens, sid[idx[low]], lambda g, c: g.random(c))
+            spin = _per_stream(gens, sid[low], lambda g, c: g.random(c))
             won = spin * _ROULETTE < w[low]
             w[low] = np.where(won, _ROULETTE, 0.0)
             diag["roulette_kills"] += int(low.size - won.sum())
             far = far[w[far] > 0.0]
-        pos[far] = center + _reenter(x[far], R, gens, sid[idx[far]], diag)
+        pos[far] = center + _reenter(x[far], R, gens, sid[far], diag)
         if low.size:
             keep = w > 0.0
-            idx, pos, w = idx[keep], pos[keep], w[keep]
+            idx, sid, pos, w = idx[keep], sid[keep], pos[keep], w[keep]
     raise StuckWalkError("capacity walk exceeded step budget")
 
 
@@ -341,8 +361,8 @@ def wos_capacity(body, cfg=None):
     center, rb = bounding_ball(body)
     R = 2.0 * rb
     sizes = _block_sizes(cfg.walk_count)
-    diag = dict.fromkeys(("walker_steps", "iterations", "exact_fallbacks", "reentries",
-                          "reentry_proposals", "roulette_kills"), 0)
+    diag = dict.fromkeys(("walker_steps", "iterations", "exact_fallbacks", "upper_absorbed",
+                          "reentries", "reentry_proposals", "roulette_kills"), 0)
 
     def wave(lo, hi):
         gens = [_stream(cfg.seed, b, 1) for b in range(lo, hi)]

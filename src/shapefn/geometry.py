@@ -1,10 +1,12 @@
 """Convex body representations and geometric measures.
 
 Each body kind is one immutable class derived from ``Body`` that holds all of
-its geometry: measure, perimeter, signed distance (negative inside) and a
-cheap lower bound on it, bounding ball and box, diameter/inradius, homothety,
-support points, JSON form and the outer John ellipsoid. The module-level
-functions of the same names are the public API, one method call each.
+its geometry: measure, perimeter, signed distance (negative inside), cheap
+lower and (where one exists) upper bounds on it, membership, bounding ball
+and box, diameter/inradius, homothety, support points, JSON form and the
+outer John ellipsoid. The module-level functions of the same names are the
+public API, one method call each; the upper bound and membership serve the
+walk estimators and have none.
 """
 
 from __future__ import annotations
@@ -86,6 +88,15 @@ class Body:
     def distance_lower(self, P):
         """Lower bound on |signed distance| of each point."""
         return np.abs(signed_distance(self, P))
+
+    def distance_upper(self, P):
+        """Upper bound on |signed distance| of each point, rounding included,
+        so never below the exact kernel's value; +inf where a kind has none."""
+        return np.full(P.shape[0], np.inf)
+
+    def inside(self, P):
+        """Whether each point is interior: signed distance < 0."""
+        return signed_distance(self, P) < 0
 
     def bounding_ball(self):
         """A (not necessarily minimal) enclosing ball: (center, radius)."""
@@ -226,6 +237,15 @@ class Ellipsoid(Body):
 
     def distance_lower(self, P):
         return ellipsoid_distance_lower_bound(self.semi_axes, self._local(P))
+
+    def distance_upper(self, P):
+        return ellipsoid_distance_upper_bound(self.semi_axes, self._local(P))
+
+    def inside(self, P):
+        # the exact kernel's sign test: sqrt rounds monotonically and 1 exactly,
+        # so g^2 < 1 exactly when its g * g < 1
+        q = self._local(P) / self.semi_axes
+        return (q * q).sum(axis=1) < 1.0
 
     def bounding_ball(self):
         return self.center.copy(), float(self.semi_axes.max())
@@ -379,6 +399,10 @@ class Polytope(Body):
         # interior: exact facet-plane distance; exterior: the largest
         # halfspace violation is a valid lower bound
         return np.abs(self._plane_excess(P))
+
+    def inside(self, P):
+        # signed_distance keeps the plane excess where it is not positive
+        return self._plane_excess(P) < 0
 
     def bounding_ball(self):
         c = self.vertices.mean(axis=0)
@@ -636,26 +660,80 @@ def _ellipsoid_boundary_distance(axes, pts):
     return dist, g * g
 
 
-def ellipsoid_distance_lower_bound(axes, pts):
+def ellipsoid_distance_lower_bound(axes, pts, cut=np.inf):
     """Lower bound on the distance from points to the boundary of an
-    axis-aligned ellipsoid, exact to first order at the end of a long axis.
+    axis-aligned ellipsoid, exact to first order at the end of a long axis,
+    or of its cut by the slab |x_d| <= cut.
 
     A step v, |v| = delta, changes g^2 = |p / a|^2 by 2 (p / a^2).v + |v / a|^2,
     which lies in [-2 X delta + delta^2 / a_max^2, 2 X delta + delta^2 / a_min^2]
     with X = |p / a^2|. So reaching g^2 = 1 needs delta >= |1 - g^2| / (X + sqrt(D)),
     D = X^2 + (1 - g^2) / a_min^2 inside and X^2 - (g^2 - 1) / a_max^2 =
     sum (p_i / a_i)^2 (1 / a_i^2 - 1 / a_max^2) + 1 / a_max^2 outside, both sums
-    of non-negative terms. Returns the larger of this and |g - 1| a_min.
+    of non-negative terms. The bound is the larger of this and |g - 1| a_min.
+    With a cut it is, inside, the smaller of that and the plane distance and,
+    outside, the larger of the plane excess and the shell's bound (0 where g <= 1).
     """
     a = np.asarray(axes, dtype=float)
     lo, hi = a.min(), a.max()
-    q2 = (np.atleast_2d(pts) / a) ** 2
+    P = np.atleast_2d(pts)
+    q2 = (P / a) ** 2
     g2 = q2.sum(axis=1)
     X2 = (q2 / (a * a)).sum(axis=1)
     c = 1.0 - g2
     D = np.where(c > 0.0, X2 + c / (lo * lo),
                  (q2 * ((hi - a) * (hi + a) / (a * hi) ** 2)).sum(axis=1) + hi ** -2)
-    return np.maximum(np.abs(c) / (np.sqrt(X2) + np.sqrt(D)), np.abs(np.sqrt(g2) - 1.0) * lo)
+    lb = np.maximum(np.abs(c) / (np.sqrt(X2) + np.sqrt(D)), np.abs(np.sqrt(g2) - 1.0) * lo)
+    if cut == np.inf:
+        return lb
+    sd_s = np.abs(P[:, -1]) - cut
+    in_e = c >= 0.0
+    return np.where(in_e & (sd_s <= 0.0), np.minimum(lb, -sd_s),
+                    np.maximum(np.where(in_e, 0.0, lb), sd_s))
+
+
+_UPPER_ROUNDING = 8.0 * np.finfo(float).eps  # upper-bound allowance per unit |p| + inradius
+
+
+def ellipsoid_distance_upper_bound(axes, pts, cut=np.inf):
+    """Upper bound on the distance from points to the boundary of an
+    axis-aligned ellipsoid cut by the slab |x_d| <= cut, plus 8 ulp x (|p| + r)
+    for rounding, r = min(a_min, cut) the inradius, so that it is never below
+    the exact kernel's value (the distance itself is below |p| + r).
+
+    It is the distance to the nearest of these points, with g = |p / a|:
+    - the ray's exit point p / G, G = max(g, |p_d| / cut) the body's gauge, at
+      distance |p| |1 - 1/G|;
+    - where the line through p along p / a^2, the normal of the level set of g,
+      meets g = 1: with X = |p / a^2|, Y = |p / a^3| and c = 1 - g^2, at
+      t = c / (X^2 + sqrt(X^4 + Y^2 c)), the root of Y^2 t^2 + 2 X^2 t = c
+      nearest 0, and at distance X |t|; none where the line misses;
+    - inside, the cut plane's foot at distance cut - |p_d|, and the inradius
+      r, which keeps the centre finite.
+    A segment from an interior point to a point outside the body or on its
+    boundary crosses the boundary, so inside every point counts. Outside,
+    the line point counts only where it lies in the slab.
+    """
+    a = np.asarray(axes, dtype=float)
+    P = np.atleast_2d(pts)
+    q = P / a
+    u = q / a
+    X2 = (u * u).sum(axis=1)
+    uu = u / a
+    g2 = (q * q).sum(axis=1)
+    c = 1.0 - g2
+    pd = np.abs(P[:, -1])
+    G = np.maximum(np.sqrt(g2), pd / cut)
+    inside = G < 1.0
+    norm = np.sqrt((P * P).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):  # p = 0, or the line misses
+        ray = norm * np.abs(1.0 - 1.0 / G)
+        t = c / (X2 + np.sqrt(X2 * X2 + (uu * uu).sum(axis=1) * c))
+        hit = inside | (np.abs(P[:, -1] * (1.0 + t / (a[-1] * a[-1]))) <= cut)
+        line = np.where(hit, np.sqrt(X2) * np.abs(t), np.inf)
+    r = min(a.min(), cut)
+    side = np.where(inside, np.minimum(cut - pd, r), np.inf)
+    return np.fmin(np.fmin(ray, line), side) + _UPPER_ROUNDING * (norm + r)
 
 
 def signed_distance(body, points):

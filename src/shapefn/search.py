@@ -54,12 +54,15 @@ class SlabBody(Body):
         return np.maximum(np.atleast_1d(sd_e), sd_s)
 
     def distance_lower(self, P):
-        lb_e = geometry.ellipsoid_distance_lower_bound(self.axes, P)
-        in_e = np.sum((P / self.axes) ** 2, axis=1) <= 1.0
-        sd_s = np.abs(P[:, -1]) - self.h * self.axes[-1]
-        inside = in_e & (sd_s <= 0.0)
-        out = np.maximum(np.where(in_e, 0.0, lb_e), np.maximum(sd_s, 0.0))
-        return np.where(inside, np.minimum(lb_e, -sd_s), out)
+        return geometry.ellipsoid_distance_lower_bound(self.axes, P, self.h * self.axes[-1])
+
+    def distance_upper(self, P):
+        return geometry.ellipsoid_distance_upper_bound(self.axes, P, self.h * self.axes[-1])
+
+    def inside(self, P):
+        # signed_distance's max of two signed distances is negative exactly here
+        q = P / self.axes
+        return ((q * q).sum(axis=1) < 1.0) & (np.abs(P[:, -1]) < self.h * self.axes[-1])
 
     def bounding_ball(self):
         return np.zeros(self.dimension), float(self.axes.max())

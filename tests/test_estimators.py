@@ -111,11 +111,24 @@ def test_walk_counters_repeat_and_d3_reentry_never_rejects():
     assert 0 < diag4["reentries"] < diag4["reentry_proposals"]
 
 
+def test_upper_bound_settles_most_absorptions_on_the_elongated_slab():
+    # before the upper bound, 1000 torsion and 65 capacity points went to the
+    # exact kernel at seed 0; the bound settles part of them and moves no other
+    body = SlabBody([2.4, 1.0, 0.5, 0.35], 0.3)
+    cfg = EstimatorConfig(walk_count=1000, seed=0)
+    for estimator, before in ((wos_torsion, 1000), (wos_capacity, 65)):
+        diag = estimator(body, cfg).extra["diag"]
+        assert diag["exact_fallbacks"] + diag["upper_absorbed"] == before
+        if estimator is wos_torsion:
+            assert diag["exact_fallbacks"] <= cfg.walk_count // 100
+
+
 # value.hex() and standard_error.hex() of each estimator at seed 0. Torsion's
 # were recorded before the blocks of one call shared a lock-step loop,
 # capacity's when it took up harmonic-measure re-entry and roulette, the
-# slab's when its step radii took up the quadratic ellipsoid bound: any
-# change to the walks' arithmetic or draws shows
+# slab's when its step radii took up the quadratic ellipsoid bound, and the
+# rotated ellipsoid's and the elongated slab's before absorption took up the
+# distance upper bound: any change to the walks' arithmetic or draws shows
 PINNED_BITS = {
     ("ball3", 1000): {
         "wos_torsion": ("0x1.09bd465f7c5aep-2", "0x1.503f143799bcdp-7"),
@@ -174,28 +187,42 @@ PINNED_BITS = {
         "wos_torsion": ("0x1.23897f9146137p-1", "0x1.c2e0954aa9f45p-8"),
         "wos_torsion_pointwise": ("0x1.0dd6729003288p-2", "0x1.bca8687a46790p-10"),
     },
+    ("ellipsoid_rot", 1000): {
+        "wos_torsion": ("0x1.8a9cf0e59db28p-3", "0x1.05fe7f7b1c5dbp-7"),
+        "wos_capacity": ("0x1.b49e83a61a861p+3", "0x1.a9e503a834e64p-2"),
+    },
+    ("slab_long", 1000): {
+        "wos_torsion": ("0x1.675267810cbc8p-9", "0x1.cdfebc4228ac8p-14"),
+        "wos_capacity": ("0x1.d68ba92475ef3p+4", "0x1.fe4bb9a51370cp+1"),
+    },
 }
+
+# an exact rotation from the 3-4-5 and 5-12-13 triangles
+_C, _S = 5 / 13, 12 / 13
+ROTATION = [[0.6, -0.8 * _C, 0.8 * _S], [0.8, 0.6 * _C, -0.6 * _S], [0.0, _S, _C]]
 
 PIN_BODIES = {
     "ball3": (Ball(1.0, np.zeros(3)), [0.3, -0.2, 0.1]),
     "cube": (Polytope(cube_vertices(3)), [0.3, -0.2, 0.1]),
     "square": (Polytope(cube_vertices(2)), [0.3, -0.2]),
     "slab": (SlabBody([1.0, 1.0, 1.0], 0.5), [0.3, -0.2, 0.1]),
+    "ellipsoid_rot": (Ellipsoid([1.5, 1.0, 0.6], [0.3, -0.2, 0.5], ROTATION), None),
+    "slab_long": (SlabBody([2.4, 1.0, 0.5, 0.35], 0.3), None),
 }
 
 
 @pytest.mark.parametrize("name", list(PIN_BODIES))
 def test_estimates_are_pinned_bit_for_bit(name):
     body, point = PIN_BODIES[name]
-    for n in (1000, 2500, 10_000):
+    run = {"wos_torsion": wos_torsion, "wos_capacity": wos_capacity,
+           "wos_torsion_pointwise": lambda b, cfg: wos_torsion_pointwise(b, point, cfg)}
+    for (pinned, n), want in PINNED_BITS.items():
+        if pinned != name:
+            continue
         cfg = EstimatorConfig(walk_count=n, seed=0)
-        got = {"wos_torsion": wos_torsion(body, cfg),
-               "wos_torsion_pointwise": wos_torsion_pointwise(body, point, cfg)}
-        if body.dimension >= 3:
-            got["wos_capacity"] = wos_capacity(body, cfg)
-        for key, e in got.items():
-            bits = (e.value.hex(), e.standard_error.hex())
-            assert bits == PINNED_BITS[name, n][key], (key, n)
+        for key, bits in want.items():
+            e = run[key](body, cfg)
+            assert (e.value.hex(), e.standard_error.hex()) == bits, (key, n)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +318,8 @@ def test_capacity_unit_ball_3d():
     assert abs(e.value - exact) < max(3 * e.standard_error, 0.02 * exact)
     assert set(e.extra) == {"diag"}
     assert set(e.extra["diag"]) == {"walker_steps", "iterations", "exact_fallbacks",
-                                    "reentries", "reentry_proposals", "roulette_kills"}
+                                    "upper_absorbed", "reentries", "reentry_proposals",
+                                    "roulette_kills"}
 
 
 def test_capacity_prolate_spheroid():

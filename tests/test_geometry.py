@@ -186,6 +186,61 @@ def test_ellipsoid_distance_lower_bound_is_finite_at_the_extremes():
     assert np.all(np.isfinite(far) & (far > 0.0))
 
 
+# an exact rotation from the 3-4-5 and 5-12-13 triangles
+_C, _S = 5 / 13, 12 / 13
+ROTATION = np.array([[0.6, -0.8 * _C, 0.8 * _S], [0.8, 0.6 * _C, -0.6 * _S], [0.0, _S, _C]])
+UPPER_ELLIPSOIDS = {
+    "aligned": Ellipsoid(np.array([2.0, 1.0, 0.5])),
+    "rotated": Ellipsoid(np.array([3.0, 0.4, 0.1]), None, ROTATION),
+    "off_centre": Ellipsoid(np.array([1.5, 1.0, 0.6]), np.array([30.0, -20.0, 5.0]), ROTATION),
+    "needle5": Ellipsoid(np.exp(np.array([3.0, 1.0, 0.0, -1.0, -3.0]))),
+}
+
+
+def near_shell(e, rng, n, lo=-12.0, hi=-1.0, side=None):
+    """n points at 10^U(lo, hi) x a_min from the shell of e along its normal,
+    on random sides (or the given one), and the signed offsets."""
+    a = e.semi_axes
+    u = rng.standard_normal((n, a.size))
+    shell = u / np.linalg.norm(u / a, axis=1, keepdims=True)
+    normal = shell / a ** 2
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    sign = rng.choice([-1.0, 1.0], n) if side is None else np.full(n, side)
+    off = sign * 10.0 ** rng.uniform(lo, hi, n) * a.min()
+    Q = shell + off[:, None] * normal
+    if e.orientation is not None:
+        Q = Q @ e.orientation.T
+    return e.center + Q, off
+
+
+@pytest.mark.parametrize("name", sorted(UPPER_ELLIPSOIDS))
+def test_ellipsoid_distance_upper_bound_valid_near_the_shell(name):
+    # the bound carries its rounding allowance of 8 ulp x (|p| + a_min), p in
+    # the ellipsoid's frame, so it is never below the exact kernel's value
+    e = UPPER_ELLIPSOIDS[name]
+    P, _ = near_shell(e, np.random.default_rng(11), 20_000)
+    assert np.all(e.distance_upper(P) >= np.abs(geo.signed_distance(e, P)))
+
+
+@pytest.mark.parametrize("name", sorted(UPPER_ELLIPSOIDS))
+def test_ellipsoid_distance_upper_bound_is_tight_inside_the_shell(name):
+    e = UPPER_ELLIPSOIDS[name]
+    P, off = near_shell(e, np.random.default_rng(12), 5000, lo=-8.0, hi=-5.0, side=-1.0)
+    ratio = e.distance_upper(P) / np.abs(geo.signed_distance(e, P))
+    assert np.all(ratio >= 1.0) and ratio.max() <= 1.0001
+
+
+def test_distance_upper_bound_at_the_centre():
+    # finite, and no RuntimeWarning (pytest makes it an error)
+    for e in UPPER_ELLIPSOIDS.values():
+        up = e.distance_upper(e.center[None])[0]
+        assert up == pytest.approx(e.semi_axes.min(), rel=1e-14)
+        assert up >= abs(geo.signed_distance(e, e.center))
+    slab = SlabBody(np.array([2.4, 1.0, 0.5, 0.35]), 0.3)
+    assert slab.distance_upper(np.zeros((1, 4)))[0] == pytest.approx(0.3 * 0.35, rel=1e-14)
+    assert np.all(Polytope(cube_vertices(3)).distance_upper(np.zeros((3, 3))) == np.inf)
+
+
 def test_ellipsoid_boundary_distance_on_axis_points():
     e = Ellipsoid(np.array([3.0, 1.0]))
     assert geo.signed_distance(e, np.array([4.0, 0.0])) == pytest.approx(1.0, abs=1e-9)
@@ -409,7 +464,7 @@ def test_polytope_plane_product_is_blocked_bit_for_bit(poly):
 def test_distance_kernels_round_a_lone_row_as_in_a_batch(body):
     # a one-row matrix product would go through BLAS gemv and round differently
     P = np.random.default_rng(6).uniform(-2.0, 2.0, size=(1000, body.dimension))
-    for kernel in (body.signed_distance, body.distance_lower):
+    for kernel in (body.signed_distance, body.distance_lower, body.distance_upper, body.inside):
         rows = np.concatenate([kernel(p[None]) for p in P])
         assert kernel(P).tobytes() == rows.tobytes()
 
@@ -539,6 +594,22 @@ PROTOCOL_BODIES = {
     "slab": (SlabBody(np.array([1.5, 1.0, 0.8, 1.0]), 0.6),
              {"perimeter", "scale", "support_point", "body_to_dict", "john_pair"}),
 }
+
+
+MEMBERSHIP_BODIES = dict(PROTOCOL_BODIES, polytope3_random=(_random_hull_3d(), None),
+                         ellipsoid_placed=(UPPER_ELLIPSOIDS["off_centre"], None),
+                         slab_long=(SlabBody(np.array([2.4, 1.0, 0.5, 0.35]), 0.3), None))
+
+
+@pytest.mark.parametrize("kind", sorted(MEMBERSHIP_BODIES))
+def test_inside_is_the_sign_of_the_signed_distance(kind):
+    body = MEMBERSHIP_BODIES[kind][0]
+    lo, hi = geo.bounding_box(body)  # widened by a quarter: a cube fills its own box
+    u = np.random.default_rng(13).uniform(-0.25, 1.25, (10_000, body.dimension))
+    P = lo + (hi - lo) * u
+    inside = body.inside(P)
+    assert 0 < inside.sum() < P.shape[0]
+    assert np.array_equal(inside, geo.signed_distance(body, P) < 0)
 
 
 @pytest.mark.parametrize("kind", sorted(PROTOCOL_BODIES))

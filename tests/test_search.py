@@ -69,17 +69,22 @@ def test_slab_body_distance_contract():
     assert np.array_equal(sd < 0, inside)
 
 
+def near_cut_edge(b, rng, n, lo):
+    """n points of the cut edge (on the ellipsoid, |x_d| = h a_d) moved by
+    10^U(lo, -0.5), then n points around the body."""
+    d = b.dimension
+    edge = rng.standard_normal((n, d))
+    edge[:, :-1] *= math.sqrt(1.0 - b.h ** 2) / np.linalg.norm(edge[:, :-1] / b.axes[:-1],
+                                                              axis=1, keepdims=True)
+    edge[:, -1] = np.sign(edge[:, -1]) * b.h * b.axes[-1]
+    v = rng.standard_normal((n, d))
+    v *= 10.0 ** rng.uniform(lo, -0.5, (n, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
+    return np.concatenate([edge + v, rng.normal(size=(n, d)) * b.axes])
+
+
 def test_elongated_slab_distance_lower_is_valid_near_the_cut_edge():
     b = SlabBody([2.4, 1.0, 0.5, 0.35], 0.3)
-    rng = np.random.default_rng(7)
-    # points of the cut edge (on the ellipsoid, |x_4| = h a_4) moved by 1e-6 to 0.3
-    edge = rng.standard_normal((3000, 4))
-    edge[:, :3] *= math.sqrt(1.0 - 0.3 ** 2) / np.linalg.norm(edge[:, :3] / b.axes[:3], axis=1,
-                                                             keepdims=True)
-    edge[:, 3] = np.sign(edge[:, 3]) * 0.3 * 0.35
-    v = rng.standard_normal((3000, 4))
-    v *= 10.0 ** rng.uniform(-6.0, -0.5, (3000, 1)) / np.linalg.norm(v, axis=1, keepdims=True)
-    P = np.concatenate([edge + v, rng.normal(size=(3000, 4)) * b.axes])
+    P = near_cut_edge(b, np.random.default_rng(7), 3000, -6.0)
     sd = b.signed_distance(P)
     lb = b.distance_lower(P)
     assert 1000 < np.sum(sd < 0) < 5000
@@ -87,6 +92,29 @@ def test_elongated_slab_distance_lower_is_valid_near_the_cut_edge():
     # near the end of the long axis the bound is close to the distance
     tip = np.array([[2.4 - 1e-3, 0.0, 0.0, 0.0]])
     assert b.distance_lower(tip)[0] >= 0.9 * abs(b.signed_distance(tip)[0])
+
+
+@pytest.mark.parametrize("axes, h", [([2.4, 1.0, 0.5, 0.35], 0.3), ([1.2, 1.0, 0.9], 0.6),
+                                     ([0.3, 1.0, 2.0, 0.7, 1.5], 0.9)])
+def test_slab_distance_upper_is_valid(axes, h):
+    # near the cut edge, near the ellipsoid shell on both sides, and around
+    # the body: never below the exact kernel's value (the bound carries its
+    # rounding allowance of 8 ulp x (|p| + inradius))
+    b = SlabBody(axes, h)
+    rng = np.random.default_rng(8)
+    u = rng.standard_normal((4000, b.dimension))
+    shell = u / np.linalg.norm(u / b.axes, axis=1, keepdims=True)
+    shell[:, -1] = np.clip(shell[:, -1], -h * b.axes[-1], h * b.axes[-1])
+    normal = shell / b.axes ** 2
+    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    off = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-12.0, -1.0, 4000)
+    P = np.concatenate([near_cut_edge(b, rng, 4000, -12.0), shell + off[:, None] * normal])
+    up = b.distance_upper(P)
+    sd = np.abs(b.signed_distance(P))
+    assert np.all(up >= sd)
+    # inside, the cut plane and the ellipsoid's normal line keep it close
+    inner = b.signed_distance(P) < -1e-9
+    assert np.median(up[inner] / sd[inner]) < 1.001
 
 
 def test_slab_body_dispatch_through_geometry():
