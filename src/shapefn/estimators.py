@@ -188,8 +188,9 @@ def _step_radius(body, pos, eps, diag):
 def _torsion_walks(body, pos, sid, gens, eps, diag):
     """Accumulated R^2/(2d) along walk-on-spheres paths until absorption.
     Walker i starts at pos[i] and steps on gens[sid[i]]. Only live walkers
-    are kept, in their order, so a step indexes nothing; a walker's sum is
-    written out when it is absorbed. pos itself is not advanced."""
+    are kept, in their order, so a step in which none dies indexes nothing;
+    a walker's sum is written out when it is absorbed. pos itself is not
+    advanced."""
     d = body.dimension
     out = np.zeros(pos.shape[0])
     idx = np.arange(pos.shape[0])

@@ -718,9 +718,9 @@ def ellipsoid_distance_upper_bound(axes, pts, cut=np.inf):
     P = np.atleast_2d(pts)
     q = P / a
     u = q / a
-    X2 = (u * u).sum(axis=1)
-    uu = u / a
+    v = u / a
     g2 = (q * q).sum(axis=1)
+    X2 = (u * u).sum(axis=1)
     c = 1.0 - g2
     pd = np.abs(P[:, -1])
     G = np.maximum(np.sqrt(g2), pd / cut)
@@ -728,7 +728,7 @@ def ellipsoid_distance_upper_bound(axes, pts, cut=np.inf):
     norm = np.sqrt((P * P).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):  # p = 0, or the line misses
         ray = norm * np.abs(1.0 - 1.0 / G)
-        t = c / (X2 + np.sqrt(X2 * X2 + (uu * uu).sum(axis=1) * c))
+        t = c / (X2 + np.sqrt(X2 * X2 + (v * v).sum(axis=1) * c))
         hit = inside | (np.abs(P[:, -1] * (1.0 + t / (a[-1] * a[-1]))) <= cut)
         line = np.where(hit, np.sqrt(X2) * np.abs(t), np.inf)
     r = min(a.min(), cut)
