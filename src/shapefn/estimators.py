@@ -2,12 +2,11 @@
 boundary-integral solver for planar logarithmic capacity, on general convex
 bodies.
 
-Walks run in blocks fixed by walk_count alone, each on a counter-based
-Philox stream keyed by (seed, block index, substream). All blocks of one
-estimator call advance together in one lock-step loop, in waves of at most
-_WAVE walkers so that memory does not grow with walk_count. Each stream
-draws for its own walkers only, so results are bit-identical for a fixed
-body, seed and walk_count, whatever the wave size. Capacity walks launch
+Each estimator call draws from one counter-based Philox stream keyed by
+(seed, substream). Its walks run in consecutive waves of at most _WAVE
+walkers, advanced together in a lock-step loop; each wave draws its starts
+and steps from the call's stream after the wave before it. So results are
+bit-identical for a fixed body, seed and walk_count. Capacity walks launch
 from one sphere and re-enter it from the exact exterior harmonic measure,
 so no extrapolation across radii is needed. Standard errors come from the
 per-walk values, so they are finite at any walk count.
@@ -74,71 +73,38 @@ class Estimate:
                 "n": self.walk_count_used, "backend": self.backend}
 
 
-def _stream(seed, batch, sub):
-    # 128-bit Philox key: (seed | batch | substream)
-    key = ((int(seed) & (2 ** 64 - 1)) << 64) | (int(batch) << 3) | int(sub)
+def _stream(seed, sub):
+    # 128-bit Philox key: (seed | substream)
+    key = ((int(seed) & (2 ** 64 - 1)) << 64) | int(sub)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def _shell_epsilon(body):
     """Width of the absorbing shell: 1e-5 x the inradius, or x the smallest
     radius of a ball union. A fixed fraction of the body's own length keeps
-    the walks, like G and H, invariant under homothety."""
+    the walks, like G and H, invariant under homothety. A body with empty
+    interior, such as a segment, has no walks: no start lies inside it."""
     if isinstance(body, BallUnion):
-        return 1e-5 * float(body.radii.min())
-    return 1e-5 * diameter_inradius(body)[1]
+        r = float(body.radii.min())
+    else:
+        r = diameter_inradius(body)[1]
+    if not r > 0:
+        raise ValidationError("walks need a body with nonempty interior (inradius 0)")
+    return 1e-5 * r
 
 
-def _block_sizes(n):
-    """Walks per block: ceil(n / max(1000, n // 50)) blocks, fixed by n alone,
-    with sizes differing by at most one."""
-    nb = math.ceil(n / max(1000, n // 50))
-    sizes = np.full(nb, n // nb)
-    sizes[: n - sizes.sum()] += 1
-    return sizes
+def _per_walk(n, walks):
+    """Mean and standard error of the n per-walk values that walks(m)
+    returns for consecutive waves of m <= _WAVE walkers."""
+    x = np.concatenate([walks(min(_WAVE, n - lo)) for lo in range(0, n, _WAVE)])
+    return _mean_se(x)
 
 
-def _waves(sizes):
-    """Runs [lo, hi) of consecutive blocks that advance together: at most
-    _WAVE walkers each, and at least one block."""
-    lo = 0
-    while lo < sizes.size:
-        fit = np.searchsorted(np.cumsum(sizes[lo:]), _WAVE, side="right")
-        hi = lo + max(1, int(fit))
-        yield lo, hi
-        lo = hi
-
-
-def _pool(sizes, waves):
-    """Mean and standard error of per-walk values from their block moments,
-    pooled as in Chan, Golub & LeVeque (1979). waves yields the values of
-    consecutive whole blocks, one row per walk in block order and a column
-    per quantity if 2-D, so no per-walk array outlives its wave."""
-    means, m2 = [], 0.0
-    for x in waves:
-        lo = 0
-        while lo < x.shape[0]:
-            block = x[lo: lo + sizes[len(means)]]
-            lo += block.shape[0]
-            means.append(block.mean(axis=0))
-            m2 = m2 + ((block - means[-1]) ** 2).sum(axis=0)
-    n = int(sizes.sum())
-    means = np.array(means)
-    mean = sizes / n @ means
-    m2 = m2 + sizes @ (means - mean) ** 2
-    return mean, np.sqrt(m2 / (n - 1) / n)
-
-
-def _per_stream(gens, sid, draw):
-    """draw(gen, count) for the walkers on the streams gens[sid], sid
-    non-decreasing, in walker order. Each stream draws for its own walkers,
-    in their order, exactly as if it ran alone; a stream with no walker here
-    draws nothing. A lone stream, the case of every 1000-walk call, draws
-    for all its walkers in one call."""
-    if len(gens) == 1:
-        return draw(gens[0], sid.size)
-    counts = np.bincount(sid, minlength=len(gens))
-    return np.concatenate([draw(gens[s], c) for s, c in enumerate(counts) if c])
+def _mean_se(x):
+    """Sample mean of x and its standard error."""
+    n = x.shape[0]
+    mean = x.mean()
+    return float(mean), math.sqrt(((x - mean) ** 2).sum() / (n - 1) / n)
 
 
 def _norms(x):
@@ -147,9 +113,9 @@ def _norms(x):
     return np.sqrt((x * x).sum(axis=1))
 
 
-def _unit_steps(gens, sid, d):
-    """Uniform unit vectors for walkers on the streams gens[sid]."""
-    v = _per_stream(gens, sid, lambda g, c: g.standard_normal((c, d)))
+def _unit_steps(gen, n, d):
+    """n uniform unit vectors in R^d drawn from gen."""
+    v = gen.standard_normal((n, d))
     v /= _norms(v)[:, None]
     return v
 
@@ -185,12 +151,12 @@ def _step_radius(body, pos, eps, diag):
     return r
 
 
-def _torsion_walks(body, pos, sid, gens, eps, diag):
+def _torsion_walks(body, pos, gen, eps, diag):
     """Accumulated R^2/(2d) along walk-on-spheres paths until absorption.
-    Walker i starts at pos[i] and steps on gens[sid[i]]. Only live walkers
-    are kept, in their order, so a step in which none dies indexes nothing;
-    a walker's sum is written out when it is absorbed. pos itself is not
-    advanced."""
+    Walker i starts at pos[i]; every step draws the live walkers' directions
+    from gen, in walker order. Only live walkers are kept, in their order, so
+    a step in which none dies indexes nothing; a walker's sum is written out
+    when it is absorbed. pos itself is not advanced."""
     d = body.dimension
     out = np.zeros(pos.shape[0])
     idx = np.arange(pos.shape[0])
@@ -206,28 +172,23 @@ def _torsion_walks(body, pos, sid, gens, eps, diag):
             idx = idx[alive]
             if idx.size == 0:
                 return out
-            acc, pos, sid, r = acc[alive], pos[alive], sid[alive], r[alive]
+            acc, pos, r = acc[alive], pos[alive], r[alive]
         acc = acc + r * r / (2.0 * d)
-        pos = pos + r[:, None] * _unit_steps(gens, sid, d)
+        pos = pos + r[:, None] * _unit_steps(gen, idx.size, d)
     raise StuckWalkError("torsion walk exceeded step budget")
 
 
 def _torsion_mean(body, cfg, start):
-    """Pooled mean and standard error of the torsion walk accumulator, and
-    the walks' counters. start(rng, m) gives a block's m starting points from
-    the block's stream, which then draws the block's steps."""
+    """Mean and standard error of the torsion walk accumulator over
+    cfg.walk_count walks, and the walks' counters. start(rng, m) gives a
+    wave's m starting points from the call's stream, which then draws the
+    wave's steps."""
     eps = _shell_epsilon(body)
-    sizes = _block_sizes(cfg.walk_count)
+    gen = _stream(cfg.seed, 0)
     diag = {"walker_steps": 0, "iterations": 0, "exact_fallbacks": 0, "upper_absorbed": 0}
-
-    def wave(lo, hi):
-        gens = [_stream(cfg.seed, b, 0) for b in range(lo, hi)]
-        pos = np.concatenate([start(g, m) for g, m in zip(gens, sizes[lo:hi])])
-        return _torsion_walks(body, pos, np.repeat(np.arange(hi - lo), sizes[lo:hi]),
-                              gens, eps, diag)
-
-    mean, se = _pool(sizes, (wave(lo, hi) for lo, hi in _waves(sizes)))
-    return float(mean), float(se), {"diag": diag}
+    mean, se = _per_walk(cfg.walk_count,
+                         lambda m: _torsion_walks(body, start(gen, m), gen, eps, diag))
+    return mean, se, {"diag": diag}
 
 
 def wos_torsion(body, cfg=None):
@@ -255,10 +216,11 @@ def wos_torsion_pointwise(body, point, cfg=None):
 _ROULETTE = 0.3
 
 
-def _reenter(x, R, gens, sid, diag):
+def _reenter(x, R, gen, diag):
     """Points y, |y| = R, drawn from the exterior harmonic measure seen from
     each row of x (|x| > R; both relative to the sphere's centre), whose
-    density is proportional to |x - y|^-d. Walker i draws on gens[sid[i]].
+    density is proportional to |x - y|^-d. Each round draws from gen for the
+    rows still to place, in row order.
 
     The cosine t = 1 - w of the angle (x, y) follows the d = 3 law, where
     1/|x - y| is uniform. With u uniform, delta = |x|/R - 1 and a = 1 + delta,
@@ -274,8 +236,7 @@ def _reenter(x, R, gens, sid, diag):
     todo = np.arange(n)
     while todo.size:
         diag["reentry_proposals"] += todo.size
-        z = _per_stream(gens, sid[todo],
-                        lambda g, c: np.hstack([g.random((c, k)), g.standard_normal((c, d))]))
+        z = np.hstack([gen.random((todo.size, k)), gen.standard_normal((todo.size, d))])
         u = z[:, 0]
         delta = (dist[todo] - R) / R
         a = 1.0 + delta
@@ -299,9 +260,9 @@ def _reenter(x, R, gens, sid, diag):
     return y
 
 
-def _capacity_hits(body, center, R, sid, gens, eps, diag):
-    """Absorbed weight of exterior walks launched uniformly on the sphere of
-    radius R about center, walker i stepping on gens[sid[i]]. Like the
+def _capacity_hits(body, center, R, n, gen, eps, diag):
+    """Absorbed weight of n exterior walks launched uniformly on the sphere
+    of radius R about center, every draw from gen in walker order. Like the
     torsion walks, only live walkers are kept.
 
     A walker that steps out to radius rho > R keeps the weight
@@ -311,10 +272,10 @@ def _capacity_hits(body, center, R, sid, gens, eps, diag):
     Below the weight _ROULETTE a walker survives with probability
     weight / _ROULETTE and then carries that weight, which keeps the mean."""
     d = body.dimension
-    pos = center + R * _unit_steps(gens, sid, d)
-    w = np.ones(sid.size)
-    hits = np.zeros(sid.size)
-    idx = np.arange(sid.size)
+    pos = center + R * _unit_steps(gen, n, d)
+    w = np.ones(n)
+    hits = np.zeros(n)
+    idx = np.arange(n)
     for _ in range(_MAX_WALK_STEPS):
         if idx.size == 0:
             return hits
@@ -325,10 +286,10 @@ def _capacity_hits(body, center, R, sid, gens, eps, diag):
         if absorbed.any():
             hits[idx[absorbed]] = w[absorbed]
             live = ~absorbed
-            idx, sid, pos, w, r = idx[live], sid[live], pos[live], w[live], r[live]
+            idx, pos, w, r = idx[live], pos[live], w[live], r[live]
             if idx.size == 0:
                 return hits
-        pos = pos + r[:, None] * _unit_steps(gens, sid, d)
+        pos = pos + r[:, None] * _unit_steps(gen, idx.size, d)
         x = pos - center
         rho = _norms(x)
         far = np.flatnonzero(rho > R)
@@ -337,23 +298,24 @@ def _capacity_hits(body, center, R, sid, gens, eps, diag):
         w[far] *= (R / rho[far]) ** (d - 2)
         low = far[w[far] < _ROULETTE]
         if low.size:
-            spin = _per_stream(gens, sid[low], lambda g, c: g.random(c))
+            spin = gen.random(low.size)
             won = spin * _ROULETTE < w[low]
             w[low] = np.where(won, _ROULETTE, 0.0)
             diag["roulette_kills"] += int(low.size - won.sum())
             far = far[w[far] > 0.0]
-        pos[far] = center + _reenter(x[far], R, gens, sid[far], diag)
+        pos[far] = center + _reenter(x[far], R, gen, diag)
         if low.size:
             keep = w > 0.0
-            idx, sid, pos, w = idx[keep], sid[keep], pos[keep], w[keep]
+            idx, pos, w = idx[keep], pos[keep], w[keep]
     raise StuckWalkError("capacity walk exceeded step budget")
 
 
 def wos_capacity(body, cfg=None):
     """Newtonian capacity kappa_d R^(d-2) P(hit) by exterior walk-on-spheres
     from the sphere of radius R = 2 x the bounding radius, with exact
-    harmonic-measure re-entry. extra["diag"] holds deterministic counters of
-    the walks (the lock-step iterations also depend on the wave size)."""
+    harmonic-measure re-entry. The walks draw from one stream, wave after
+    wave. extra["diag"] holds deterministic counters of the walks; the
+    lock-step iterations add up over the waves."""
     cfg = cfg or EstimatorConfig()
     d = body.dimension
     if d < 3:
@@ -361,20 +323,15 @@ def wos_capacity(body, cfg=None):
     eps = _shell_epsilon(body)
     center, rb = bounding_ball(body)
     R = 2.0 * rb
-    sizes = _block_sizes(cfg.walk_count)
+    gen = _stream(cfg.seed, 1)
     diag = dict.fromkeys(("walker_steps", "iterations", "exact_fallbacks", "upper_absorbed",
                           "reentries", "reentry_proposals", "roulette_kills"), 0)
-
-    def wave(lo, hi):
-        gens = [_stream(cfg.seed, b, 1) for b in range(lo, hi)]
-        sid = np.repeat(np.arange(hi - lo), sizes[lo:hi])
-        return _capacity_hits(body, center, R, sid, gens, eps, diag)
-
-    mean, se = _pool(sizes, (wave(lo, hi) for lo, hi in _waves(sizes)))
+    mean, se = _per_walk(cfg.walk_count,
+                         lambda m: _capacity_hits(body, center, R, m, gen, eps, diag))
     if mean == 0:
         raise DegenerateEstimateError("no capacity walk hit the body")
     scale = kappa_d(d) * R ** (d - 2)
-    return Estimate(scale * float(mean), scale * float(se), cfg.walk_count, "wos_capacity",
+    return Estimate(scale * mean, scale * se, cfg.walk_count, "wos_capacity",
                     extra={"diag": diag})
 
 

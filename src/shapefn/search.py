@@ -190,6 +190,8 @@ def maximize(f, family, cfg=None, restarts=20, seed=0, max_evals=4000):
     Stochastic backends are evaluated under common random numbers (the
     config seed is fixed across the simplex), so the landscape is
     deterministic within one search."""
+    if restarts < 1:
+        raise ValidationError("restarts must be at least 1")
     cfg = cfg or EstimatorConfig()
     probe = family.to_body(np.zeros(family.n_params))
     if not f.dimension_ok(probe.dimension):

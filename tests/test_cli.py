@@ -2,7 +2,10 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -105,6 +108,24 @@ def test_compute_h_on_planar_round_capsule_is_a_validation_error(tmp_path, capsy
     code, _, err = run(["compute", capsule, "--functional", "H", "--walks", "1000"], capsys)
     assert code == EXIT_VALIDATION
     assert "error" in err
+
+
+@pytest.mark.parametrize("doc, functional", [
+    ({"kind": "capsule", "p": [0, 0], "q": [1, 0], "radius": 0}, "H"),
+    ({"kind": "capsule", "p": [0, 0, 0], "q": [1, 0, 0], "radius": 0}, "G"),
+], ids=["segment2-H", "segment3-G"])
+def test_compute_on_a_body_without_interior_is_a_validation_error(doc, functional, tmp_path):
+    # no walk can start inside a segment, so interior sampling would never
+    # end; a process of its own under a timeout turns a hang into a failure
+    segment = write_body(tmp_path / "segment.json", doc)
+    src = str(Path(shapefn.__file__).parent.parent)
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-m", "shapefn.cli", "compute", segment,
+                           "--functional", functional, "--walks", "1000"],
+                          capture_output=True, text=True, env=env, timeout=30)
+    assert done.returncode == EXIT_VALIDATION
+    assert "interior" in done.stderr
 
 
 def test_compute_alpha_functional(ball3, capsys):
@@ -287,6 +308,18 @@ def test_search_constrained(capsys):
     doc = json.loads(out)
     assert doc["result"]["best_value"] == pytest.approx(1.0 / 3.0, abs=1e-5)
     assert doc["result"]["extra"]["epsilon"] == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "ellipsoids", "--dim", "3"],
+    ["--family", "boxes", "--dim", "3"],
+    ["--family", "capsules", "--dim", "3"],
+    ["--dim", "4", "--epsilon", "0.05"],
+], ids=["ellipsoids", "boxes", "capsules", "constrained"])
+def test_search_without_restarts_is_a_validation_error(argv, capsys):
+    code, _, err = run(["search", "--functional", "G", "--restarts", "0"] + argv, capsys)
+    assert code == EXIT_VALIDATION
+    assert "restarts must be at least 1" in err
 
 
 def test_search_bad_epsilon(capsys):

@@ -33,26 +33,14 @@ def test_config_has_no_shell_width():
     assert EstimatorConfig().to_dict() == {"walk_count": 100_000, "seed": 0}
 
 
-def test_pool_combines_blocks_into_the_plain_sample_stderr():
-    sizes = est._block_sizes(2500)
-    assert sizes.tolist() == [834, 833, 833]
+def test_mean_and_stderr_are_the_plain_sample_moments():
+    sizes = [834, 833, 833]
     blocks = [np.random.default_rng(b).exponential(1.0 + b, size=m)
               for b, m in enumerate(sizes)]
     every = np.concatenate(blocks)
-    # one wave, a wave per block, and a wave of two blocks then one
-    for waves in ([every], blocks, [np.concatenate(blocks[:2]), blocks[2]]):
-        mean, se = est._pool(sizes, waves)
-        assert mean == pytest.approx(sizes @ [x.mean() for x in blocks] / 2500, rel=1e-15)
-        assert se == pytest.approx(np.std(every, ddof=1) / math.sqrt(2500), rel=1e-12)
-
-
-def test_waves_hold_whole_blocks_up_to_the_walker_limit(monkeypatch):
-    sizes = est._block_sizes(10_000)
-    for wave, runs in ((4500, [(0, 4), (4, 8), (8, 10)]),
-                       (2250, [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10)]),
-                       (900, [(b, b + 1) for b in range(10)])):
-        monkeypatch.setattr(est, "_WAVE", wave)
-        assert list(est._waves(sizes)) == runs
+    mean, se = est._mean_se(every)
+    assert mean == pytest.approx(np.dot(sizes, [x.mean() for x in blocks]) / 2500, rel=1e-15)
+    assert se == pytest.approx(np.std(every, ddof=1) / math.sqrt(2500), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -69,29 +57,27 @@ def test_torsion_deterministic_and_seed_sensitive():
     assert e3.value != e1.value
 
 
-def wave_free(e):
-    """An estimate without its lock-step iteration count, the one counter
-    that depends on how blocks are grouped into waves."""
-    diag = {k: v for k, v in e.extra["diag"].items() if k != "iterations"}
-    return e.value, e.standard_error, e.walk_count_used, e.backend, diag
-
-
-@pytest.mark.parametrize("wave", [1, 2500])
-def test_estimates_do_not_depend_on_the_wave_size(monkeypatch, wave):
-    # wave 1 runs each block alone; 2500 puts two blocks in a wave.
-    # A random hull's plane products are inexact, so their rounding shows;
-    # the elongated slab sends many points to the exact ellipsoid kernel.
-    V = np.random.default_rng(12).standard_normal((12, 3))
-    bodies = (Polytope(V / np.linalg.norm(V, axis=1, keepdims=True)),
-              SlabBody([2.4, 1.0, 0.5, 0.35], 0.3))
-    cfg = EstimatorConfig(walk_count=5000, seed=3)
-
-    def run():
-        return [wave_free(f(b, cfg)) for b in bodies for f in (wos_torsion, wos_capacity)]
-
-    ref = run()
-    monkeypatch.setattr(est, "_WAVE", wave)
-    assert run() == ref
+def test_a_call_draws_its_waves_from_one_stream(monkeypatch):
+    # with waves of 1000, a 2500-walk call runs waves of 1000, 1000 and 500
+    # walkers, one after another on one stream: its first wave is the
+    # 1000-walk call bit for bit, and the next waves draw on from there
+    monkeypatch.setattr(est, "_WAVE", 1000)
+    waves = []
+    for name in ("_torsion_walks", "_capacity_hits"):
+        def record(*args, walks=getattr(est, name)):
+            waves.append(walks(*args))
+            return waves[-1]
+        monkeypatch.setattr(est, name, record)
+    cube = Polytope(cube_vertices(3))
+    for estimator in (wos_torsion, wos_capacity):
+        waves.clear()
+        estimator(cube, EstimatorConfig(walk_count=1000, seed=3))
+        (single,) = waves
+        waves.clear()
+        estimator(cube, EstimatorConfig(walk_count=2500, seed=3))
+        assert [w.size for w in waves] == [1000, 1000, 500]
+        assert waves[0].tobytes() == single.tobytes()
+        assert waves[1].tobytes() != waves[0].tobytes()
 
 
 def test_walk_counters_repeat_and_d3_reentry_never_rejects():
@@ -123,12 +109,14 @@ def test_upper_bound_settles_most_absorptions_on_the_elongated_slab():
             assert diag["exact_fallbacks"] <= cfg.walk_count // 100
 
 
-# value.hex() and standard_error.hex() of each estimator at seed 0. Torsion's
-# were recorded before the blocks of one call shared a lock-step loop,
-# capacity's when it took up harmonic-measure re-entry and roulette, the
-# slab's when its step radii took up the quadratic ellipsoid bound, and the
-# rotated ellipsoid's and the elongated slab's before absorption took up the
-# distance upper bound: any change to the walks' arithmetic or draws shows
+# value.hex() and standard_error.hex() of each estimator at seed 0. At 1000
+# walks torsion's were recorded before the blocks of one call shared a
+# lock-step loop, capacity's when it took up harmonic-measure re-entry and
+# roulette, the slab's when its step radii took up the quadratic ellipsoid
+# bound, and the rotated ellipsoid's and the elongated slab's before
+# absorption took up the distance upper bound. The 2500- and 10000-walk
+# values were recorded when a call took one stream for all its walks: any
+# change to the walks' arithmetic or draws shows
 PINNED_BITS = {
     ("ball3", 1000): {
         "wos_torsion": ("0x1.09bd465f7c5aep-2", "0x1.503f143799bcdp-7"),
@@ -136,14 +124,14 @@ PINNED_BITS = {
         "wos_capacity": ("0x1.a039b54599e8dp+3", "0x1.1dfff4448ab3fp-2"),
     },
     ("ball3", 2500): {
-        "wos_torsion": ("0x1.2eeb6e27be8e2p-2", "0x1.dfbc1c4565712p-8"),
-        "wos_torsion_pointwise": ("0x1.268b43e947e10p-3", "0x1.d9d6bf020fd4ep-10"),
-        "wos_capacity": ("0x1.98f707b86df9bp+3", "0x1.5bc3d3b9b187ep-3"),
+        "wos_torsion": ("0x1.25595ada7eb74p-2", "0x1.da14fc16e737dp-8"),
+        "wos_torsion_pointwise": ("0x1.245d0e4b7a269p-3", "0x1.c85ab89eeeb8fp-10"),
+        "wos_capacity": ("0x1.913003f8b1cd0p+3", "0x1.5e01fad667155p-3"),
     },
     ("ball3", 10000): {
-        "wos_torsion": ("0x1.1d7dfa0fb40f9p-2", "0x1.c95da802c4becp-9"),
-        "wos_torsion_pointwise": ("0x1.242cab56862e3p-3", "0x1.d0e50481c2a4ep-11"),
-        "wos_capacity": ("0x1.9482f4104064ep+3", "0x1.600e2ee0c4bc0p-4"),
+        "wos_torsion": ("0x1.2519059392814p-2", "0x1.debdba2421f3fp-9"),
+        "wos_torsion_pointwise": ("0x1.23e928760cdfep-3", "0x1.cf310fe7c6cbep-11"),
+        "wos_capacity": ("0x1.930a40cfeada5p+3", "0x1.5eda665be1066p-4"),
     },
     ("cube", 1000): {
         "wos_torsion": ("0x1.5618af10ee2cbp-1", "0x1.dcda9f502bf37p-6"),
@@ -151,14 +139,14 @@ PINNED_BITS = {
         "wos_capacity": ("0x1.0fc38614e97b6p+4", "0x1.ec55461ccccdcp-2"),
     },
     ("cube", 2500): {
-        "wos_torsion": ("0x1.43d98f670bf9fp-1", "0x1.17d6232e847d5p-6"),
-        "wos_torsion_pointwise": ("0x1.99d6afdc3eab1p-3", "0x1.3c70dfa9691d9p-9"),
-        "wos_capacity": ("0x1.0cbde70dc8aa0p+4", "0x1.326880a666562p-2"),
+        "wos_torsion": ("0x1.4a91ae1c5bc5fp-1", "0x1.229f9a392ce77p-6"),
+        "wos_torsion_pointwise": ("0x1.a0521c5fa84e4p-3", "0x1.3b8b43b99803ep-9"),
+        "wos_capacity": ("0x1.043a76ce874d9p+4", "0x1.35f2b6715ddfdp-2"),
     },
     ("cube", 10000): {
-        "wos_torsion": ("0x1.50f969f5bb38cp-1", "0x1.252a2612382e2p-7"),
-        "wos_torsion_pointwise": ("0x1.9ff62dec78a29p-3", "0x1.491a5c85b7316p-10"),
-        "wos_capacity": ("0x1.0b52cc36b08dep+4", "0x1.378b0d03059f5p-3"),
+        "wos_torsion": ("0x1.49c9720ac415fp-1", "0x1.1f0a6f82be4a4p-7"),
+        "wos_torsion_pointwise": ("0x1.992ca55f060c3p-3", "0x1.3a4aebc54abe9p-10"),
+        "wos_capacity": ("0x1.079d4bf9e2ed6p+4", "0x1.34576b8d9a1f3p-3"),
     },
     ("slab", 1000): {
         "wos_torsion": ("0x1.e20e1cfd44600p-4", "0x1.3207c566af4e4p-8"),
@@ -166,26 +154,26 @@ PINNED_BITS = {
         "wos_capacity": ("0x1.744bc5e27b8bcp+3", "0x1.1b06ee6c6c25fp-2"),
     },
     ("slab", 2500): {
-        "wos_torsion": ("0x1.dfd71607184e5p-4", "0x1.87fe501cbbf46p-9"),
-        "wos_torsion_pointwise": ("0x1.6fc7acf698a3dp-4", "0x1.41848f7816826p-10"),
-        "wos_capacity": ("0x1.758a8e5cc378fp+3", "0x1.664c30f845b2dp-3"),
+        "wos_torsion": ("0x1.ef3f6e669cd0ep-4", "0x1.985c0cc92d781p-9"),
+        "wos_torsion_pointwise": ("0x1.6b39a11a063d4p-4", "0x1.313e02f03f77ap-10"),
+        "wos_capacity": ("0x1.658687da5d732p+3", "0x1.61103970a875ep-3"),
     },
     ("slab", 10000): {
-        "wos_torsion": ("0x1.e8d893a266584p-4", "0x1.913eb9a113a5bp-10"),
-        "wos_torsion_pointwise": ("0x1.674be38b727fcp-4", "0x1.37966d19a49cdp-11"),
-        "wos_capacity": ("0x1.6e01e89191121p+3", "0x1.670c47525004bp-4"),
+        "wos_torsion": ("0x1.e8fa314994916p-4", "0x1.a2ca97ed2ed82p-10"),
+        "wos_torsion_pointwise": ("0x1.65ec753d6c4e0p-4", "0x1.35f56e22f9432p-11"),
+        "wos_capacity": ("0x1.6d4b987731903p+3", "0x1.651e910c461cdp-4"),
     },
     ("square", 1000): {
         "wos_torsion": ("0x1.281d6a790bc23p-1", "0x1.6a5f3a0b64965p-6"),
         "wos_torsion_pointwise": ("0x1.07c38f2954c5fp-2", "0x1.4fe98fd698589p-8"),
     },
     ("square", 2500): {
-        "wos_torsion": ("0x1.2d1423dd43fd2p-1", "0x1.c809556943c99p-7"),
-        "wos_torsion_pointwise": ("0x1.1477f60e7558ap-2", "0x1.d534382a40651p-9"),
+        "wos_torsion": ("0x1.27ef161fc1b40p-1", "0x1.d1a56498b7a44p-7"),
+        "wos_torsion_pointwise": ("0x1.099df75d957f0p-2", "0x1.ab96c87e66c7bp-9"),
     },
     ("square", 10000): {
-        "wos_torsion": ("0x1.23897f9146137p-1", "0x1.c2e0954aa9f45p-8"),
-        "wos_torsion_pointwise": ("0x1.0dd6729003288p-2", "0x1.bca8687a46790p-10"),
+        "wos_torsion": ("0x1.2067a53df550dp-1", "0x1.b98159ddecfb4p-8"),
+        "wos_torsion_pointwise": ("0x1.0ccbd10c44548p-2", "0x1.c1bf1c734412bp-10"),
     },
     ("ellipsoid_rot", 1000): {
         "wos_torsion": ("0x1.8a9cf0e59db28p-3", "0x1.05fe7f7b1c5dbp-7"),
@@ -341,7 +329,7 @@ def test_capacity_4d_ball():
 
 
 def test_stderr_calibrated_at_1000_walks():
-    # 1000 walks is a single block; the stderr must still be finite and
+    # 1000 walks, the fewest a call takes; the stderr must still be finite and
     # cover the exact value at the 3-s.e. rate, off the ball too
     ball = Ball(1.0, np.zeros(3))
     prolate = Ellipsoid(np.array([2.0, 1.0, 1.0]))
@@ -378,7 +366,7 @@ def reentry_sample(d, ratio, n, seed):
     x[:3] = R * ratio * np.array([0.6, -0.48, 0.64])
     diag = {"reentries": 0, "reentry_proposals": 0}
     gen = np.random.Generator(np.random.Philox(key=seed))
-    y = est._reenter(np.tile(x, (n, 1)), R, [gen], np.zeros(n, dtype=int), diag)
+    y = est._reenter(np.tile(x, (n, 1)), R, gen, diag)
     return x, R, y
 
 
