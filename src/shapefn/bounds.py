@@ -13,7 +13,6 @@ import numpy as np
 from . import exact_ellipsoid as exact
 from . import geometry
 from .errors import InternalConsistencyError, ValidationError
-from .estimators import EstimatorConfig
 from .functionals import FunctionalId, assemble, compute_components
 
 PASS = "pass"
@@ -86,7 +85,6 @@ def check_thm1(body, cfg=None, body_id="body", comp=None):
     d = body.dimension
     if d < 3:
         raise ValidationError("need d >= 3")
-    cfg = cfg or EstimatorConfig()
     comp = comp or compute_components(body, cfg)
     g = assemble(FunctionalId("G"), comp, d)
     b = geometry.john_sorted_axes(body)
@@ -115,7 +113,6 @@ def check_thm2(body, cfg=None, body_id="body", comp=None):
     d = body.dimension
     if d < 3:
         raise ValidationError("need d >= 3")
-    cfg = cfg or EstimatorConfig()
     comp = comp or compute_components(body, cfg)
     g = assemble(FunctionalId("G"), comp, d)
     gb = exact.g_ball(d)
@@ -201,7 +198,6 @@ def check_thm6(body, alphas=(0.0, 1.0), cfg=None, body_id="body", comp=None):
     d = body.dimension
     if d < 3:
         raise ValidationError("need d >= 3")
-    cfg = cfg or EstimatorConfig()
     comp = comp or compute_components(body, cfg)
     rows = []
     for alpha in alphas:
@@ -231,7 +227,6 @@ def check_planar(body, alphas=(0.0, 1.0), cfg=None, body_id="body", comp=None):
     """All planar inequality rows for one convex body."""
     if body.dimension != 2:
         raise ValidationError("need d = 2")
-    cfg = cfg or EstimatorConfig()
     comp = comp or compute_components(body, cfg)
     h = assemble(FunctionalId("H"), comp, 2)
     b = geometry.john_sorted_axes(body)
@@ -281,7 +276,6 @@ def ledger(bodies, cfg=None, alphas=(0.0, 1.0), epsilon=0.1):
 
     bodies: mapping id -> body, or an iterable of bodies (auto ids).
     Returns (rows, summary); summary counts statuses, failures expected zero."""
-    cfg = cfg or EstimatorConfig()
     if not isinstance(bodies, dict):
         bodies = {f"body{i:03d}": b for i, b in enumerate(bodies)}
     if not bodies:

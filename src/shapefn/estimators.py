@@ -68,10 +68,6 @@ class Estimate:
     backend: str
     extra: dict = field(default_factory=dict)
 
-    def to_dict(self):
-        return {"value": self.value, "stderr": self.standard_error,
-                "n": self.walk_count_used, "backend": self.backend}
-
 
 def _stream(seed, sub):
     # 128-bit Philox key: (seed | substream)

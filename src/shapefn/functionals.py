@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from . import estimators, geometry
 from . import exact_ellipsoid as exact
 from .errors import ValidationError
-from .estimators import EstimatorConfig
+from .estimators import Estimate
 
 
 @dataclass(frozen=True)
@@ -67,16 +67,6 @@ def parse_functional(kind, alpha=None):
 
 
 @dataclass(frozen=True)
-class Component:
-    value: float
-    stderr: float
-    backend: str
-
-    def to_dict(self):
-        return {"value": self.value, "stderr": self.stderr, "backend": self.backend}
-
-
-@dataclass(frozen=True)
 class Evaluation:
     functional: FunctionalId
     value: float
@@ -88,40 +78,35 @@ class Evaluation:
         return {"functional": self.functional.name, "value": self.value,
                 "stderr": self.stderr,
                 "bracket": [self.bracket[0], self.bracket[1]],
-                "components": {k: v.to_dict() for k, v in self.components.items()}}
+                "components": {k: {"value": c.value, "stderr": c.standard_error,
+                                   "backend": c.backend}
+                               for k, c in self.components.items()}}
+
+
+def _exact(value):
+    return Estimate(value, 0.0, 0, "exact")
 
 
 def compute_components(body, cfg=None, need=("T", "cap", "V", "P")):
-    """Torsion, capacity, volume and perimeter of a body with per-component
-    backend tags; ellipsoids/balls are exact, other bodies stochastic."""
-    cfg = cfg or EstimatorConfig()
+    """Torsion, capacity, volume and perimeter of a body as the Estimates of
+    their backends; ellipsoids/balls are exact, other bodies stochastic."""
     d = body.dimension
     axes = body.ellipsoid_axes()
     comp = {}
     if "T" in need:
-        if axes is not None:
-            comp["T"] = Component(exact.torsion_ellipsoid(axes), 0.0, "exact")
-        else:
-            est = estimators.wos_torsion(body, cfg)
-            comp["T"] = Component(est.value, est.standard_error, est.backend)
+        comp["T"] = (estimators.wos_torsion(body, cfg) if axes is None
+                     else _exact(exact.torsion_ellipsoid(axes)))
     if "cap" in need:
-        if d >= 3:
-            if axes is not None:
-                comp["cap"] = Component(
-                    exact.cap_newtonian_ellipsoid(axes), 0.0, "exact")
-            else:
-                est = estimators.wos_capacity(body, cfg)
-                comp["cap"] = Component(est.value, est.standard_error, est.backend)
+        if axes is None:
+            comp["cap"] = (estimators.wos_capacity(body, cfg) if d >= 3
+                           else estimators.fekete_logcap(body))
         else:
-            if axes is not None:
-                comp["cap"] = Component(exact.cap_log_ellipse(axes[0], axes[1]), 0.0, "exact")
-            else:
-                est = estimators.fekete_logcap(body)
-                comp["cap"] = Component(est.value, est.standard_error, est.backend)
+            comp["cap"] = _exact(exact.cap_newtonian_ellipsoid(axes) if d >= 3
+                                 else exact.cap_log_ellipse(*axes))
     if "V" in need:
-        comp["V"] = Component(geometry.measure(body), 0.0, "exact")
+        comp["V"] = _exact(geometry.measure(body))
     if "P" in need:
-        comp["P"] = Component(geometry.perimeter(body), 0.0, "exact")
+        comp["P"] = _exact(geometry.perimeter(body))
     return comp
 
 
@@ -131,9 +116,9 @@ def assemble(f, components, d):
     T = components["T"]
     cap = components["cap"]
     value = T.value ** pT * cap.value
-    rel2 = (pT * T.stderr / T.value) ** 2 if T.stderr else 0.0
+    rel2 = (pT * T.standard_error / T.value) ** 2 if T.standard_error else 0.0
     if cap.value:
-        rel2 += (cap.stderr / cap.value) ** 2 if cap.stderr else 0.0
+        rel2 += (cap.standard_error / cap.value) ** 2 if cap.standard_error else 0.0
     if pV:
         value /= components["V"].value ** pV
     if pP:

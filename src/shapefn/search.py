@@ -15,7 +15,6 @@ from . import exact_ellipsoid as exact
 from . import geometry
 from .bounds import critical_epsilon, ratio_bound
 from .errors import InternalConsistencyError, ShapeFnError, ValidationError
-from .estimators import EstimatorConfig
 from .functionals import evaluate
 from .geometry import BallUnion, Body, Capsule, Ellipsoid, Polytope
 
@@ -192,7 +191,6 @@ def maximize(f, family, cfg=None, restarts=20, seed=0, max_evals=4000):
     deterministic within one search."""
     if restarts < 1:
         raise ValidationError("restarts must be at least 1")
-    cfg = cfg or EstimatorConfig()
     probe = family.to_body(np.zeros(family.n_params))
     if not f.dimension_ok(probe.dimension):
         raise ValidationError(f"{f.name} undefined in dimension {probe.dimension}")

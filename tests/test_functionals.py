@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from shapefn import exact_ellipsoid as ex
 from shapefn import functionals as fn
 from shapefn.errors import ValidationError
-from shapefn.estimators import EstimatorConfig
+from shapefn.estimators import EstimatorConfig, wos_capacity, wos_torsion
 from shapefn.functionals import FunctionalId, evaluate, parse_functional
 from shapefn.geometry import Ball, Ellipsoid, Polytope
 
@@ -173,3 +173,25 @@ def test_evaluation_to_dict_roundtrippable():
     assert doc["functional"] == "G_alpha(1)"
     assert doc["components"]["T"]["backend"] == "exact"
     assert doc["bracket"] == [ev.value, ev.value]
+
+
+def test_components_are_the_backends_estimates():
+    # an Evaluation carries each backend's Estimate whole, counters included
+    cfg = EstimatorConfig(walk_count=2000, seed=3)
+    cube = Polytope(cube_vertices(3))
+    comp = evaluate(FunctionalId("G"), cube, cfg).components
+    for key, est in (("T", wos_torsion(cube, cfg)), ("cap", wos_capacity(cube, cfg))):
+        assert comp[key].value == est.value
+        assert comp[key].standard_error == est.standard_error
+        assert comp[key].extra["diag"] == est.extra["diag"]
+
+
+@pytest.mark.parametrize("f, body", [
+    (FunctionalId("G_alpha", 1.0), Ball(1.0, np.zeros(3))),        # exact
+    (FunctionalId("G"), Polytope(cube_vertices(3))),               # walks
+    (FunctionalId("H_alpha", 1.0), Polytope(cube_vertices(2))),    # walks, symm
+])
+def test_evaluation_to_dict_component_keys(f, body):
+    doc = evaluate(f, body, EstimatorConfig(walk_count=1000)).to_dict()
+    for entry in doc["components"].values():
+        assert set(entry) == {"backend", "stderr", "value"}
