@@ -55,6 +55,7 @@ from .functionals import (
 from .bounds import (
     BoundReport,
     check_constraint_constants,
+    check_dimension_constants,
     check_planar,
     check_thm1,
     check_thm2,

@@ -209,13 +209,6 @@ def check_thm6(body, alphas=(0.0, 1.0), cfg=None, body_id="body", comp=None):
         rows.append(_row("Thm6", "e81", body_id, ga.value,
                          d ** (2.0 * d) * ref, stderr=ga.stderr,
                          extra={"alpha": alpha}))
-        if alpha < 2.0:
-            expo = (2.0 * d * d + 2.0 * d - 2.0 * d * alpha + 2.0 - alpha) / (2.0 - alpha)
-            rows.append(_row("Thm6", "e82", f"const_d{d}", 2.0 * d ** expo,
-                             math.inf, status=PASS, extra={"alpha": alpha}))
-        else:
-            rows.append(_row("Thm6", "e82", f"const_d{d}", math.inf, math.inf,
-                             status=OUT_OF_REGIME, extra={"alpha": alpha}))
     return rows
 
 
@@ -256,14 +249,39 @@ def check_planar(body, alphas=(0.0, 1.0), cfg=None, body_id="body", comp=None):
         rows.append(_row("Thm8", "e93", body_id, ha.value,
                          2.0 ** (2.0 * alpha) * math.pi ** (3.0 - 2.0 * alpha) * ref,
                          stderr=ha.stderr, extra={"alpha": alpha}))
-        if alpha < 1.5:
-            rows.append(_row("Thm8", "e95", "const_d2",
+    return rows
+
+
+# ---------------------------------------------------------------------------
+# rows of the dimension alone
+# ---------------------------------------------------------------------------
+
+def check_dimension_constants(d, alphas=(0.0, 1.0), epsilon=0.1):
+    """The rows that depend on the dimension and not on a body: the e82
+    (d >= 3) or e95 (d = 2) constant per alpha, and the constrained-problem
+    constants for d = 2 and d >= 4."""
+    rows = []
+    body_id = f"const_d{d}"
+    for alpha in alphas:
+        FunctionalId("G_alpha" if d >= 3 else "H_alpha", alpha)  # checks alpha
+        extra = {"alpha": alpha}
+        if d >= 3 and alpha < 2.0:
+            expo = (2.0 * d * d + 2.0 * d - 2.0 * d * alpha + 2.0 - alpha) / (2.0 - alpha)
+            rows.append(_row("Thm6", "e82", body_id, 2.0 * d ** expo, math.inf,
+                             status=PASS, extra=extra))
+        elif d >= 3:
+            rows.append(_row("Thm6", "e82", body_id, math.inf, math.inf,
+                             status=OUT_OF_REGIME, extra=extra))
+        elif alpha < 1.5:
+            rows.append(_row("Thm8", "e95", body_id,
                              2.0 ** ((3.0 + 2.0 * alpha) / (3.0 - 2.0 * alpha))
                              * math.pi ** 2,
-                             math.inf, status=PASS, extra={"alpha": alpha}))
+                             math.inf, status=PASS, extra=extra))
         else:
-            rows.append(_row("Thm8", "e95", "const_d2", math.inf, math.inf,
-                             status=OUT_OF_REGIME, extra={"alpha": alpha}))
+            rows.append(_row("Thm8", "e95", body_id, math.inf, math.inf,
+                             status=OUT_OF_REGIME, extra=extra))
+    if d == 2 or d >= 4:
+        rows += check_constraint_constants(d, epsilon)
     return rows
 
 
@@ -294,8 +312,7 @@ def ledger(bodies, cfg=None, alphas=(0.0, 1.0), epsilon=0.1):
             rows += check_thm2(body, cfg, body_id, comp)
             rows += check_thm6(body, alphas, cfg, body_id, comp)
     for d in sorted(dims):
-        if d == 2 or d >= 4:
-            rows += check_constraint_constants(d, epsilon)
+        rows += check_dimension_constants(d, alphas, epsilon)
     rows.sort(key=lambda r: (r.body_id, r.theorem, r.inequality))
 
     summary = {s: 0 for s in (PASS, FAIL, INCONCLUSIVE, VACUOUS, OUT_OF_REGIME)}

@@ -132,7 +132,7 @@ def test_criterion_04_random_ellipsoid_property_suite():
                      * ex.h_alpha_ball(alpha))
             assert np.all(ha <= rhs93 * (1.0 + tol)), f"e93 violated at alpha={alpha}"
             # the e95 constant of the ledger row matches its closed form
-            rows = bounds.check_planar(Ball(1.0, np.zeros(2)), alphas=(alpha,))
+            rows = bounds.check_dimension_constants(2, alphas=(alpha,))
             e95 = next(r for r in rows if r.inequality == "e95")
             assert e95.lhs == pytest.approx(
                 2.0 ** ((3.0 + 2.0 * alpha) / (3.0 - 2.0 * alpha)) * math.pi ** 2,

@@ -14,6 +14,7 @@ from shapefn.bounds import (
     VACUOUS,
     BoundReport,
     check_constraint_constants,
+    check_dimension_constants,
     check_planar,
     check_thm1,
     check_thm2,
@@ -118,8 +119,11 @@ def test_thm6_rows():
     rows = check_thm6(Ball(1.0, np.zeros(3)), alphas=(0.0, 2.0), cfg=CFG,
                       body_id="ball")
     kinds = sorted((r.inequality, r.extra["alpha"]) for r in rows)
-    assert kinds == [("e81", 0.0), ("e81", 2.0), ("e82", 0.0), ("e82", 2.0),
-                     ("e89", 0.0), ("e89", 2.0)]
+    assert kinds == [("e81", 0.0), ("e81", 2.0), ("e89", 0.0), ("e89", 2.0)]
+    # the e82 constant depends on d alone, so it is a row of the dimension
+    rows = check_dimension_constants(3, alphas=(0.0, 2.0))
+    kinds = sorted((r.inequality, r.body_id, r.extra["alpha"]) for r in rows)
+    assert kinds == [("e82", "const_d3", 0.0), ("e82", "const_d3", 2.0)]
     e82_0 = next(r for r in rows if r.inequality == "e82" and r.extra["alpha"] == 0.0)
     # alpha=0, d=3: exponent (2d^2+2d+2)/2 = 13, constant 2 d^13
     assert e82_0.lhs == pytest.approx(2.0 * 3 ** 13)
@@ -176,8 +180,11 @@ def test_planar_disk_rows():
     rows = check_planar(Ball(1.0, np.zeros(2)), alphas=(0.0, 1.0), cfg=CFG,
                         body_id="disk")
     ids = sorted({r.inequality for r in rows})
-    assert ids == ["e65", "e65a", "e65iii", "e92e", "e93", "e95"]
-    assert all(r.status in (PASS, OUT_OF_REGIME) for r in rows)
+    assert ids == ["e65", "e65a", "e65iii", "e92e", "e93"]
+    const = [r for r in check_dimension_constants(2, alphas=(0.0, 1.0))
+             if r.inequality == "e95"]
+    assert sorted(r.extra["alpha"] for r in const) == [0.0, 1.0]
+    assert all(r.status in (PASS, OUT_OF_REGIME) for r in rows + const)
     e65 = next(r for r in rows if r.inequality == "e65")
     # the disk attains H(B_1) exactly
     assert e65.lhs == pytest.approx(e65.rhs, rel=1e-12)
@@ -190,7 +197,7 @@ def test_planar_e65iii_disk_constant():
 
 
 def test_planar_e95_constant():
-    rows = check_planar(Ball(1.0, np.zeros(2)), alphas=(0.0,), cfg=CFG)
+    rows = check_dimension_constants(2, alphas=(0.0,))
     r = next(r for r in rows if r.inequality == "e95")
     assert r.lhs == pytest.approx(2.0 * math.pi ** 2, rel=1e-12)
 
@@ -243,6 +250,23 @@ def test_ledger_sorted_and_deterministic(small_ledger):
     rows, _ = small_ledger
     keys = [(r.body_id, r.theorem, r.inequality) for r in rows]
     assert keys == sorted(keys)
+
+
+def test_ledger_rows_do_not_repeat():
+    # two bodies per dimension: the constant rows of d must appear once
+    bodies = {"ball3": Ball(1.0, np.zeros(3)),
+              "ell3": Ellipsoid(np.array([2.0, 1.0, 0.5])),
+              "disk": Ball(1.0, np.zeros(2)),
+              "ellipse": Ellipsoid(np.array([2.0, 1.0]))}
+    rows, summary = ledger(bodies, CFG, alphas=(0.0, 1.0), epsilon=0.1)
+    keys = [(r.theorem, r.inequality, r.body_id, repr(sorted(r.extra.items())))
+            for r in rows]
+    assert len(keys) == len(set(keys))
+    const = sorted((r.body_id, r.extra["alpha"]) for r in rows
+                   if r.inequality in ("e82", "e95"))
+    assert const == [("const_d2", 0.0), ("const_d2", 1.0),
+                     ("const_d3", 0.0), ("const_d3", 1.0)]
+    assert summary["rows"] == len(rows)
 
 
 def test_ledger_rejects_empty():
