@@ -31,7 +31,6 @@ from .geometry import (
 from .exact_ellipsoid import (
     cap_log_ellipse,
     cap_newtonian_ellipsoid,
-    carlson_rf,
     eccentricity,
     g_ellipsoid_direct,
     perimeter_ellipsoid,

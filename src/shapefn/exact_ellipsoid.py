@@ -1,14 +1,16 @@
 """Closed-form and quadrature-exact values for balls and ellipsoids:
 torsion, Newtonian capacity, logarithmic capacity, surface measure,
 eccentricity and the ball reference constants entering the shape
-functionals. Every ellipsoid integral goes through one rule, the
-trapezoid rule in log t (`adaptive_gl`)."""
+functionals. Every ellipsoid integral but the d = 3 capacity, which is
+Carlson's R_F, goes through one rule, the trapezoid rule in log t
+(`adaptive_gl`)."""
 
 from __future__ import annotations
 
 import math
 
 import numpy as np
+from scipy.special import elliprf
 
 from .errors import InternalConsistencyError, ValidationError
 
@@ -80,31 +82,6 @@ def torsion_ellipsoid(a):
     return omega_d(d) / (d + 2.0) * float(np.prod(a)) / float(np.sum(a ** -2.0))
 
 
-_RF_RTOL = 1e-14  # relative accuracy of carlson_rf
-
-
-def carlson_rf(x, y, z):
-    """Carlson symmetric integral R_F by the duplication algorithm."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    z = np.asarray(z, dtype=float)
-    for _ in range(200):
-        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
-        lam = sx * sy + sx * sz + sy * sz
-        x, y, z = 0.25 * (x + lam), 0.25 * (y + lam), 0.25 * (z + lam)
-        mu = (x + y + z) / 3.0
-        dev = np.maximum(np.abs(x - mu), np.maximum(np.abs(y - mu), np.abs(z - mu)))
-        if np.all(dev <= _RF_RTOL ** (1.0 / 6.0) * mu):
-            break
-    X = 1.0 - x / mu
-    Y = 1.0 - y / mu
-    Z = -(X + Y)
-    e2 = X * Y - Z * Z
-    e3 = X * Y * Z
-    s = 1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0
-    return s / np.sqrt(mu)
-
-
 _STEP, _MARGIN = 1.0 / 3.0, 80.0  # step and tail margin of the rule, in u = log t
 
 
@@ -141,14 +118,15 @@ def _reduced_carlson(c):
 def carlson_integral(a):
     """e(a) = int_0^inf prod (a_i^2 + t)^{-1/2} dt, d >= 3.
 
-    d = 3 goes through R_F duplication; d >= 4 through the trapezoid rule
-    in log t (`adaptive_gl`) on prod (1 + t/a_i^2)^{-1/2}."""
+    d = 3 goes through Carlson's R_F (`scipy.special.elliprf`); d >= 4
+    through the trapezoid rule in log t (`adaptive_gl`) on
+    prod (1 + t/a_i^2)^{-1/2}."""
     a = np.asarray(a, dtype=float)
     d = a.size
     if d < 3 or np.any(a <= 0):
         raise ValidationError("need d >= 3 positive semi-axes")
     if d == 3:
-        return 2.0 * float(carlson_rf(a[0] ** 2, a[1] ** 2, a[2] ** 2))
+        return 2.0 * float(elliprf(a[0] ** 2, a[1] ** 2, a[2] ** 2))
     return _reduced_carlson(a ** -2.0) / float(np.prod(a))
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
-from scipy.special import elliprf
 
 from shapefn import exact_ellipsoid as ex
 from shapefn.errors import ValidationError
@@ -90,18 +89,8 @@ def test_torsion_scaling(axes, t):
 
 
 # ---------------------------------------------------------------------------
-# Carlson R_F and the capacity integral
+# the capacity integral
 # ---------------------------------------------------------------------------
-
-@settings(max_examples=80, deadline=None)
-@given(st.floats(0.01, 100.0), st.floats(0.01, 100.0), st.floats(0.01, 100.0))
-def test_carlson_rf_against_scipy(x, y, z):
-    assert ex.carlson_rf(x, y, z) == pytest.approx(float(elliprf(x, y, z)), rel=1e-12)
-
-
-def test_carlson_rf_degenerate_point():
-    assert float(ex.carlson_rf(4.0, 4.0, 4.0)) == pytest.approx(0.5, rel=1e-14)
-
 
 def test_carlson_integral_unit_ball():
     # int_0^inf (1+t)^{-d/2} dt = 2/(d-2)
