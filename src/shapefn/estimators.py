@@ -35,6 +35,8 @@ from .geometry import (
     Ellipsoid,
     Polytope,
     _DISTANCE_BLOCK,
+    _norms,
+    _unit_vectors,
     bounding_ball,
     bounding_box,
     boundary_distance_lower,
@@ -103,19 +105,6 @@ def _mean_se(x):
     return float(mean), math.sqrt(((x - mean) ** 2).sum() / (n - 1) / n)
 
 
-def _norms(x):
-    """Row norms of x (n, d), as np.linalg.norm(x, axis=1) computes them,
-    without its Python overhead on the walks' small arrays."""
-    return np.sqrt((x * x).sum(axis=1))
-
-
-def _unit_steps(gen, n, d):
-    """n uniform unit vectors in R^d drawn from gen."""
-    v = gen.standard_normal((n, d))
-    v /= _norms(v)[:, None]
-    return v
-
-
 def _sample_interior(body, n, rng):
     lo, hi = bounding_box(body)
     out = np.empty((n, lo.size))
@@ -170,7 +159,7 @@ def _torsion_walks(body, pos, gen, eps, diag):
                 return out
             acc, pos, r = acc[alive], pos[alive], r[alive]
         acc = acc + r * r / (2.0 * d)
-        pos = pos + r[:, None] * _unit_steps(gen, idx.size, d)
+        pos = pos + r[:, None] * _unit_vectors(gen, idx.size, d)
     raise StuckWalkError("torsion walk exceeded step budget")
 
 
@@ -268,7 +257,7 @@ def _capacity_hits(body, center, R, n, gen, eps, diag):
     Below the weight _ROULETTE a walker survives with probability
     weight / _ROULETTE and then carries that weight, which keeps the mean."""
     d = body.dimension
-    pos = center + R * _unit_steps(gen, n, d)
+    pos = center + R * _unit_vectors(gen, n, d)
     w = np.ones(n)
     hits = np.zeros(n)
     idx = np.arange(n)
@@ -285,7 +274,7 @@ def _capacity_hits(body, center, R, n, gen, eps, diag):
             idx, pos, w, r = idx[live], pos[live], w[live], r[live]
             if idx.size == 0:
                 return hits
-        pos = pos + r[:, None] * _unit_steps(gen, idx.size, d)
+        pos = pos + r[:, None] * _unit_vectors(gen, idx.size, d)
         x = pos - center
         rho = _norms(x)
         far = np.flatnonzero(rho > R)

@@ -44,10 +44,17 @@ def _check_spans(P):
         raise RankDeficiencyError("points do not affinely span R^d")
 
 
+def _norms(x):
+    """Row norms of x (n, d), as np.linalg.norm(x, axis=1) computes them,
+    without its Python overhead on the walks' small arrays."""
+    return np.sqrt((x * x).sum(axis=1))
+
+
 def _unit_vectors(rng, n, d):
     """n directions drawn uniformly from the unit sphere in R^d."""
     v = rng.standard_normal((n, d))
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    v /= _norms(v)[:, None]
+    return v
 
 
 def _matmul(A, B):
