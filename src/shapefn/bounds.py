@@ -217,7 +217,8 @@ def check_thm6(body, alphas=(0.0, 1.0), cfg=None, body_id="body", comp=None):
 # ---------------------------------------------------------------------------
 
 def check_planar(body, alphas=(0.0, 1.0), cfg=None, body_id="body", comp=None):
-    """All planar inequality rows for one convex body."""
+    """The planar inequality rows of one convex body; the e95 constant,
+    which depends on no body, comes from check_dimension_constants."""
     if body.dimension != 2:
         raise ValidationError("need d = 2")
     comp = comp or compute_components(body, cfg)
