@@ -213,36 +213,35 @@ def _reenter(x, R, gen, diag):
     D = a (delta + 2u)^2, so no digits cancel for walkers just outside R.
     In d >= 4 a draw is kept with probability p^((d-3)/2), where
     p = (1 - t^2) |x|^2 / |x - y|^2 = 4q(a - q) / (delta^2 + 4q) <= 1 and
-    q = u (delta + u); rejected walkers draw again."""
+    q = u (delta + u); rejected walkers draw again. The points are placed
+    after the last round."""
     n, d = x.shape
     k = 1 if d == 3 else 2  # uniforms per draw: u, and in d >= 4 the acceptance test's
     dist = _norms(x)
-    y = np.empty_like(x)
+    delta = (dist - R) / R
+    a = 1.0 + delta
+    u, e = np.empty(n), np.empty_like(x)
     todo = np.arange(n)
     while todo.size:
         diag["reentry_proposals"] += todo.size
-        z = np.hstack([gen.random((todo.size, k)), gen.standard_normal((todo.size, d))])
-        u = z[:, 0]
-        delta = (dist[todo] - R) / R
-        a = 1.0 + delta
+        z, normals = gen.random((todo.size, k)), gen.standard_normal((todo.size, d))
         if d > 3:
-            q = u * (delta + u)
-            ok = z[:, 1] < (4.0 * q * (a - q) / (delta * delta + 4.0 * q)) ** (0.5 * (d - 3))
-            kept, todo = todo[ok], todo[~ok]
-            u, delta, a, z = u[ok], delta[ok], a[ok], z[ok]
+            dt, ut = delta[todo], z[:, 0]
+            q = ut * (dt + ut)
+            ok = z[:, 1] < (4.0 * q * (a[todo] - q) / (dt * dt + 4.0 * q)) ** (0.5 * (d - 3))
+            kept, todo, z, normals = todo[ok], todo[~ok], z[ok], normals[ok]
         else:
             kept, todo = todo, todo[:0]
-        D = a * (delta + 2.0 * u) ** 2
-        w = 2.0 * delta * delta * (1.0 - u) * (a + u) / D
-        sin = np.sqrt(w * 2.0 * u * (delta + u) * (a + 1.0) ** 2 / D)
-        xh = x[kept] / dist[kept, None]
-        e = z[:, k:]
-        e -= (e * xh).sum(axis=1, keepdims=True) * xh
-        e /= _norms(e)[:, None]
-        v = (1.0 - w)[:, None] * xh + sin[:, None] * e
-        y[kept] = R / _norms(v)[:, None] * v  # e is orthogonal to ulps
+        u[kept], e[kept] = z[:, 0], normals
+    D = a * (delta + 2.0 * u) ** 2
+    w = 2.0 * delta * delta * (1.0 - u) * (a + u) / D
+    sin = np.sqrt(w * 2.0 * u * (delta + u) * (a + 1.0) ** 2 / D)
+    xh = x / dist[:, None]
+    e -= (e * xh).sum(axis=1, keepdims=True) * xh
+    e /= _norms(e)[:, None]
+    v = (1.0 - w)[:, None] * xh + sin[:, None] * e
     diag["reentries"] += n
-    return y
+    return R / _norms(v)[:, None] * v  # e is orthogonal to ulps
 
 
 def _capacity_hits(body, center, R, n, gen, eps, diag):

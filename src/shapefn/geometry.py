@@ -214,6 +214,7 @@ class Ellipsoid(Body):
             if not np.allclose(R.T @ R, np.eye(a.size), atol=1e-9):
                 raise ValidationError("orientation must be orthogonal")
             object.__setattr__(self, "orientation", R)
+        object.__setattr__(self, "_bounds", _bound_constants(a))
 
     @property
     def dimension(self):
@@ -243,10 +244,10 @@ class Ellipsoid(Body):
         return np.where(g2 < 1.0, -dist, dist)
 
     def distance_lower(self, P):
-        return ellipsoid_distance_lower_bound(self.semi_axes, self._local(P))
+        return _distance_lower(self._bounds, self._local(P))
 
     def distance_upper(self, P):
-        return ellipsoid_distance_upper_bound(self.semi_axes, self._local(P))
+        return _distance_upper(self._bounds, self._local(P))
 
     def inside(self, P):
         # the exact kernel's sign test: sqrt rounds monotonically and 1 exactly,
@@ -681,15 +682,24 @@ def ellipsoid_distance_lower_bound(axes, pts, cut=np.inf):
     With a cut it is, inside, the smaller of that and the plane distance and,
     outside, the larger of the plane excess and the shell's bound (0 where g <= 1).
     """
+    return _distance_lower(_bound_constants(axes, cut), np.atleast_2d(pts))
+
+
+def _bound_constants(axes, cut=np.inf):
+    """The constants of the two bounds, for a body to compute once: a, a^2, a_min,
+    a_min^2, a_max^-2, (a_max - a)(a_max + a) / (a a_max)^2, cut and min(a_min, cut)."""
     a = np.asarray(axes, dtype=float)
     lo, hi = a.min(), a.max()
-    P = np.atleast_2d(pts)
+    return a, a * a, lo, lo * lo, hi ** -2, (hi - a) * (hi + a) / (a * hi) ** 2, cut, min(lo, cut)
+
+
+def _distance_lower(k, P):
+    a, a2, lo, lo2, hi_2, outer, cut, _ = k
     q2 = (P / a) ** 2
     g2 = q2.sum(axis=1)
-    X2 = (q2 / (a * a)).sum(axis=1)
+    X2 = (q2 / a2).sum(axis=1)
     c = 1.0 - g2
-    D = np.where(c > 0.0, X2 + c / (lo * lo),
-                 (q2 * ((hi - a) * (hi + a) / (a * hi) ** 2)).sum(axis=1) + hi ** -2)
+    D = np.where(c > 0.0, X2 + c / lo2, (q2 * outer).sum(axis=1) + hi_2)
     lb = np.maximum(np.abs(c) / (np.sqrt(X2) + np.sqrt(D)), np.abs(np.sqrt(g2) - 1.0) * lo)
     if cut == np.inf:
         return lb
@@ -721,8 +731,11 @@ def ellipsoid_distance_upper_bound(axes, pts, cut=np.inf):
     boundary crosses the boundary, so inside every point counts. Outside,
     the line point counts only where it lies in the slab.
     """
-    a = np.asarray(axes, dtype=float)
-    P = np.atleast_2d(pts)
+    return _distance_upper(_bound_constants(axes, cut), np.atleast_2d(pts))
+
+
+def _distance_upper(k, P):
+    a, a2, _, _, _, _, cut, r = k
     q = P / a
     u = q / a
     v = u / a
@@ -736,9 +749,8 @@ def ellipsoid_distance_upper_bound(axes, pts, cut=np.inf):
     with np.errstate(divide="ignore", invalid="ignore"):  # p = 0, or the line misses
         ray = norm * np.abs(1.0 - 1.0 / G)
         t = c / (X2 + np.sqrt(X2 * X2 + (v * v).sum(axis=1) * c))
-        hit = inside | (np.abs(P[:, -1] * (1.0 + t / (a[-1] * a[-1]))) <= cut)
+        hit = inside | (np.abs(P[:, -1] * (1.0 + t / a2[-1])) <= cut)
         line = np.where(hit, np.sqrt(X2) * np.abs(t), np.inf)
-    r = min(a.min(), cut)
     side = np.where(inside, np.minimum(cut - pd, r), np.inf)
     return np.fmin(np.fmin(ray, line), side) + _UPPER_ROUNDING * (norm + r)
 

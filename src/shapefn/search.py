@@ -37,6 +37,7 @@ class SlabBody(Body):
         object.__setattr__(self, "axes", a)
         object.__setattr__(self, "h", float(self.h))
         object.__setattr__(self, "ellipsoid", Ellipsoid(a))
+        object.__setattr__(self, "_bounds", geometry._bound_constants(a, self.h * a[-1]))
 
     @property
     def dimension(self):
@@ -53,10 +54,10 @@ class SlabBody(Body):
         return np.maximum(np.atleast_1d(sd_e), sd_s)
 
     def distance_lower(self, P):
-        return geometry.ellipsoid_distance_lower_bound(self.axes, P, self.h * self.axes[-1])
+        return geometry._distance_lower(self._bounds, P)
 
     def distance_upper(self, P):
-        return geometry.ellipsoid_distance_upper_bound(self.axes, P, self.h * self.axes[-1])
+        return geometry._distance_upper(self._bounds, P)
 
     def inside(self, P):
         # signed_distance's max of two signed distances is negative exactly here
@@ -188,34 +189,42 @@ def maximize(f, family, cfg=None, restarts=20, seed=0, max_evals=4000):
 
     Stochastic backends are evaluated under common random numbers (the
     config seed is fixed across the simplex), so the landscape is
-    deterministic within one search."""
+    deterministic within one search. The result holds the search's own
+    evaluation of the best body it evaluated, which the trace records after
+    each restart; if none succeeded, the last ShapeFnError is raised."""
     if restarts < 1:
         raise ValidationError("restarts must be at least 1")
     probe = family.to_body(np.zeros(family.n_params))
     if not f.dimension_ok(probe.dimension):
         raise ValidationError(f"{f.name} undefined in dimension {probe.dimension}")
+    best = [-math.inf, None, None, None]  # value, theta, body, evaluation
+    error = None
 
     def neg(theta):
+        nonlocal error
         try:
-            return -evaluate(f, family.to_body(theta), cfg).value
-        except ShapeFnError:
+            body = family.to_body(theta)
+            ev = evaluate(f, body, cfg)
+        except ShapeFnError as e:
+            error = e
             return 1e9
+        if ev.value > best[0]:
+            best[:] = ev.value, np.array(theta, dtype=float), body, ev  # a copy: NM reuses arrays
+        return -ev.value
 
     rng = np.random.default_rng(seed)
-    best_val, best_x, trace, converged = -math.inf, None, [], False
+    trace, converged = [], False
     for _ in range(restarts):
         x0 = rng.uniform(-0.7, 0.7, family.n_params)
         res = minimize(neg, x0, method="Nelder-Mead",
                        options={"xatol": 1e-7, "fatol": 1e-14,
                                 "maxfev": max_evals, "maxiter": max_evals})
-        if -res.fun > best_val:
-            best_val, best_x = -res.fun, res.x
         converged = converged or bool(res.success)
-        trace.append(best_val)
-    body = family.to_body(best_x)
-    ev = evaluate(f, body, cfg)
-    return SearchResult(np.asarray(best_x), body, best_val, ev,
-                        tuple(trace), converged)
+        trace.append(best[0])
+    value, theta, body, ev = best
+    if ev is None:
+        raise error
+    return SearchResult(theta, body, value, ev, tuple(trace), converged)
 
 
 def maximize_constrained(f, d, epsilon, cfg=None, restarts=8, seed=0,

@@ -183,6 +183,15 @@ PINNED_BITS = {
         "wos_torsion": ("0x1.675267810cbc8p-9", "0x1.cdfebc4228ac8p-14"),
         "wos_capacity": ("0x1.d68ba92475ef3p+4", "0x1.fe4bb9a51370cp+1"),
     },
+    # d >= 5: re-entry keeps fewer proposals (about 0.59 at d = 6), so it runs several rounds
+    ("ellipsoid5", 1000): {
+        "wos_torsion": ("0x1.cb185a91add3ap-6", "0x1.47715fe07b4abp-10"),
+        "wos_capacity": ("0x1.98e779a27cd84p+5", "0x1.082a5d0758180p+3"),
+    },
+    ("slab6", 1000): {
+        "wos_torsion": ("0x1.36b12bc4f4fe2p-6", "0x1.af11983e86f30p-11"),
+        "wos_capacity": ("0x1.ff46bf242a97ep+5", "0x1.2373f2000e893p+4"),
+    },
 }
 
 # an exact rotation from the 3-4-5 and 5-12-13 triangles
@@ -196,6 +205,8 @@ PIN_BODIES = {
     "slab": (SlabBody([1.0, 1.0, 1.0], 0.5), [0.3, -0.2, 0.1]),
     "ellipsoid_rot": (Ellipsoid([1.5, 1.0, 0.6], [0.3, -0.2, 0.5], ROTATION), None),
     "slab_long": (SlabBody([2.4, 1.0, 0.5, 0.35], 0.3), None),
+    "ellipsoid5": (Ellipsoid([1.5, 1.0, 0.8, 0.6, 0.5]), None),
+    "slab6": (SlabBody([1.4, 1.0, 0.9, 0.8, 0.7, 0.6], 0.5), None),
 }
 
 

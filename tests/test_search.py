@@ -6,7 +6,7 @@ import pytest
 from shapefn import exact_ellipsoid as ex
 from shapefn import geometry as geo
 from shapefn import search
-from shapefn.errors import ValidationError
+from shapefn.errors import DegenerateEstimateError, ValidationError
 from shapefn.estimators import EstimatorConfig
 from shapefn.functionals import FunctionalId, evaluate
 from shapefn.geometry import Ball, BallUnion, Capsule, Ellipsoid, Polytope
@@ -115,6 +115,34 @@ def test_slab_distance_upper_is_valid(axes, h):
     # inside, the cut plane and the ellipsoid's normal line keep it close
     inner = b.signed_distance(P) < -1e-9
     assert np.median(up[inner] / sd[inner]) < 1.001
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_bound_methods_equal_the_public_functions(d):
+    # Ellipsoid and SlabBody keep the bounds' constants; the public functions
+    # compute them per call, on points in the ellipsoid's own frame
+    rng = np.random.default_rng(d)
+    axes = rng.uniform(0.3, 2.0, d)
+    u = rng.standard_normal((600, d))
+    shell = u / np.linalg.norm(u / axes, axis=1, keepdims=True)
+    # inside, on the shell, outside, and the centre
+    t = np.concatenate([rng.uniform(0.0, 1.0, 200), np.ones(200), rng.uniform(1.0, 3.0, 200)])
+    local = np.concatenate([shell * t[:, None], np.zeros((1, d))])
+    R, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    for e in (Ellipsoid(axes), Ellipsoid(axes, rng.normal(size=d), R)):
+        P = local if e.orientation is None else e.center + local @ R.T
+        Q = e._local(P)
+        assert np.array_equal(e.distance_lower(P), geo.ellipsoid_distance_lower_bound(axes, Q))
+        assert np.array_equal(e.distance_upper(P), geo.ellipsoid_distance_upper_bound(axes, Q))
+    b = SlabBody(axes, 0.6)
+    cut = 0.6 * axes[-1]
+    # and points beyond the cut, |x_d| between the cut and a_d
+    beyond = shell[:200] * rng.uniform(0.0, 1.0, (200, 1))
+    beyond[:, -1] = rng.choice([-1.0, 1.0], 200) * rng.uniform(cut, axes[-1], 200)
+    P = np.concatenate([local, beyond])
+    assert np.count_nonzero(np.abs(P[:, -1]) > cut) >= 200
+    assert np.array_equal(b.distance_lower(P), geo.ellipsoid_distance_lower_bound(axes, P, cut))
+    assert np.array_equal(b.distance_upper(P), geo.ellipsoid_distance_upper_bound(axes, P, cut))
 
 
 def test_slab_body_dispatch_through_geometry():
@@ -251,6 +279,50 @@ def test_maximize_constrained_rejects_bad_epsilon():
         maximize_constrained(FunctionalId("G"), 4, 0.3)  # above critical
     with pytest.raises(ValidationError):
         maximize_constrained(FunctionalId("G"), 3, 0.0)  # d = 3 unsupported
+
+
+def test_maximize_evaluates_each_body_once(monkeypatch):
+    # every evaluation is one Nelder-Mead objective call: the best body is
+    # not evaluated again, and the result holds the objective's own evaluation
+    evals, nfev = [], []
+    nelder_mead = search.minimize
+
+    def counted_evaluate(f, body, cfg=None):
+        evals.append(evaluate(f, body, cfg))
+        return evals[-1]
+
+    def counted_minimize(*args, **kwargs):
+        res = nelder_mead(*args, **kwargs)
+        nfev.append(res.nfev)
+        return res
+
+    monkeypatch.setattr(search, "evaluate", counted_evaluate)
+    monkeypatch.setattr(search, "minimize", counted_minimize)
+    res = maximize(FunctionalId("G"), Family("ellipsoids", 3), restarts=2, seed=0, max_evals=60)
+    assert len(nfev) == 2 and len(evals) == sum(nfev)
+    assert any(ev is res.best_eval for ev in evals)
+    assert res.best_value == res.best_eval.value == max(ev.value for ev in evals)
+    assert res.trace[-1] == res.best_value
+
+
+def test_constrained_search_evaluation_repeats_bit_for_bit():
+    # common random numbers: evaluating the returned body again gives the
+    # value the search kept, to the bit
+    f, cfg = FunctionalId("G"), EstimatorConfig(walk_count=1000, seed=0)
+    res = maximize_constrained(f, 4, 0.05, cfg, restarts=1, seed=0, max_evals=4)
+    assert isinstance(res.best_body, SlabBody)
+    assert evaluate(f, res.best_body, cfg).value == res.best_value == res.best_eval.value
+    again = Family("ellipsoid_slab", 4, 0.05).to_body(res.best_params)
+    assert np.array_equal(again.axes, res.best_body.axes) and again.h == res.best_body.h
+
+
+def test_search_whose_every_evaluation_raises_raises_that_error(monkeypatch):
+    def failing(f, body, cfg=None):
+        raise DegenerateEstimateError("no capacity walk hit the body")
+
+    monkeypatch.setattr(search, "evaluate", failing)
+    with pytest.raises(DegenerateEstimateError, match="no capacity walk"):
+        maximize(FunctionalId("G"), Family("ellipsoids", 3), restarts=2, seed=0, max_evals=20)
 
 
 def test_search_result_to_dict():
