@@ -192,11 +192,31 @@ PINNED_BITS = {
         "wos_torsion": ("0x1.36b12bc4f4fe2p-6", "0x1.af11983e86f30p-11"),
         "wos_capacity": ("0x1.ff46bf242a97ep+5", "0x1.2373f2000e893p+4"),
     },
+    # recorded before the walks took up column-by-column row sums, which d >= 8
+    # leaves to numpy's own (pairwise) sum
+    ("hull12", 1000): {
+        "wos_torsion": ("0x1.4d0ccd253253bp-5", "0x1.bd9d8ec0589c0p-10"),
+        "wos_capacity": ("0x1.448f2a0e9d818p+3", "0x1.45a9c05de5479p-2"),
+    },
+    ("heptagon", 1000): {
+        "wos_torsion": ("0x1.8b86b477fade9p-2", "0x1.e1948e8351c3ep-7"),
+    },
+    ("ball8", 1000): {
+        "wos_torsion": ("0x1.ac3d3e4ab84b3p-5", "0x1.3cc2a9f075818p-9"),
+        "wos_capacity": ("0x1.cfdd84549a88cp+7", "0x1.7e221498571bdp+5"),
+    },
 }
 
 # an exact rotation from the 3-4-5 and 5-12-13 triangles
 _C, _S = 5 / 13, 12 / 13
 ROTATION = [[0.6, -0.8 * _C, 0.8 * _S], [0.8, 0.6 * _C, -0.6 * _S], [0.0, _S, _C]]
+
+# the ledger benchmark's kinds of polytope: 12 points on the unit sphere, all
+# extreme, and seven on a circle at uneven angles
+HULL12 = np.random.default_rng(12).standard_normal((12, 3))
+HULL12 /= np.linalg.norm(HULL12, axis=1, keepdims=True)
+_T7 = 2 * math.pi * (np.arange(7) + np.array([0.0, 0.2, -0.15, 0.1, 0.25, -0.2, 0.05])) / 7
+HEPTAGON = 1.1 * np.stack([np.cos(_T7), np.sin(_T7)], axis=1)
 
 PIN_BODIES = {
     "ball3": (Ball(1.0, np.zeros(3)), [0.3, -0.2, 0.1]),
@@ -207,6 +227,9 @@ PIN_BODIES = {
     "slab_long": (SlabBody([2.4, 1.0, 0.5, 0.35], 0.3), None),
     "ellipsoid5": (Ellipsoid([1.5, 1.0, 0.8, 0.6, 0.5]), None),
     "slab6": (SlabBody([1.4, 1.0, 0.9, 0.8, 0.7, 0.6], 0.5), None),
+    "hull12": (Polytope(HULL12), None),
+    "heptagon": (Polytope(HEPTAGON), None),
+    "ball8": (Ball(1.0, np.zeros(8)), None),
 }
 
 
