@@ -36,6 +36,7 @@ from .geometry import (
     Polytope,
     _DISTANCE_BLOCK,
     _norms,
+    _rowsum,
     _unit_vectors,
     bounding_ball,
     bounding_box,
@@ -46,6 +47,8 @@ from .geometry import (
 )
 
 _MAX_WALK_STEPS = 10 ** 6
+_WALK_COUNTERS = ("walker_steps", "iterations", "max_walk_steps", "exact_fallbacks",
+                  "upper_absorbed")  # both estimators'; capacity's re-entry adds its own
 _WAVE = 32 * _DISTANCE_BLOCK  # walkers advanced together; bounds the walk state
 
 
@@ -111,7 +114,7 @@ def _sample_interior(body, n, rng):
     have = 0
     while have < n:
         cand = lo + (hi - lo) * rng.random((2 * (n - have) + 16, lo.size))
-        keep = cand[body.inside(cand)]
+        keep = cand.compress(body.inside(cand), axis=0)
         take = min(n - have, keep.shape[0])
         out[have: have + take] = keep[:take]
         have += take
@@ -128,10 +131,10 @@ def _step_radius(body, pos, eps, diag):
     r = boundary_distance_lower(body, pos)
     near = np.flatnonzero(r < eps)
     if near.size:
-        band = near[body.distance_upper(pos[near]) >= eps]
+        band = near[body.distance_upper(pos.take(near, axis=0)) >= eps]
         diag["upper_absorbed"] += near.size - band.size
         if band.size:
-            r[band] = np.abs(signed_distance(body, pos[band]))
+            r[band] = np.abs(signed_distance(body, pos.take(band, axis=0)))
             diag["exact_fallbacks"] += band.size
     return r
 
@@ -141,12 +144,10 @@ def _torsion_walks(body, pos, gen, eps, diag):
     Walker i starts at pos[i]; every step draws the live walkers' directions
     from gen, in walker order. Only live walkers are kept, in their order, so
     a step in which none dies indexes nothing; a walker's sum is written out
-    when it is absorbed. pos itself is not advanced."""
-    d = body.dimension
-    out = np.zeros(pos.shape[0])
-    idx = np.arange(pos.shape[0])
-    acc = np.zeros(pos.shape[0])
-    for _ in range(_MAX_WALK_STEPS):
+    when it is absorbed. pos is advanced in place."""
+    d, n = body.dimension, pos.shape[0]
+    out, acc, idx = np.zeros(n), np.zeros(n), np.arange(n)
+    for steps in range(1, _MAX_WALK_STEPS + 1):
         diag["walker_steps"] += idx.size
         diag["iterations"] += 1
         r = _step_radius(body, pos, eps, diag)
@@ -156,10 +157,11 @@ def _torsion_walks(body, pos, gen, eps, diag):
             alive = ~dead
             idx = idx[alive]
             if idx.size == 0:
+                diag["max_walk_steps"] = max(diag["max_walk_steps"], steps)
                 return out
-            acc, pos, r = acc[alive], pos[alive], r[alive]
-        acc = acc + r * r / (2.0 * d)
-        pos = pos + r[:, None] * _unit_vectors(gen, idx.size, d)
+            acc, pos, r = acc[alive], pos.compress(alive, axis=0), r[alive]
+        acc += r * r / (2.0 * d)
+        pos += r[:, None] * _unit_vectors(gen, idx.size, d)
     raise StuckWalkError("torsion walk exceeded step budget")
 
 
@@ -170,7 +172,7 @@ def _torsion_mean(body, cfg, start):
     wave's steps."""
     eps = _shell_epsilon(body)
     gen = _stream(cfg.seed, 0)
-    diag = {"walker_steps": 0, "iterations": 0, "exact_fallbacks": 0, "upper_absorbed": 0}
+    diag = dict.fromkeys(_WALK_COUNTERS, 0)
     mean, se = _per_walk(cfg.walk_count,
                          lambda m: _torsion_walks(body, start(gen, m), gen, eps, diag))
     return mean, se, {"diag": diag}
@@ -229,7 +231,7 @@ def _reenter(x, R, gen, diag):
             dt, ut = delta[todo], z[:, 0]
             q = ut * (dt + ut)
             ok = z[:, 1] < (4.0 * q * (a[todo] - q) / (dt * dt + 4.0 * q)) ** (0.5 * (d - 3))
-            kept, todo, z, normals = todo[ok], todo[~ok], z[ok], normals[ok]
+            kept, todo, z, normals = todo[ok], todo[~ok], z[ok], normals.compress(ok, axis=0)
         else:
             kept, todo = todo, todo[:0]
         u[kept], e[kept] = z[:, 0], normals
@@ -237,7 +239,7 @@ def _reenter(x, R, gen, diag):
     w = 2.0 * delta * delta * (1.0 - u) * (a + u) / D
     sin = np.sqrt(w * 2.0 * u * (delta + u) * (a + 1.0) ** 2 / D)
     xh = x / dist[:, None]
-    e -= (e * xh).sum(axis=1, keepdims=True) * xh
+    e -= _rowsum(e * xh)[:, None] * xh
     e /= _norms(e)[:, None]
     v = (1.0 - w)[:, None] * xh + sin[:, None] * e
     diag["reentries"] += n
@@ -257,11 +259,10 @@ def _capacity_hits(body, center, R, n, gen, eps, diag):
     weight / _ROULETTE and then carries that weight, which keeps the mean."""
     d = body.dimension
     pos = center + R * _unit_vectors(gen, n, d)
-    w = np.ones(n)
-    hits = np.zeros(n)
-    idx = np.arange(n)
-    for _ in range(_MAX_WALK_STEPS):
+    w, hits, idx = np.ones(n), np.zeros(n), np.arange(n)
+    for steps in range(_MAX_WALK_STEPS):
         if idx.size == 0:
+            diag["max_walk_steps"] = max(diag["max_walk_steps"], steps)
             return hits
         diag["walker_steps"] += idx.size
         diag["iterations"] += 1
@@ -270,10 +271,8 @@ def _capacity_hits(body, center, R, n, gen, eps, diag):
         if absorbed.any():
             hits[idx[absorbed]] = w[absorbed]
             live = ~absorbed
-            idx, pos, w, r = idx[live], pos[live], w[live], r[live]
-            if idx.size == 0:
-                return hits
-        pos = pos + r[:, None] * _unit_vectors(gen, idx.size, d)
+            idx, pos, w, r = idx[live], pos.compress(live, axis=0), w[live], r[live]
+        pos += r[:, None] * _unit_vectors(gen, idx.size, d)
         x = pos - center
         rho = _norms(x)
         far = np.flatnonzero(rho > R)
@@ -287,10 +286,10 @@ def _capacity_hits(body, center, R, n, gen, eps, diag):
             w[low] = np.where(won, _ROULETTE, 0.0)
             diag["roulette_kills"] += int(low.size - won.sum())
             far = far[w[far] > 0.0]
-        pos[far] = center + _reenter(x[far], R, gen, diag)
+        pos[far] = center + _reenter(x.take(far, axis=0), R, gen, diag)
         if low.size:
             keep = w > 0.0
-            idx, pos, w = idx[keep], pos[keep], w[keep]
+            idx, pos, w = idx[keep], pos.compress(keep, axis=0), w[keep]
     raise StuckWalkError("capacity walk exceeded step budget")
 
 
@@ -298,8 +297,8 @@ def wos_capacity(body, cfg=None):
     """Newtonian capacity kappa_d R^(d-2) P(hit) by exterior walk-on-spheres
     from the sphere of radius R = 2 x the bounding radius, with exact
     harmonic-measure re-entry. The walks draw from one stream, wave after
-    wave. extra["diag"] holds deterministic counters of the walks; the
-    lock-step iterations add up over the waves."""
+    wave. extra["diag"] holds deterministic counters of the walks: lock-step
+    iterations add up over the waves, max_walk_steps is the longest wave's."""
     cfg = cfg or EstimatorConfig()
     d = body.dimension
     if d < 3:
@@ -308,8 +307,7 @@ def wos_capacity(body, cfg=None):
     center, rb = bounding_ball(body)
     R = 2.0 * rb
     gen = _stream(cfg.seed, 1)
-    diag = dict.fromkeys(("walker_steps", "iterations", "exact_fallbacks", "upper_absorbed",
-                          "reentries", "reentry_proposals", "roulette_kills"), 0)
+    diag = dict.fromkeys(_WALK_COUNTERS + ("reentries", "reentry_proposals", "roulette_kills"), 0)
     mean, se = _per_walk(cfg.walk_count,
                          lambda m: _capacity_hits(body, center, R, m, gen, eps, diag))
     if mean == 0:

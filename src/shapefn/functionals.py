@@ -125,12 +125,12 @@ def assemble(f, components, d):
         value /= components["P"].value ** pP
     stderr = value * math.sqrt(rel2)
     bracket = (value - 3.0 * stderr, value + 3.0 * stderr)
-    used = {"T": T, "cap": cap}
-    if pV:
-        used["V"] = components["V"]
-    if pP:
-        used["P"] = components["P"]
-    return Evaluation(f, value, stderr, bracket, used)
+    return Evaluation(f, value, stderr, bracket, {k: components[k] for k in _needed(pV, pP)})
+
+
+def _needed(pV, pP):
+    """The components a functional with these volume and perimeter powers uses."""
+    return ("T", "cap") + ("V",) * bool(pV) + ("P",) * bool(pP)
 
 
 def evaluate(f, body, cfg=None):
@@ -138,14 +138,8 @@ def evaluate(f, body, cfg=None):
     d = body.dimension
     if not f.dimension_ok(d):
         raise ValidationError(f"{f.name} is not defined in dimension {d}")
-    pT, pV, pP = f.exponents(d)
-    need = ["T", "cap"]
-    if pV:
-        need.append("V")
-    if pP:
-        need.append("P")
-    comp = compute_components(body, cfg, need=tuple(need))
-    return assemble(f, comp, d)
+    _, pV, pP = f.exponents(d)
+    return assemble(f, compute_components(body, cfg, need=_needed(pV, pP)), d)
 
 
 def scale_invariance_check(f, body, t_list, cfg=None):

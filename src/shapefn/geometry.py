@@ -44,10 +44,21 @@ def _check_spans(P):
         raise RankDeficiencyError("points do not affinely span R^d")
 
 
+def _rowsum(x):
+    """x.sum(axis=1) bit for bit, and faster on the walkers' (n, d) arrays:
+    below 8 columns numpy adds them one by one from the first, as this does;
+    from 8 on it sums in pairwise blocks, which are left to it."""
+    if not 2 <= x.shape[1] < 8:
+        return x.sum(axis=1)
+    s = x[:, 0] + x[:, 1]
+    for column in x.T[2:]:
+        s += column
+    return s
+
+
 def _norms(x):
-    """Row norms of x (n, d), as np.linalg.norm(x, axis=1) computes them,
-    without its Python overhead on the walks' small arrays."""
-    return np.sqrt((x * x).sum(axis=1))
+    """Row norms of x (n, d), as np.linalg.norm(x, axis=1) computes them."""
+    return np.sqrt(_rowsum(x * x))
 
 
 def _unit_vectors(rng, n, d):
@@ -253,7 +264,7 @@ class Ellipsoid(Body):
         # the exact kernel's sign test: sqrt rounds monotonically and 1 exactly,
         # so g^2 < 1 exactly when its g * g < 1
         q = self._local(P) / self.semi_axes
-        return (q * q).sum(axis=1) < 1.0
+        return _rowsum(q * q) < 1.0
 
     def bounding_ball(self):
         return self.center.copy(), float(self.semi_axes.max())
@@ -316,10 +327,14 @@ class Polytope(Body):
             V = V[hull.vertices]  # counterclockwise order
         else:
             V = V[np.sort(np.unique(hull.simplices))]
+        normals, offsets = eq[:, :-1] / norms[:, None], -eq[:, -1] / norms
+        # Qhull splits a facet of more than d vertices into simplices with
+        # equal planes: each plane is kept once, where it first appears
+        keep = np.sort(np.unique(np.c_[normals, offsets], axis=0, return_index=True)[1])
         object.__setattr__(self, "_hull", hull)
         object.__setattr__(self, "vertices", V)
-        object.__setattr__(self, "normals", eq[:, :-1] / norms[:, None])
-        object.__setattr__(self, "offsets", -eq[:, -1] / norms)
+        object.__setattr__(self, "normals", normals[keep])
+        object.__setattr__(self, "offsets", offsets[keep])
         self._check_representations()
 
     def _check_representations(self):
@@ -393,7 +408,8 @@ class Polytope(Body):
         out = np.empty(P.shape[0])
         for lo in range(0, P.shape[0], _DISTANCE_BLOCK):
             X = _matmul(self.normals, P[lo:lo + _DISTANCE_BLOCK].T)
-            out[lo:lo + _DISTANCE_BLOCK] = (X - self.offsets[:, None]).max(axis=0)
+            X -= self.offsets[:, None]
+            X.max(axis=0, out=out[lo:lo + _DISTANCE_BLOCK])
         return out
 
     def signed_distance(self, P):
@@ -668,10 +684,18 @@ def _ellipsoid_boundary_distance(axes, pts):
     return dist, g * g
 
 
-def ellipsoid_distance_lower_bound(axes, pts, cut=np.inf):
+def _bound_constants(axes, cut=np.inf):
+    """The constants of the two bounds, for a body to compute once: a, a^2, a_min,
+    a_min^2, a_max^-2, (a_max - a)(a_max + a) / (a a_max)^2, cut and min(a_min, cut)."""
+    a = np.asarray(axes, dtype=float)
+    lo, hi = a.min(), a.max()
+    return a, a * a, lo, lo * lo, hi ** -2, (hi - a) * (hi + a) / (a * hi) ** 2, cut, min(lo, cut)
+
+
+def _distance_lower(k, P):
     """Lower bound on the distance from points to the boundary of an
     axis-aligned ellipsoid, exact to first order at the end of a long axis,
-    or of its cut by the slab |x_d| <= cut.
+    or of its cut by the slab |x_d| <= cut (k: the body's _bound_constants).
 
     A step v, |v| = delta, changes g^2 = |p / a|^2 by 2 (p / a^2).v + |v / a|^2,
     which lies in [-2 X delta + delta^2 / a_max^2, 2 X delta + delta^2 / a_min^2]
@@ -682,24 +706,12 @@ def ellipsoid_distance_lower_bound(axes, pts, cut=np.inf):
     With a cut it is, inside, the smaller of that and the plane distance and,
     outside, the larger of the plane excess and the shell's bound (0 where g <= 1).
     """
-    return _distance_lower(_bound_constants(axes, cut), np.atleast_2d(pts))
-
-
-def _bound_constants(axes, cut=np.inf):
-    """The constants of the two bounds, for a body to compute once: a, a^2, a_min,
-    a_min^2, a_max^-2, (a_max - a)(a_max + a) / (a a_max)^2, cut and min(a_min, cut)."""
-    a = np.asarray(axes, dtype=float)
-    lo, hi = a.min(), a.max()
-    return a, a * a, lo, lo * lo, hi ** -2, (hi - a) * (hi + a) / (a * hi) ** 2, cut, min(lo, cut)
-
-
-def _distance_lower(k, P):
     a, a2, lo, lo2, hi_2, outer, cut, _ = k
     q2 = (P / a) ** 2
-    g2 = q2.sum(axis=1)
-    X2 = (q2 / a2).sum(axis=1)
+    g2 = _rowsum(q2)
+    X2 = _rowsum(q2 / a2)
     c = 1.0 - g2
-    D = np.where(c > 0.0, X2 + c / lo2, (q2 * outer).sum(axis=1) + hi_2)
+    D = np.where(c > 0.0, X2 + c / lo2, _rowsum(q2 * outer) + hi_2)
     lb = np.maximum(np.abs(c) / (np.sqrt(X2) + np.sqrt(D)), np.abs(np.sqrt(g2) - 1.0) * lo)
     if cut == np.inf:
         return lb
@@ -712,11 +724,11 @@ def _distance_lower(k, P):
 _UPPER_ROUNDING = 8.0 * np.finfo(float).eps  # upper-bound allowance per unit |p| + inradius
 
 
-def ellipsoid_distance_upper_bound(axes, pts, cut=np.inf):
+def _distance_upper(k, P):
     """Upper bound on the distance from points to the boundary of an
-    axis-aligned ellipsoid cut by the slab |x_d| <= cut, plus 8 ulp x (|p| + r)
-    for rounding, r = min(a_min, cut) the inradius, so that it is never below
-    the exact kernel's value (the distance itself is below |p| + r).
+    axis-aligned ellipsoid cut by the slab |x_d| <= cut (k: its _bound_constants),
+    plus 8 ulp x (|p| + r) for rounding, r = min(a_min, cut) the inradius, so
+    that it is never below the exact kernel's value (the distance is below |p| + r).
 
     It is the distance to the nearest of these points, with g = |p / a|:
     - the ray's exit point p / G, G = max(g, |p_d| / cut) the body's gauge, at
@@ -731,24 +743,20 @@ def ellipsoid_distance_upper_bound(axes, pts, cut=np.inf):
     boundary crosses the boundary, so inside every point counts. Outside,
     the line point counts only where it lies in the slab.
     """
-    return _distance_upper(_bound_constants(axes, cut), np.atleast_2d(pts))
-
-
-def _distance_upper(k, P):
     a, a2, _, _, _, _, cut, r = k
     q = P / a
     u = q / a
     v = u / a
-    g2 = (q * q).sum(axis=1)
-    X2 = (u * u).sum(axis=1)
+    g2 = _rowsum(q * q)
+    X2 = _rowsum(u * u)
     c = 1.0 - g2
     pd = np.abs(P[:, -1])
     G = np.maximum(np.sqrt(g2), pd / cut)
     inside = G < 1.0
-    norm = np.sqrt((P * P).sum(axis=1))
+    norm = _norms(P)
     with np.errstate(divide="ignore", invalid="ignore"):  # p = 0, or the line misses
         ray = norm * np.abs(1.0 - 1.0 / G)
-        t = c / (X2 + np.sqrt(X2 * X2 + (v * v).sum(axis=1) * c))
+        t = c / (X2 + np.sqrt(X2 * X2 + _rowsum(v * v) * c))
         hit = inside | (np.abs(P[:, -1] * (1.0 + t / a2[-1])) <= cut)
         line = np.where(hit, np.sqrt(X2) * np.abs(t), np.inf)
     side = np.where(inside, np.minimum(cut - pd, r), np.inf)

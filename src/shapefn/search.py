@@ -62,7 +62,7 @@ class SlabBody(Body):
     def inside(self, P):
         # signed_distance's max of two signed distances is negative exactly here
         q = P / self.axes
-        return ((q * q).sum(axis=1) < 1.0) & (np.abs(P[:, -1]) < self.h * self.axes[-1])
+        return (geometry._rowsum(q * q) < 1.0) & (np.abs(P[:, -1]) < self.h * self.axes[-1])
 
     def bounding_ball(self):
         return np.zeros(self.dimension), float(self.axes.max())

@@ -71,13 +71,16 @@ def test_a_call_draws_its_waves_from_one_stream(monkeypatch):
     cube = Polytope(cube_vertices(3))
     for estimator in (wos_torsion, wos_capacity):
         waves.clear()
-        estimator(cube, EstimatorConfig(walk_count=1000, seed=3))
+        one = estimator(cube, EstimatorConfig(walk_count=1000, seed=3)).extra["diag"]
         (single,) = waves
         waves.clear()
-        estimator(cube, EstimatorConfig(walk_count=2500, seed=3))
+        three = estimator(cube, EstimatorConfig(walk_count=2500, seed=3)).extra["diag"]
         assert [w.size for w in waves] == [1000, 1000, 500]
         assert waves[0].tobytes() == single.tobytes()
         assert waves[1].tobytes() != waves[0].tobytes()
+        # the longest wave sets max_walk_steps; the iterations add up
+        assert one["max_walk_steps"] == one["iterations"]
+        assert one["max_walk_steps"] <= three["max_walk_steps"] < three["iterations"]
 
 
 def test_walk_counters_repeat_and_d3_reentry_never_rejects():
@@ -87,6 +90,7 @@ def test_walk_counters_repeat_and_d3_reentry_never_rejects():
         first, second = estimator(cube, cfg), estimator(cube, cfg)
         assert first.extra == second.extra
         assert first.extra["diag"]["walker_steps"] > first.extra["diag"]["iterations"] > 0
+        assert first.extra["diag"]["max_walk_steps"] == second.extra["diag"]["max_walk_steps"] > 0
         assert 0 < first.extra["diag"]["exact_fallbacks"] < first.extra["diag"]["walker_steps"]
         if estimator is wos_torsion:  # a walk ends where the exact distance is below eps
             assert first.extra["diag"]["exact_fallbacks"] >= cfg.walk_count
@@ -339,9 +343,9 @@ def test_capacity_unit_ball_3d():
     exact = 4 * math.pi
     assert abs(e.value - exact) < max(3 * e.standard_error, 0.02 * exact)
     assert set(e.extra) == {"diag"}
-    assert set(e.extra["diag"]) == {"walker_steps", "iterations", "exact_fallbacks",
-                                    "upper_absorbed", "reentries", "reentry_proposals",
-                                    "roulette_kills"}
+    assert set(e.extra["diag"]) == {"walker_steps", "iterations", "max_walk_steps",
+                                    "exact_fallbacks", "upper_absorbed", "reentries",
+                                    "reentry_proposals", "roulette_kills"}
 
 
 def test_capacity_prolate_spheroid():

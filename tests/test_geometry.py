@@ -40,6 +40,33 @@ def test_polytope_vertex_order_2d():
     assert area > 0
 
 
+def test_polytope_keeps_each_facet_plane_once():
+    # Qhull gives each square face of the cube as two triangles with equal
+    # planes; the polytope keeps 6, and their plane excess is the 12-row max
+    cube = Polytope(cube_vertices(3))
+    assert cube.normals.shape == (6, 3) and cube.offsets.shape == (6,)
+    eq = cube.hull().equations
+    assert eq.shape[0] == 12
+    norms = np.linalg.norm(eq[:, :-1], axis=1)
+    normals, offsets = eq[:, :-1] / norms[:, None], -eq[:, -1] / norms
+    P = np.random.default_rng(3).uniform(-2.0, 2.0, (1000, 3))
+    for X in (P, P[:1]):
+        twelve = (geo._matmul(normals, X.T) - offsets[:, None]).max(axis=0)
+        assert cube._plane_excess(X).tobytes() == twelve.tobytes()
+
+
+@pytest.mark.parametrize("d", range(2, 13))
+def test_row_sums_and_norms_are_numpys_bit_for_bit(d):
+    # the walks' column-by-column sums below d = 8 and numpy's own from there,
+    # on rows whose entries span 1e-20..1e20, so that any other order shows
+    rng = np.random.default_rng(d)
+    for n in (1, 2, 7, 8, 9, 1000, 10_000):
+        x = rng.standard_normal((n, d)) * 10.0 ** rng.uniform(-20.0, 20.0, (n, d))
+        for v in (x, np.array(x.T).T):  # and a transposed view
+            assert geo._rowsum(v).tobytes() == v.sum(axis=1).tobytes()
+            assert geo._norms(v).tobytes() == np.linalg.norm(v, axis=1).tobytes()
+
+
 def test_ball_union_disjointness():
     with pytest.raises(ValidationError):
         BallUnion(np.array([[0.0, 0, 0], [1.0, 0, 0]]), np.array([1.0, 1.0]))
@@ -157,7 +184,7 @@ def test_ellipsoid_distance_lower_bound_valid(log10_ratios, scale, seed):
     g = np.sqrt(np.sum((P / a) ** 2, axis=1))
     assert np.all(lb >= np.abs(g - 1.0) * a.min())
     for t in (2.0 ** -20, 0.5, 8.0):
-        assert np.array_equal(geo.ellipsoid_distance_lower_bound(t * a, t * P), t * lb)
+        assert np.array_equal(Ellipsoid(t * a).distance_lower(t * P), t * lb)
     # at g = 1 +- 1e-6 the exact kernel's own rounding shows
     shell = P / g[:, None] * (1.0 + 1e-6 * np.sign(g - 1.0))[:, None]
     sd = np.abs(geo.signed_distance(Ellipsoid(a), shell))
@@ -170,7 +197,7 @@ def test_ellipsoid_distance_lower_bound_is_tight_at_a_long_axis_tip(x):
     p = np.array([[x, 0.0, 0.0]])
     exact = abs(geo.signed_distance(Ellipsoid(a), p)[0])
     assert exact == pytest.approx(1e-3, rel=1e-9)
-    assert geo.ellipsoid_distance_lower_bound(a, p)[0] >= 0.95 * exact
+    assert Ellipsoid(a).distance_lower(p)[0] >= 0.95 * exact
     # |g - 1| a_min alone gives a tenth of it
     assert abs(np.linalg.norm(p / a) - 1.0) * a.min() == pytest.approx(0.1 * exact)
 
@@ -178,11 +205,12 @@ def test_ellipsoid_distance_lower_bound_is_tight_at_a_long_axis_tip(x):
 def test_ellipsoid_distance_lower_bound_is_finite_at_the_extremes():
     # pytest turns RuntimeWarning into an error
     a = np.array([2.0, 1.0, 1e-3, 0.5])
-    assert geo.ellipsoid_distance_lower_bound(a, np.zeros((1, 4)))[0] == 1e-3
+    e = Ellipsoid(a)
+    assert e.distance_lower(np.zeros((1, 4)))[0] == 1e-3
     u = np.random.default_rng(8).standard_normal((200, 4))
     on = u / np.linalg.norm(u / a, axis=1, keepdims=True)
-    assert np.all(geo.ellipsoid_distance_lower_bound(a, on) <= 1e-14)
-    far = geo.ellipsoid_distance_lower_bound(a, 1e12 * on)
+    assert np.all(e.distance_lower(on) <= 1e-14)
+    far = e.distance_lower(1e12 * on)
     assert np.all(np.isfinite(far) & (far > 0.0))
 
 

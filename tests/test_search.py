@@ -117,34 +117,6 @@ def test_slab_distance_upper_is_valid(axes, h):
     assert np.median(up[inner] / sd[inner]) < 1.001
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
-def test_bound_methods_equal_the_public_functions(d):
-    # Ellipsoid and SlabBody keep the bounds' constants; the public functions
-    # compute them per call, on points in the ellipsoid's own frame
-    rng = np.random.default_rng(d)
-    axes = rng.uniform(0.3, 2.0, d)
-    u = rng.standard_normal((600, d))
-    shell = u / np.linalg.norm(u / axes, axis=1, keepdims=True)
-    # inside, on the shell, outside, and the centre
-    t = np.concatenate([rng.uniform(0.0, 1.0, 200), np.ones(200), rng.uniform(1.0, 3.0, 200)])
-    local = np.concatenate([shell * t[:, None], np.zeros((1, d))])
-    R, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    for e in (Ellipsoid(axes), Ellipsoid(axes, rng.normal(size=d), R)):
-        P = local if e.orientation is None else e.center + local @ R.T
-        Q = e._local(P)
-        assert np.array_equal(e.distance_lower(P), geo.ellipsoid_distance_lower_bound(axes, Q))
-        assert np.array_equal(e.distance_upper(P), geo.ellipsoid_distance_upper_bound(axes, Q))
-    b = SlabBody(axes, 0.6)
-    cut = 0.6 * axes[-1]
-    # and points beyond the cut, |x_d| between the cut and a_d
-    beyond = shell[:200] * rng.uniform(0.0, 1.0, (200, 1))
-    beyond[:, -1] = rng.choice([-1.0, 1.0], 200) * rng.uniform(cut, axes[-1], 200)
-    P = np.concatenate([local, beyond])
-    assert np.count_nonzero(np.abs(P[:, -1]) > cut) >= 200
-    assert np.array_equal(b.distance_lower(P), geo.ellipsoid_distance_lower_bound(axes, P, cut))
-    assert np.array_equal(b.distance_upper(P), geo.ellipsoid_distance_upper_bound(axes, P, cut))
-
-
 def test_slab_body_dispatch_through_geometry():
     b = SlabBody([1.0, 1.0, 1.0], 0.7)
     c, R = geo.bounding_ball(b)
