@@ -48,7 +48,7 @@ from .geometry import (
 
 _MAX_WALK_STEPS = 10 ** 6
 _WALK_COUNTERS = ("walker_steps", "iterations", "max_walk_steps", "exact_fallbacks",
-                  "upper_absorbed")  # both estimators'; capacity's re-entry adds its own
+                  "upper_absorbed")  # every walk's; capacity adds re-entry and roulette counts
 _WAVE = 32 * _DISTANCE_BLOCK  # walkers advanced together; bounds the walk state
 
 
