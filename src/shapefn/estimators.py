@@ -34,7 +34,6 @@ from .geometry import (
     Capsule,
     Ellipsoid,
     Polytope,
-    _DISTANCE_BLOCK,
     _norms,
     _rowsum,
     _unit_vectors,
@@ -49,7 +48,7 @@ from .geometry import (
 _MAX_WALK_STEPS = 10 ** 6
 _WALK_COUNTERS = ("walker_steps", "iterations", "max_walk_steps", "exact_fallbacks",
                   "upper_absorbed")  # every walk's; capacity adds re-entry and roulette counts
-_WAVE = 32 * _DISTANCE_BLOCK  # walkers advanced together; bounds the walk state
+_WAVE = 32_768  # walkers advanced together; bounds the walk state
 
 
 @dataclass(frozen=True)
@@ -303,6 +302,8 @@ def wos_capacity(body, cfg=None):
     d = body.dimension
     if d < 3:
         raise UnsupportedRepresentationError("Newtonian capacity needs d >= 3")
+    if isinstance(body, Polytope):
+        body.boundary_pieces()  # raises where d > 3, before any draw, not in some walk
     eps = _shell_epsilon(body)
     center, rb = bounding_ball(body)
     R = 2.0 * rb

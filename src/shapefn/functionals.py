@@ -78,9 +78,16 @@ class Evaluation:
         return {"functional": self.functional.name, "value": self.value,
                 "stderr": self.stderr,
                 "bracket": [self.bracket[0], self.bracket[1]],
-                "components": {k: {"value": c.value, "stderr": c.standard_error,
-                                   "backend": c.backend}
-                               for k, c in self.components.items()}}
+                "components": {k: _component_dict(c) for k, c in self.components.items()}}
+
+
+def _component_dict(c):
+    """A component's JSON form; a walk estimate's counters, which repeat bit
+    for bit for a fixed body, seed and walk count, go with it."""
+    doc = {"value": c.value, "stderr": c.standard_error, "backend": c.backend}
+    if "diag" in c.extra:
+        doc["diag"] = c.extra["diag"]
+    return doc
 
 
 def _exact(value):

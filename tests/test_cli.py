@@ -148,6 +148,23 @@ def test_compute_at_1000_walks_prints_no_infinity(cube, capsys):
     assert "Infinity" not in out
 
 
+def test_compute_writes_the_walk_counters_alike_in_two_processes(cube):
+    # the counters are deterministic; on the cube the facet-foot upper bound
+    # settles every torsion absorption, so no torsion point reaches the exact kernel
+    src = str(Path(shapefn.__file__).parent.parent)
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    outs = [subprocess.run([sys.executable, "-m", "shapefn.cli", "compute", cube,
+                            "--functional", "G", "--walks", "1000"],
+                           capture_output=True, env=env, timeout=60, check=True).stdout
+            for _ in range(2)]
+    assert outs[0] == outs[1]
+    components = json.loads(outs[0])["evaluation"]["components"]
+    assert components["T"]["diag"]["exact_fallbacks"] == 0
+    assert components["T"]["diag"]["upper_absorbed"] == 1000
+    assert components["cap"]["diag"]["walker_steps"] > 0
+
+
 def test_compute_estimator_failure_exits_3(cube, capsys, monkeypatch):
     def stuck(body, cfg=None):
         raise StuckWalkError("capacity walk exceeded step budget")

@@ -91,14 +91,29 @@ def test_walk_counters_repeat_and_d3_reentry_never_rejects():
         assert first.extra == second.extra
         assert first.extra["diag"]["walker_steps"] > first.extra["diag"]["iterations"] > 0
         assert first.extra["diag"]["max_walk_steps"] == second.extra["diag"]["max_walk_steps"] > 0
-        assert 0 < first.extra["diag"]["exact_fallbacks"] < first.extra["diag"]["walker_steps"]
-        if estimator is wos_torsion:  # a walk ends where the exact distance is below eps
-            assert first.extra["diag"]["exact_fallbacks"] >= cfg.walk_count
+        # the facet-foot upper bound settles every torsion absorption; capacity
+        # sends the same 1325 points to the two as when all went to the exact kernel
+        if estimator is wos_torsion:
+            assert first.extra["diag"]["exact_fallbacks"] == 0
+            assert first.extra["diag"]["upper_absorbed"] == cfg.walk_count
+        else:
+            assert (first.extra["diag"]["exact_fallbacks"]
+                    + first.extra["diag"]["upper_absorbed"]) == 1325
     diag = wos_capacity(cube, cfg).extra["diag"]
     assert diag["reentries"] == diag["reentry_proposals"] > 0
     assert diag["roulette_kills"] > 0
     diag4 = wos_capacity(Ball(1.0, np.zeros(4)), cfg).extra["diag"]
     assert 0 < diag4["reentries"] < diag4["reentry_proposals"]
+
+
+def test_capacity_on_a_4d_polytope_fails_before_any_draw(monkeypatch):
+    # the exact exterior distance is d <= 3 only; whether a walk would reach
+    # it depends on the draws, so the call fails before it opens its stream
+    streams = []
+    monkeypatch.setattr(est, "_stream", lambda *key: streams.append(key))
+    with pytest.raises(UnsupportedRepresentationError):
+        wos_capacity(Polytope(cube_vertices(4)), EstimatorConfig(walk_count=1000))
+    assert streams == []
 
 
 def test_upper_bound_settles_most_absorptions_on_the_elongated_slab():

@@ -192,6 +192,10 @@ def test_components_are_the_backends_estimates():
     (FunctionalId("H_alpha", 1.0), Polytope(cube_vertices(2))),    # walks, symm
 ])
 def test_evaluation_to_dict_component_keys(f, body):
-    doc = evaluate(f, body, EstimatorConfig(walk_count=1000)).to_dict()
-    for entry in doc["components"].values():
-        assert set(entry) == {"backend", "stderr", "value"}
+    # a walk estimate also writes its counters; exact and symm have none
+    ev = evaluate(f, body, EstimatorConfig(walk_count=1000))
+    for key, entry in ev.to_dict()["components"].items():
+        walks = entry["backend"] in ("wos_torsion", "wos_capacity")
+        assert set(entry) == {"backend", "stderr", "value"} | ({"diag"} if walks else set())
+        if walks:
+            assert entry["diag"] == ev.components[key].extra["diag"]

@@ -266,7 +266,7 @@ def test_distance_upper_bound_at_the_centre():
         assert up >= abs(geo.signed_distance(e, e.center))
     slab = SlabBody(np.array([2.4, 1.0, 0.5, 0.35]), 0.3)
     assert slab.distance_upper(np.zeros((1, 4)))[0] == pytest.approx(0.3 * 0.35, rel=1e-14)
-    assert np.all(Polytope(cube_vertices(3)).distance_upper(np.zeros((3, 3))) == np.inf)
+    assert np.all(Polytope(cube_vertices(3)).distance_upper(np.zeros((3, 3))) == 1.0)
 
 
 def test_ellipsoid_boundary_distance_on_axis_points():
@@ -470,31 +470,85 @@ def test_polytope_distance_scale_invariant():
         assert np.allclose(got, t * ref, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("poly", [Polytope(cube_vertices(3)), _random_hull_3d()],
-                         ids=["cube", "random12"])
+def _heptagon():
+    t = 2 * math.pi * (np.arange(7) + np.array([0.0, 0.2, -0.15, 0.1, 0.25, -0.2, 0.05])) / 7
+    return Polytope(1.1 * np.stack([np.cos(t), np.sin(t)], axis=1) + np.array([0.3, -0.2]))
+
+
+def _near_features(poly, rng, n):
+    """n points near the vertices, edges and (in 3-D) facet interiors of a
+    polytope in equal shares, each moved off its point of the boundary in a
+    random direction by 10^U(-14, -1) x the polytope's size."""
+    X, simp, d = poly.hull().points, poly.hull().simplices, poly.dimension
+    kept = np.arange(n) % d + 1  # a simplex's vertices weighted: 1, a vertex; 2, an edge
+    w = rng.dirichlet(np.ones(d), n) * (np.arange(d) < kept[:, None])
+    w /= w.sum(axis=1, keepdims=True)
+    base = np.einsum("nk,nkj->nj", w, X[simp[rng.integers(len(simp), size=n)]])
+    u = rng.standard_normal((n, d))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    return base + u * 10.0 ** rng.uniform(-14.0, -1.0, (n, 1)) * np.abs(X).max()
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("make", [lambda: Polytope(cube_vertices(2)), _heptagon,
+                                  lambda: Polytope(cube_vertices(3)), _random_hull_3d],
+                         ids=["square", "heptagon", "cube", "random12"])
+def test_polytope_distance_upper_is_valid(make, scale):
+    # never below the exact kernel's value; inside it is that value, and outside
+    # it is finite where the nearest point lies inside a facet
+    poly = geo.scale(make(), scale)
+    P = _near_features(poly, np.random.default_rng(13), 6000)
+    sd = geo.signed_distance(poly, P)
+    up = poly.distance_upper(P)
+    assert np.all(up >= np.abs(sd))
+    assert np.array_equal(up[sd <= 0], -sd[sd <= 0])
+    assert 1000 < (sd <= 0).sum() < 5000
+    assert np.isfinite(up[sd > 0]).mean() > 0.3
+
+
+@pytest.mark.parametrize("poly", [Polytope(cube_vertices(3)), _random_hull_3d(), _heptagon()],
+                         ids=["cube", "random12", "heptagon"])
 def test_polytope_plane_product_is_blocked_bit_for_bit(poly):
-    # 5000 points span several kernel blocks; each row must equal its own
-    # one-row evaluation, and an empty batch gives an empty result
-    P = np.random.default_rng(5).uniform(-2.0, 2.0, size=(5000, 3))
+    # 5000 points span several blocks of the exterior kernel and, on the hull,
+    # of the plane product; each row must equal its own one-row evaluation,
+    # and an empty batch gives an empty result
+    d = poly.dimension
+    P = np.random.default_rng(5).uniform(-2.0, 2.0, size=(5000, d))
     inside = geo.signed_distance(poly, P) < 0
     assert 100 < inside.sum() < 4900
-    for kernel in (poly.signed_distance, poly.distance_lower):
+    for kernel in (poly.signed_distance, poly.distance_lower, poly.distance_upper):
         rows = np.concatenate([kernel(p[None]) for p in P])
         assert kernel(P).tobytes() == rows.tobytes()
-        assert kernel(np.empty((0, 3))).shape == (0,)
+        assert kernel(np.empty((0, d))).shape == (0,)
 
 
 @pytest.mark.parametrize("body", [
     Capsule(np.array([0.1, 0.2, -0.3]), np.array([1.3, -0.7, 0.9]), 0.4),
     Ellipsoid(np.array([1.3, 0.9, 0.6, 0.5]), np.full(4, 0.1),
               np.linalg.qr(np.random.default_rng(4).standard_normal((4, 4)))[0]),
-], ids=["capsule3", "rotated_ellipsoid4"])
+    _random_hull_3d(),
+    _heptagon(),
+], ids=["capsule3", "rotated_ellipsoid4", "random12", "heptagon"])
 def test_distance_kernels_round_a_lone_row_as_in_a_batch(body):
-    # a one-row matrix product would go through BLAS gemv and round differently
-    P = np.random.default_rng(6).uniform(-2.0, 2.0, size=(1000, body.dimension))
+    # a one-row matrix product would go through BLAS gemv and round
+    # differently; batches of 1, block - 1, block, block + 1 and 3 block + 5
+    # points straddle the kernel's blocks (a polytope's plane product holds
+    # _PLANE_ENTRIES facets x points). At least 2000 evenly spaced rows and
+    # the rows at the blocks' edges are also evaluated alone
+    d = body.dimension
+    block = (geo._PLANE_ENTRIES // body.offsets.size if isinstance(body, Polytope)
+             else geo._DISTANCE_BLOCK)
+    n = 3 * block + 5
+    P = np.random.default_rng(6).uniform(-2.0, 2.0, size=(n, d))
+    alone = np.unique(np.r_[0:n:max(1, n // 2000), block - 2:block + 2,
+                            2 * block - 1:2 * block + 1, n - 6:n])
     for kernel in (body.signed_distance, body.distance_lower, body.distance_upper, body.inside):
-        rows = np.concatenate([kernel(p[None]) for p in P])
-        assert kernel(P).tobytes() == rows.tobytes()
+        whole = kernel(P)
+        rows = np.concatenate([kernel(P[i:i + 1]) for i in alone])
+        assert whole[alone].tobytes() == rows.tobytes()
+        for m in (1, block - 1, block, block + 1):
+            assert kernel(P[:m]).tobytes() == whole[:m].tobytes()
+        assert kernel(np.empty((0, d))).shape == (0,)
 
 
 def test_signed_distance_ball_union():
