@@ -409,8 +409,8 @@ class Polytope(Body):
         At 10^4 points on a 2-core Xeon (OpenBLAS 0.3.31), 2^17 entries took
         35 us on the square, 52 on the cube and 175 on a 20-facet hull,
         against 76, 97 and 256 in 1024-point blocks; more entries gained
-        nothing from 3000 to 32768 points, and a product of 2^18 entries once
-        took another BLAS path on the cube (7 ms, threaded)."""
+        nothing from 3000 to 32768 points, and one product of the cube's
+        32768 points (196,608 entries) once took 7 ms on threaded BLAS."""
         out = np.empty(P.shape[0])
         step = max(1, _PLANE_ENTRIES // self.offsets.size)
         for lo in range(0, P.shape[0], step):
