@@ -20,11 +20,9 @@ from .geometry import (
     Ellipsoid,
     Polytope,
     body_from_dict,
-    body_to_dict,
     diameter_inradius,
     john_pair,
     loewner_ellipsoid,
-    measure,
     perimeter,
     signed_distance,
 )

@@ -164,6 +164,8 @@ def thm3_c_constant(d, epsilon):
 def check_constraint_constants(d, epsilon):
     """Critical epsilon and diameter/inradius bound for the constrained
     problems (d >= 4 and d = 2), with a divergence check on a grid."""
+    if not math.isfinite(epsilon):
+        raise ValidationError(f"epsilon must be finite, got {epsilon}")
     critical = critical_epsilon(d)
     if d >= 4:
         theorem, crit_id, bound_id = "Thm3", "e43", "e45"

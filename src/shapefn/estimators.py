@@ -37,11 +37,8 @@ from .geometry import (
     _norms,
     _rowsum,
     _unit_vectors,
-    bounding_ball,
-    bounding_box,
     boundary_distance_lower,
     diameter_inradius,
-    measure,
     signed_distance,
 )
 
@@ -108,7 +105,7 @@ def _mean_se(x):
 
 
 def _sample_interior(body, n, rng):
-    lo, hi = bounding_box(body)
+    lo, hi = body.bounding_box()
     out = np.empty((n, lo.size))
     have = 0
     while have < n:
@@ -180,7 +177,7 @@ def _torsion_mean(body, cfg, start):
 def wos_torsion(body, cfg=None):
     """Torsional rigidity T(body) = |body| x mean of the walk accumulator."""
     cfg = cfg or EstimatorConfig()
-    vol = measure(body)
+    vol = body.measure()
     mean, se, extra = _torsion_mean(body, cfg, lambda rng, m: _sample_interior(body, m, rng))
     return Estimate(vol * mean, vol * se, cfg.walk_count, "wos_torsion", extra)
 
@@ -305,7 +302,7 @@ def wos_capacity(body, cfg=None):
     if isinstance(body, Polytope):
         body.boundary_pieces()  # raises where d > 3, before any draw, not in some walk
     eps = _shell_epsilon(body)
-    center, rb = bounding_ball(body)
+    center, rb = body.bounding_ball()
     R = 2.0 * rb
     gen = _stream(cfg.seed, 1)
     diag = dict.fromkeys(_WALK_COUNTERS + ("reentries", "reentry_proposals", "roulette_kills"), 0)

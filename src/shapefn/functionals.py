@@ -111,7 +111,7 @@ def compute_components(body, cfg=None, need=("T", "cap", "V", "P")):
             comp["cap"] = _exact(exact.cap_newtonian_ellipsoid(axes) if d >= 3
                                  else exact.cap_log_ellipse(*axes))
     if "V" in need:
-        comp["V"] = _exact(geometry.measure(body))
+        comp["V"] = _exact(body.measure())
     if "P" in need:
         comp["P"] = _exact(geometry.perimeter(body))
     return comp

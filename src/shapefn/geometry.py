@@ -3,19 +3,28 @@
 Each body kind is one immutable class derived from ``Body`` that holds all of
 its geometry: measure, perimeter, signed distance (negative inside), cheap
 lower and (where one exists) upper bounds on it, membership, bounding ball
-and box, diameter/inradius, homothety, support points, JSON form and the
-outer John ellipsoid. The module-level functions of the same names are the
-public API, one method call each; the upper bound and membership serve the
-walk estimators and have none.
+and box, diameter/inradius, homothety, JSON form and the outer John
+ellipsoid. The kinds are balls, ellipsoids, ellipsoids cut by a slab,
+polytopes, capsules and unions of disjoint balls. The methods are the API.
+A module function remains only where it does more than call one:
+
+- ``signed_distance``, ``scale`` and ``body_from_dict`` validate outside
+  input: a point's dimension (and the single-point form), a scale factor, a
+  JSON document;
+- ``perimeter``, ``diameter_inradius`` and ``boundary_distance_lower`` are
+  looked up by bench/tracing.py, which times or counts them where they are
+  called, as it does ``john_pair`` and ``loewner_ellipsoid``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import linprog
 from scipy.spatial import ConvexHull
+from scipy.special import betainc
 
 from .errors import (
     InternalConsistencyError,
@@ -32,10 +41,18 @@ _JOHN_TOL = 1e-8  # inner-ellipsoid containment slack, relative to the largest a
 
 
 def _as_point(x, d=None):
+    """x as a float array (a point, or points as rows) of finite coordinates."""
     p = np.asarray(x, dtype=float)
     if d is not None and p.shape != (d,):
         raise ValidationError(f"expected a point of dimension {d}, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValidationError("coordinates must be finite")
     return p
+
+
+def _positive(x):
+    """Whether every entry of x is positive and finite (NaN is neither)."""
+    return bool(np.all((0 < x) & (x < np.inf)))
 
 
 def _check_spans(P):
@@ -132,10 +149,6 @@ class Body:
         """Homothety about the origin by a factor t > 0."""
         raise self._unsupported("scaling")
 
-    def support(self, U):
-        """argmax over the body of <x, u> for each unit direction u."""
-        raise self._unsupported("support")
-
     def to_dict(self):
         """JSON form, read back by body_from_dict."""
         raise self._unsupported("serialization")
@@ -153,18 +166,17 @@ class Body:
 @dataclass(frozen=True, eq=False)
 class Ball(Body):
     radius: float
-    center: np.ndarray = None
-    dimension: int = 3
+    center: np.ndarray = None  # None: the origin of R^3
 
     def __post_init__(self):
-        if self.radius <= 0:
-            raise ValidationError("ball radius must be positive")
-        if self.center is None:
-            object.__setattr__(self, "center", np.zeros(self.dimension))
-        else:
-            c = _as_point(self.center)
-            object.__setattr__(self, "center", c)
-            object.__setattr__(self, "dimension", c.size)
+        if not 0 < self.radius < np.inf:
+            raise ValidationError("ball radius must be positive and finite")
+        c = np.zeros(3) if self.center is None else _as_point(self.center)
+        object.__setattr__(self, "center", c)
+
+    @property
+    def dimension(self):
+        return self.center.size
 
     def measure(self):
         return omega_d(self.dimension) * self.radius ** self.dimension
@@ -188,9 +200,6 @@ class Ball(Body):
     def scaled(self, t):
         return Ball(self.radius * t, self.center * t)
 
-    def support(self, U):
-        return self.center + self.radius * U
-
     def to_dict(self):
         return {"kind": "ball", "radius": self.radius, "center": self.center.tolist()}
 
@@ -211,15 +220,15 @@ class Ellipsoid(Body):
         a = np.atleast_1d(np.asarray(self.semi_axes, dtype=float))
         if a.ndim != 1 or a.size < 2:
             raise ValidationError("semi_axes must be a vector of length >= 2")
-        if np.any(a <= 0):
-            raise ValidationError("all semi-axes must be strictly positive")
+        if not _positive(a):
+            raise ValidationError("all semi-axes must be positive and finite")
         object.__setattr__(self, "semi_axes", a)
         if self.center is None:
             object.__setattr__(self, "center", np.zeros(a.size))
         else:
             object.__setattr__(self, "center", _as_point(self.center, a.size))
         if self.orientation is not None:
-            R = np.asarray(self.orientation, dtype=float)
+            R = _as_point(self.orientation)
             if R.shape != (a.size, a.size):
                 raise ValidationError("orientation must be a d x d matrix")
             if not np.allclose(R.T @ R, np.eye(a.size), atol=1e-9):
@@ -283,16 +292,6 @@ class Ellipsoid(Body):
     def scaled(self, t):
         return Ellipsoid(self.semi_axes * t, self.center * t, self.orientation)
 
-    def support(self, U):
-        if self.orientation is None:
-            w = self.semi_axes ** 2 * U
-            return self.center + w / np.linalg.norm(w / self.semi_axes[None, :], axis=1, keepdims=True)
-        R = self.orientation
-        Ur = U @ R
-        w = self.semi_axes ** 2 * Ur
-        w = w / np.linalg.norm(w / self.semi_axes[None, :], axis=1, keepdims=True)
-        return self.center + w @ R.T
-
     def to_dict(self):
         out = {"kind": "ellipsoid", "semi_axes": self.semi_axes.tolist(),
                "center": self.center.tolist()}
@@ -308,6 +307,74 @@ class Ellipsoid(Body):
 
 
 @dataclass(frozen=True, eq=False)
+class SlabBody(Body):
+    """Axis-aligned ellipsoid cut by the symmetric slab |x_d| <= h a_d."""
+
+    axes: np.ndarray
+    h: float
+
+    def __post_init__(self):
+        a = np.asarray(self.axes, dtype=float)
+        if a.ndim != 1 or a.size < 2 or not _positive(a):
+            raise ValidationError("need positive, finite semi-axes")
+        if not 0.0 < self.h <= 1.0:
+            raise ValidationError("slab fraction h must be in (0, 1]")
+        object.__setattr__(self, "axes", a)
+        object.__setattr__(self, "h", float(self.h))
+        object.__setattr__(self, "ellipsoid", Ellipsoid(a))
+        object.__setattr__(self, "_bounds", _bound_constants(a, self.h * a[-1]))
+
+    @property
+    def dimension(self):
+        return self.axes.size
+
+    def measure(self):
+        return self.ellipsoid.measure() * slab_volume_fraction(self.dimension, self.h)
+
+    def signed_distance(self, P):
+        # interior: min of member distances; exterior: max of member signed
+        # distances (a safe lower bound near the cut edge)
+        sd_e = signed_distance(self.ellipsoid, P)
+        sd_s = np.abs(P[:, -1]) - self.h * self.axes[-1]
+        return np.maximum(sd_e, sd_s)
+
+    def distance_lower(self, P):
+        return _distance_lower(self._bounds, P)
+
+    def distance_upper(self, P):
+        return _distance_upper(self._bounds, P)
+
+    def inside(self, P):
+        # signed_distance's max of two signed distances is negative exactly here
+        q = P / self.axes
+        return (_rowsum(q * q) < 1.0) & (np.abs(P[:, -1]) < self.h * self.axes[-1])
+
+    def bounding_ball(self):
+        return np.zeros(self.dimension), float(self.axes.max())
+
+    def bounding_box(self):
+        hi = self.axes.copy()
+        hi[-1] *= self.h
+        return -hi, hi
+
+    def diameter_inradius(self):
+        # conservative pair: diameter upper bound (projection argument),
+        # inradius lower bound (centered ball)
+        a = self.axes
+        diam = 2.0 * min(float(a.max()),
+                         math.hypot(float(a[:-1].max()), self.h * a[-1]))
+        r = min(float(a.min()), self.h * float(a[-1]))
+        return diam, r
+
+
+def slab_volume_fraction(d, h):
+    """|B_1 cut by |x_d| <= h| / |B_1| (same fraction for any ellipsoid)."""
+    if h >= 1.0:
+        return 1.0
+    return float(betainc(0.5, (d + 1.0) / 2.0, h * h))
+
+
+@dataclass(frozen=True, eq=False)
 class Polytope(Body):
     """Convex hull of its vertices; the facets come from Qhull."""
 
@@ -316,7 +383,7 @@ class Polytope(Body):
     offsets: np.ndarray = field(init=False)  # n . x <= offset
 
     def __post_init__(self):
-        V = np.asarray(self.vertices, dtype=float)
+        V = _as_point(self.vertices)
         if V.ndim != 2:
             raise ValidationError("vertices must be an (n, d) array")
         _check_spans(V)
@@ -484,9 +551,6 @@ class Polytope(Body):
     def scaled(self, t):
         return Polytope(self.vertices * t)
 
-    def support(self, U):
-        return self.vertices[np.argmax(U @ self.vertices.T, axis=1)]
-
     def to_dict(self):
         return {"kind": "polytope", "vertices": self.vertices.tolist()}
 
@@ -503,8 +567,8 @@ class Capsule(Body):
     def __post_init__(self):
         p = _as_point(self.p)
         q = _as_point(self.q, p.size)
-        if self.radius < 0:
-            raise ValidationError("capsule radius must be non-negative")
+        if not 0 <= self.radius < np.inf:
+            raise ValidationError("capsule radius must be non-negative and finite")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "q", q)
 
@@ -545,10 +609,6 @@ class Capsule(Body):
     def scaled(self, t):
         return Capsule(self.p * t, self.q * t, self.radius * t)
 
-    def support(self, U):
-        ends = np.where((U @ (self.q - self.p))[:, None] >= 0, self.q, self.p)
-        return ends + self.radius * U
-
     def to_dict(self):
         return {"kind": "capsule", "p": self.p.tolist(), "q": self.q.tolist(),
                 "radius": self.radius}
@@ -562,10 +622,10 @@ class BallUnion(Body):
     radii: np.ndarray
 
     def __post_init__(self):
-        C = np.atleast_2d(np.asarray(self.centers, dtype=float))
+        C = np.atleast_2d(_as_point(self.centers))
         r = np.atleast_1d(np.asarray(self.radii, dtype=float))
-        if C.shape[0] != r.size or np.any(r <= 0):
-            raise ValidationError("centers/radii mismatch or non-positive radius")
+        if C.shape[0] != r.size or not _positive(r):
+            raise ValidationError("centers/radii mismatch, or a radius not positive and finite")
         object.__setattr__(self, "centers", C)
         object.__setattr__(self, "radii", r)
         if C.shape[0] > 1:
@@ -606,13 +666,8 @@ class BallUnion(Body):
 
 
 # ---------------------------------------------------------------------------
-# measure / perimeter / diameter / inradius
+# perimeter / diameter / inradius (names the benchmark tracer times)
 # ---------------------------------------------------------------------------
-
-def measure(body):
-    """Lebesgue measure. Exact closed forms; polytopes only for d in {2, 3}."""
-    return body.measure()
-
 
 def perimeter(body):
     """Surface measure of a convex body (perimeter if d=2)."""
@@ -816,26 +871,11 @@ def boundary_distance_lower(body, points):
     return body.distance_lower(np.atleast_2d(np.asarray(points, dtype=float)))
 
 
-def bounding_ball(body):
-    """A (not necessarily minimal) enclosing ball: (center, radius)."""
-    return body.bounding_ball()
-
-
-def bounding_box(body):
-    """Axis-aligned (lo, hi) box containing the body."""
-    return body.bounding_box()
-
-
 def scale(body, t):
     """Homothety about the origin by factor t > 0."""
-    if t <= 0:
-        raise ValidationError("scale factor must be positive")
+    if not 0 < t < np.inf:
+        raise ValidationError("scale factor must be positive and finite")
     return body.scaled(float(t))
-
-
-def support_point(body, directions):
-    """argmax over the body of <x, u> for each unit direction u, (n, d)."""
-    return body.support(np.atleast_2d(np.asarray(directions, dtype=float)))
 
 
 # ---------------------------------------------------------------------------
@@ -880,13 +920,21 @@ def loewner_ellipsoid(points):
     evals, evecs = np.linalg.eigh(A)
     axes = 1.0 / np.sqrt(evals)  # eigh ascending -> axes descending
     order = np.argsort(-axes, kind="stable")
-    return Ellipsoid(axes[order], center, evecs[:, order])
+    outer = Ellipsoid(axes[order], center, evecs[:, order])
+    # every point, not a sample of them, must lie in the ellipsoid built
+    q = outer._local(P) / outer.semi_axes
+    if np.any(_rowsum(q * q) > 1.0 + 1e-6):
+        raise InternalConsistencyError("points not contained in their Loewner ellipsoid")
+    return outer
 
 
 def john_pair(body):
     """(inner, outer) ellipsoid sandwich: outer is the Loewner ellipsoid,
-    inner is the outer shrunk by the dimension about its center. Both
-    containments are checked on 10^4 fixed random directions."""
+    inner is the outer shrunk by the dimension about its center. The inner
+    one's containment in the body is checked on 10^4 fixed random
+    directions. The outer one contains the body by construction: a ball or
+    an ellipsoid is its own, and loewner_ellipsoid checks a polytope's
+    vertices."""
     d = body.dimension
     outer = body.john_outer()
     inner = Ellipsoid(outer.semi_axes / d, outer.center, outer.orientation)
@@ -900,12 +948,6 @@ def john_pair(body):
     bd = inner.center + bd
     if np.any(signed_distance(body, bd) > _JOHN_TOL * scale_len):
         raise InternalConsistencyError("inner John ellipsoid not contained in body")
-    # body support points must lie in the outer ellipsoid
-    sp = support_point(body, U) - outer.center
-    if outer.orientation is not None:
-        sp = sp @ outer.orientation
-    if np.any(np.sum((sp / outer.semi_axes) ** 2, axis=1) > 1.0 + 1e-6):
-        raise InternalConsistencyError("body not contained in outer John ellipsoid")
     return inner, outer
 
 
@@ -918,10 +960,6 @@ def john_sorted_axes(body):
 # ---------------------------------------------------------------------------
 # JSON serialization
 # ---------------------------------------------------------------------------
-
-def body_to_dict(body):
-    return body.to_dict()
-
 
 def body_from_dict(doc):
     try:

@@ -9,84 +9,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.optimize import brentq, minimize
-from scipy.special import betainc
 
 from . import exact_ellipsoid as exact
 from . import geometry
 from .bounds import critical_epsilon, ratio_bound
 from .errors import InternalConsistencyError, ShapeFnError, ValidationError
 from .functionals import evaluate
-from .geometry import BallUnion, Body, Capsule, Ellipsoid, Polytope
+from .geometry import (BallUnion, Capsule, Ellipsoid, Polytope, SlabBody,
+                       slab_volume_fraction)
 
 _THETA_CLIP = 10.0  # log-axis range; keeps the parameter-to-body map total
-
-
-@dataclass(frozen=True, eq=False)
-class SlabBody(Body):
-    """Axis-aligned ellipsoid cut by the symmetric slab |x_d| <= h a_d."""
-
-    axes: np.ndarray
-    h: float
-
-    def __post_init__(self):
-        a = np.asarray(self.axes, dtype=float)
-        if a.ndim != 1 or a.size < 2 or np.any(a <= 0):
-            raise ValidationError("need positive semi-axes")
-        if not 0.0 < self.h <= 1.0:
-            raise ValidationError("slab fraction h must be in (0, 1]")
-        object.__setattr__(self, "axes", a)
-        object.__setattr__(self, "h", float(self.h))
-        object.__setattr__(self, "ellipsoid", Ellipsoid(a))
-        object.__setattr__(self, "_bounds", geometry._bound_constants(a, self.h * a[-1]))
-
-    @property
-    def dimension(self):
-        return self.axes.size
-
-    def measure(self):
-        return self.ellipsoid.measure() * slab_volume_fraction(self.dimension, self.h)
-
-    def signed_distance(self, P):
-        # interior: min of member distances; exterior: max of member signed
-        # distances (a safe lower bound near the cut edge)
-        sd_e = geometry.signed_distance(self.ellipsoid, P)
-        sd_s = np.abs(P[:, -1]) - self.h * self.axes[-1]
-        return np.maximum(np.atleast_1d(sd_e), sd_s)
-
-    def distance_lower(self, P):
-        return geometry._distance_lower(self._bounds, P)
-
-    def distance_upper(self, P):
-        return geometry._distance_upper(self._bounds, P)
-
-    def inside(self, P):
-        # signed_distance's max of two signed distances is negative exactly here
-        q = P / self.axes
-        return (geometry._rowsum(q * q) < 1.0) & (np.abs(P[:, -1]) < self.h * self.axes[-1])
-
-    def bounding_ball(self):
-        return np.zeros(self.dimension), float(self.axes.max())
-
-    def bounding_box(self):
-        hi = self.axes.copy()
-        hi[-1] *= self.h
-        return -hi, hi
-
-    def diameter_inradius(self):
-        # conservative pair: diameter upper bound (projection argument),
-        # inradius lower bound (centered ball)
-        a = self.axes
-        diam = 2.0 * min(float(a.max()),
-                         math.hypot(float(a[:-1].max()), self.h * a[-1]))
-        r = min(float(a.min()), self.h * float(a[-1]))
-        return diam, r
-
-
-def slab_volume_fraction(d, h):
-    """|B_1 cut by |x_d| <= h| / |B_1| (same fraction for any ellipsoid)."""
-    if h >= 1.0:
-        return 1.0
-    return float(betainc(0.5, (d + 1.0) / 2.0, h * h))
 
 
 def slab_fraction_inverse(d, frac):
@@ -122,8 +54,8 @@ class Family:
         if self.kind == "boxes" and self.dim > 3:
             raise ValidationError("box family supports dim <= 3")
         if self.kind == "ellipsoid_slab":
-            if self.epsilon is None or self.epsilon < 0:
-                raise ValidationError("ellipsoid_slab needs epsilon >= 0")
+            if self.epsilon is None or not 0 <= self.epsilon < math.inf:
+                raise ValidationError("ellipsoid_slab needs a finite epsilon >= 0")
         elif self.epsilon is not None:
             raise ValidationError(f"{self.kind} takes no epsilon")
 

@@ -94,6 +94,19 @@ def test_compute_wrong_dimension(ball3, capsys):
     assert code == EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("doc", [
+    {"kind": "ellipsoid", "semi_axes": [math.inf, 1.0, 1.0]},
+    {"kind": "ball", "radius": math.inf, "center": [0, 0, 0]},
+    {"kind": "ball", "radius": 1.0, "center": [math.nan, 0, 0]},
+    {"kind": "polytope", "vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, -math.inf]]},
+], ids=["ellipsoid-inf-axis", "ball-inf-radius", "ball-nan-center", "polytope-inf-vertex"])
+def test_compute_on_non_finite_parameters_is_a_validation_error(doc, tmp_path, capsys):
+    body = write_body(tmp_path / "body.json", doc)
+    code, out, err = run(["compute", body, "--functional", "G", "--walks", "1000"], capsys)
+    assert code == EXIT_VALIDATION
+    assert out == "" and "finite" in err
+
+
 def test_compute_h_on_planar_ball_union_is_a_validation_error(tmp_path, capsys):
     pair = write_body(tmp_path / "pair.json", {
         "kind": "ball_union", "centers": [[0.0, 0.0], [4.0, 0.0]], "radii": [1.0, 1.0]})
@@ -245,6 +258,32 @@ def test_verify_skips_collinear_polygon(corpus, capsys, tmp_path):
     assert code == EXIT_OK
     assert "skipped flat.json" in err
     assert "flat" not in json.loads(out)["manifest"]["bodies"]
+
+
+def test_verify_skips_non_finite_bodies(corpus, capsys, tmp_path):
+    write_body(corpus / "nan_ball.json", {"kind": "ball", "radius": math.nan,
+                                          "center": [0, 0, 0]})
+    code, out, err = run(["verify", str(corpus),
+                          "--out-csv", str(tmp_path / "l.csv"),
+                          "--out-json", str(tmp_path / "l.json"),
+                          "--walks", "2000"], capsys)
+    assert code == EXIT_OK
+    assert "skipped nan_ball.json" in err
+    doc = json.loads(out)
+    assert "nan_ball" not in doc["manifest"]["bodies"]
+    assert doc["summary"]["fail"] == 0
+    with open(tmp_path / "l.json") as fh:
+        assert not any(math.isnan(r["lhs"]) for r in json.load(fh))
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_verify_non_finite_epsilon_is_a_validation_error(corpus, value, capsys, tmp_path):
+    code, _, err = run(["verify", str(corpus), "--epsilon", value,
+                        "--out-csv", str(tmp_path / "l.csv"),
+                        "--out-json", str(tmp_path / "l.json"),
+                        "--walks", "2000"], capsys)
+    assert code == EXIT_VALIDATION
+    assert "epsilon must be finite" in err
 
 
 def test_verify_empty_corpus(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import mpmath as mp
@@ -9,12 +10,12 @@ from scipy.optimize import minimize
 from shapefn import exact_ellipsoid as ex
 from shapefn import geometry as geo
 from shapefn.errors import (
+    InternalConsistencyError,
     RankDeficiencyError,
     UnsupportedRepresentationError,
     ValidationError,
 )
-from shapefn.geometry import Ball, BallUnion, Capsule, Ellipsoid, Polytope
-from shapefn.search import SlabBody
+from shapefn.geometry import Ball, BallUnion, Capsule, Ellipsoid, Polytope, SlabBody
 
 
 def cube_vertices(d, half=1.0):
@@ -30,6 +31,50 @@ def test_ball_validation():
         Ball(-1.0, np.zeros(3))
     with pytest.raises(ValidationError):
         Ellipsoid(np.array([1.0, -2.0]))
+
+
+def test_ball_without_a_center_is_the_3d_origin():
+    b = Ball(2.0)
+    assert b.dimension == 3 and b.center.tolist() == [0.0, 0.0, 0.0]
+    assert Ball(2.0, [1.0, 2.0]).dimension == 2
+
+
+# one valid JSON document of each kind, and the paths of its numbers
+FINITE_DOCS = {
+    "ball": ({"kind": "ball", "radius": 1.0, "center": [0.0, 0.0, 0.0]},
+             [("radius",), ("center", 1)]),
+    "ellipsoid": ({"kind": "ellipsoid", "semi_axes": [2.0, 1.0, 0.5],
+                   "center": [0.0, 0.0, 0.0], "orientation": np.eye(3).tolist()},
+                  [("semi_axes", 0), ("center", 2), ("orientation", 1, 1)]),
+    "polytope": ({"kind": "polytope", "vertices": cube_vertices(3).tolist()},
+                 [("vertices", 3, 1)]),
+    "capsule": ({"kind": "capsule", "p": [0.0, 0.0, 0.0], "q": [2.0, 0.0, 0.0],
+                 "radius": 0.5}, [("p", 0), ("q", 2), ("radius",)]),
+    "ball_union": ({"kind": "ball_union", "centers": [[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]],
+                    "radii": [1.0, 1.5]}, [("centers", 1, 0), ("radii", 1)]),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("kind", sorted(FINITE_DOCS))
+def test_bodies_reject_non_finite_parameters(kind, value):
+    doc, paths = FINITE_DOCS[kind]
+    geo.body_from_dict(doc)  # the document as it stands is valid
+    for path in paths:
+        bad = json.loads(json.dumps(doc))
+        *parents, last = path
+        node = bad
+        for key in parents:
+            node = node[key]
+        node[last] = value
+        with pytest.raises(ValidationError):
+            geo.body_from_dict(bad)
+    # the slab-cut ellipsoid, which has no JSON form, and a scale factor
+    for axes, h in (([1.0, value, 1.0], 0.5), ([1.0, 1.0, 1.0], value)):
+        with pytest.raises(ValidationError):
+            SlabBody(axes, h)
+    with pytest.raises(ValidationError):
+        geo.scale(geo.body_from_dict(doc), value)
 
 
 def test_polytope_vertex_order_2d():
@@ -75,7 +120,7 @@ def test_ball_union_disjointness():
 def test_capsule_degenerate_segment():
     seg = Capsule(np.array([0.0, 0.0]), np.array([4.0, 0.0]), 0.0)
     assert seg.length == 4.0
-    assert geo.measure(seg) == 0.0
+    assert seg.measure() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -83,12 +128,12 @@ def test_capsule_degenerate_segment():
 # ---------------------------------------------------------------------------
 
 def test_measure_golden():
-    assert geo.measure(Ball(1.0, np.zeros(3))) == pytest.approx(4 * math.pi / 3, rel=1e-14)
-    assert geo.measure(Ellipsoid(np.array([2.0, 1.0]))) == pytest.approx(2 * math.pi, rel=1e-14)
-    assert geo.measure(Polytope(cube_vertices(3))) == pytest.approx(8.0, rel=1e-12)
+    assert Ball(1.0, np.zeros(3)).measure() == pytest.approx(4 * math.pi / 3, rel=1e-14)
+    assert Ellipsoid(np.array([2.0, 1.0])).measure() == pytest.approx(2 * math.pi, rel=1e-14)
+    assert Polytope(cube_vertices(3)).measure() == pytest.approx(8.0, rel=1e-12)
     # capsule d=3: cylinder pi r^2 L + ball
     c = Capsule(np.zeros(3), np.array([2.0, 0, 0]), 1.0)
-    assert geo.measure(c) == pytest.approx(math.pi * 2 + 4 * math.pi / 3, rel=1e-14)
+    assert c.measure() == pytest.approx(math.pi * 2 + 4 * math.pi / 3, rel=1e-14)
 
 
 def test_perimeter_golden():
@@ -141,7 +186,7 @@ def test_unit_sphere_surface_highd():
 
 def test_polytope_measure_unsupported_above_3d():
     with pytest.raises(UnsupportedRepresentationError):
-        geo.measure(Polytope(cube_vertices(4)))
+        Polytope(cube_vertices(4)).measure()
 
 
 # ---------------------------------------------------------------------------
@@ -582,14 +627,8 @@ def test_diameter_inradius():
 def test_scaling_laws():
     e = Ellipsoid(np.array([2.0, 1.0, 0.7]))
     t = 1.7
-    assert geo.measure(geo.scale(e, t)) == pytest.approx(t ** 3 * geo.measure(e), rel=1e-12)
+    assert geo.scale(e, t).measure() == pytest.approx(t ** 3 * e.measure(), rel=1e-12)
     assert geo.perimeter(geo.scale(e, t)) == pytest.approx(t ** 2 * geo.perimeter(e), rel=1e-9)
-
-
-def test_support_point_ellipsoid():
-    e = Ellipsoid(np.array([3.0, 1.0]))
-    p = geo.support_point(e, np.array([[1.0, 0.0]]))[0]
-    assert np.allclose(p, [3.0, 0.0], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -608,11 +647,32 @@ def test_loewner_cube():
     assert np.allclose(L.semi_axes, math.sqrt(3), rtol=1e-6)
 
 
-def test_loewner_contains_points():
+def anisotropic_cloud(d):
+    # 40 points spread along unequal axes, and 40 deep inside their span
     rng = np.random.default_rng(5)
-    pts = rng.normal(size=(40, 3)) @ np.diag([3.0, 1.0, 0.5])
+    pts = rng.normal(size=(40, d)) * np.geomspace(3.0, 0.5, d)
+    return np.concatenate([pts, 0.1 * pts[::-1] + 0.05 * rng.normal(size=(40, d))])
+
+
+@pytest.mark.parametrize("d", range(2, 6))
+def test_loewner_contains_points(d):
+    pts = anisotropic_cloud(d)
     L = geo.loewner_ellipsoid(pts)
     assert np.all(geo.signed_distance(L, pts) <= 1e-6)
+
+
+def test_loewner_checks_its_own_ellipsoid(monkeypatch):
+    # eigenvectors paired with the wrong eigenvalues give a valid ellipsoid
+    # that misses the points; the routine must notice, not return it
+    eigh = np.linalg.eigh
+
+    def reversed_columns(A):
+        w, v = eigh(A)
+        return w, v[:, ::-1]
+
+    monkeypatch.setattr(np.linalg, "eigh", reversed_columns)
+    with pytest.raises(InternalConsistencyError):
+        geo.loewner_ellipsoid(anisotropic_cloud(3))
 
 
 def test_john_pair_sandwich():
@@ -649,10 +709,10 @@ def test_john_sorted_axes_ellipsoid_passthrough():
     BallUnion(np.array([[0.0, 0, 0], [9.0, 0, 0]]), np.array([1.0, 2.0])),
 ])
 def test_body_dict_roundtrip(body):
-    doc = geo.body_to_dict(body)
+    doc = body.to_dict()
     back = geo.body_from_dict(doc)
     assert type(back) is type(body)
-    assert geo.body_to_dict(back) == doc
+    assert back.to_dict() == doc
 
 
 def test_body_from_dict_rejects_unknown():
@@ -672,9 +732,9 @@ PROTOCOL_BODIES = {
     "polytope3": (Polytope(cube_vertices(3)), set()),
     "capsule": (Capsule(np.zeros(3), np.array([2.0, 0, 0]), 0.5), {"john_pair"}),
     "ball_union": (BallUnion(np.array([[0.0, 0, 0], [4.0, 0, 0]]), np.array([1.0, 1.5])),
-                   {"perimeter", "diameter_inradius", "support_point", "john_pair"}),
+                   {"perimeter", "diameter_inradius", "john_pair"}),
     "slab": (SlabBody(np.array([1.5, 1.0, 0.8, 1.0]), 0.6),
-             {"perimeter", "scale", "support_point", "body_to_dict", "john_pair"}),
+             {"perimeter", "scale", "to_dict", "john_pair"}),
 }
 
 
@@ -686,7 +746,7 @@ MEMBERSHIP_BODIES = dict(PROTOCOL_BODIES, polytope3_random=(_random_hull_3d(), N
 @pytest.mark.parametrize("kind", sorted(MEMBERSHIP_BODIES))
 def test_inside_is_the_sign_of_the_signed_distance(kind):
     body = MEMBERSHIP_BODIES[kind][0]
-    lo, hi = geo.bounding_box(body)  # widened by a quarter: a cube fills its own box
+    lo, hi = body.bounding_box()  # widened by a quarter: a cube fills its own box
     u = np.random.default_rng(13).uniform(-0.25, 1.25, (10_000, body.dimension))
     P = lo + (hi - lo) * u
     inside = body.inside(P)
@@ -701,18 +761,16 @@ def test_body_protocol_conformance(kind):
     body, unsupported = PROTOCOL_BODIES[kind]
     d = body.dimension
     P = np.random.default_rng(0).uniform(-2.0, 2.0, (5, d))
-    U = geo._unit_vectors(np.random.default_rng(0), 5, d)
     calls = {
-        "measure": lambda: geo.measure(body),
+        "measure": lambda: body.measure(),
         "perimeter": lambda: geo.perimeter(body),
         "diameter_inradius": lambda: geo.diameter_inradius(body),
         "signed_distance": lambda: geo.signed_distance(body, P),
         "boundary_distance_lower": lambda: geo.boundary_distance_lower(body, P),
-        "bounding_ball": lambda: geo.bounding_ball(body),
-        "bounding_box": lambda: geo.bounding_box(body),
+        "bounding_ball": lambda: body.bounding_ball(),
+        "bounding_box": lambda: body.bounding_box(),
         "scale": lambda: geo.scale(body, 2.0),
-        "support_point": lambda: geo.support_point(body, U),
-        "body_to_dict": lambda: geo.body_to_dict(body),
+        "to_dict": lambda: body.to_dict(),
         "john_pair": lambda: geo.john_pair(body),
     }
     for name, call in calls.items():

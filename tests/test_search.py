@@ -53,7 +53,6 @@ def test_slab_body_validation():
 def test_slab_body_measure():
     b = SlabBody([1.0, 1.0, 1.0], 0.5)
     assert b.measure() == pytest.approx(4 * math.pi / 3 * 11.0 / 16.0, rel=1e-12)
-    assert geo.measure(b) == b.measure()
 
 
 def test_slab_body_distance_contract():
@@ -119,9 +118,9 @@ def test_slab_distance_upper_is_valid(axes, h):
 
 def test_slab_body_dispatch_through_geometry():
     b = SlabBody([1.0, 1.0, 1.0], 0.7)
-    c, R = geo.bounding_ball(b)
+    c, R = b.bounding_ball()
     assert R == 1.0 and np.allclose(c, 0)
-    lo, hi = geo.bounding_box(b)
+    lo, hi = b.bounding_box()
     assert np.allclose(hi, [1.0, 1.0, 0.7])
     diam, r = geo.diameter_inradius(b)
     assert r == pytest.approx(0.7)
@@ -148,6 +147,9 @@ def test_family_validation():
         Family("ellipsoid_slab", 3)  # missing epsilon
     with pytest.raises(ValidationError):
         Family("ellipsoids", 3, epsilon=0.1)  # spurious epsilon
+    for epsilon in (math.nan, math.inf, -0.1):
+        with pytest.raises(ValidationError):
+            Family("ellipsoid_slab", 3, epsilon)
 
 
 def test_family_param_counts_and_bodies():
@@ -181,7 +183,7 @@ def test_slab_family_projection():
     # a very negative parameter is projected up to the feasibility threshold
     body = fam.to_body([0.0, 0.0, -40.0])
     assert isinstance(body, SlabBody)
-    vol_ratio = geo.measure(body.ellipsoid) / geo.measure(body)
+    vol_ratio = body.ellipsoid.measure() / body.measure()
     assert vol_ratio == pytest.approx(1.1, rel=1e-6)
 
 
@@ -359,7 +361,7 @@ def test_build_ball_union_matches_sequence_terms():
     assert isinstance(u, BallUnion)
     assert u.radii == pytest.approx(np.arange(1.0, 6.0) ** -beta)
     row = counterexample_sequence(3, beta, [k])[0]
-    assert geo.measure(u) == pytest.approx(row.volume, rel=1e-12)
+    assert u.measure() == pytest.approx(row.volume, rel=1e-12)
     # centers spaced by the separation used in the certificate
     assert np.diff(u.centers[:, 0]) == pytest.approx(row.separation)
 
