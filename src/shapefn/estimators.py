@@ -4,12 +4,15 @@ bodies.
 
 Each estimator call draws from one counter-based Philox stream keyed by
 (seed, substream). Its walks run in consecutive waves of at most _WAVE
-walkers, advanced together in a lock-step loop; each wave draws its starts
-and steps from the call's stream after the wave before it. So results are
-bit-identical for a fixed body, seed and walk_count. Capacity walks launch
-from one sphere and re-enter it from the exact exterior harmonic measure,
-so no extrapolation across radii is needed. Standard errors come from the
-per-walk values, so they are finite at any walk count.
+walkers, advanced together by one lock-step loop, _walks, that both
+estimators share; each wave draws its starts and steps from the call's
+stream after the wave before it. So results are bit-identical for a fixed
+body, seed and walk_count. The loop carries a weight per walker and hands
+each step to the estimator: torsion adds R^2/(2d) to it, capacity applies
+the far field. Capacity walks launch from one sphere and re-enter it from
+the exact exterior harmonic measure, so no extrapolation across radii is
+needed. Standard errors come from the per-walk values, so they are finite
+at any walk count.
 """
 
 from __future__ import annotations
@@ -135,30 +138,33 @@ def _step_radius(body, pos, eps, diag):
     return r
 
 
-def _torsion_walks(body, pos, gen, eps, diag):
-    """Accumulated R^2/(2d) along walk-on-spheres paths until absorption.
-    Walker i starts at pos[i]; every step draws the live walkers' directions
-    from gen, in walker order. Only live walkers are kept, in their order, so
-    a step in which none dies indexes nothing; a walker's sum is written out
-    when it is absorbed. pos is advanced in place."""
+def _walks(body, pos, w, gen, eps, diag, moved):
+    """Walk-on-spheres from pos until absorption; returns each walker's
+    weight w when it is absorbed. Walker i starts at pos[i] with weight
+    w[i]; every step draws the live walkers' directions from gen, in walker
+    order, and then calls moved(pos, w, r), which updates pos and w in place
+    and returns a mask of the walkers it keeps, or None for all. Only live
+    walkers are kept, in their order, so a step in which none dies indexes
+    nothing."""
     d, n = body.dimension, pos.shape[0]
-    out, acc, idx = np.zeros(n), np.zeros(n), np.arange(n)
+    out, idx = np.zeros(n), np.arange(n)
     for steps in range(1, _MAX_WALK_STEPS + 1):
         diag["walker_steps"] += idx.size
         diag["iterations"] += 1
         r = _step_radius(body, pos, eps, diag)
         dead = r < eps
         if dead.any():
-            out[idx[dead]] = acc[dead]
+            out[idx[dead]] = w[dead]
             alive = ~dead
-            idx = idx[alive]
-            if idx.size == 0:
-                diag["max_walk_steps"] = max(diag["max_walk_steps"], steps)
-                return out
-            acc, pos, r = acc[alive], pos.compress(alive, axis=0), r[alive]
-        acc += r * r / (2.0 * d)
+            idx, pos, w, r = idx[alive], pos.compress(alive, axis=0), w[alive], r[alive]
         pos += r[:, None] * _unit_vectors(gen, idx.size, d)
-    raise StuckWalkError("torsion walk exceeded step budget")
+        keep = moved(pos, w, r)
+        if keep is not None:
+            idx, pos, w = idx[keep], pos.compress(keep, axis=0), w[keep]
+        if idx.size == 0:
+            diag["max_walk_steps"] = max(diag["max_walk_steps"], steps)
+            return out
+    raise StuckWalkError("walk exceeded step budget")
 
 
 def _torsion_mean(body, cfg, start):
@@ -169,8 +175,13 @@ def _torsion_mean(body, cfg, start):
     eps = _shell_epsilon(body)
     gen = _stream(cfg.seed, 0)
     diag = dict.fromkeys(_WALK_COUNTERS, 0)
-    mean, se = _per_walk(cfg.walk_count,
-                         lambda m: _torsion_walks(body, start(gen, m), gen, eps, diag))
+    twice_d = 2.0 * body.dimension
+
+    def moved(pos, w, r):  # a walker's weight sums R^2/(2d) over its steps
+        w += r * r / twice_d
+
+    mean, se = _per_walk(cfg.walk_count, lambda m: _walks(body, start(gen, m), np.zeros(m),
+                                                          gen, eps, diag, moved))
     return mean, se, {"diag": diag}
 
 
@@ -242,38 +253,36 @@ def _reenter(x, R, gen, diag):
     return R / _norms(v)[:, None] * v  # e is orthogonal to ulps
 
 
-def _capacity_hits(body, center, R, n, gen, eps, diag):
-    """Absorbed weight of n exterior walks launched uniformly on the sphere
-    of radius R about center, every draw from gen in walker order. Like the
-    torsion walks, only live walkers are kept.
-
-    A walker that steps out to radius rho > R keeps the weight
-    (R/rho)^(d-2), its chance to return to the R-sphere, and re-enters where
-    it would return: at a point of the exterior harmonic measure. So the
-    walk's expected absorbed weight is exactly its hitting probability.
-    Below the weight _ROULETTE a walker survives with probability
-    weight / _ROULETTE and then carries that weight, which keeps the mean."""
+def wos_capacity(body, cfg=None):
+    """Newtonian capacity kappa_d R^(d-2) P(hit) by exterior walk-on-spheres
+    from the sphere of radius R = 2 x the bounding radius, launched
+    uniformly on it, with exact harmonic-measure re-entry. The walks draw
+    from one stream, wave after wave. extra["diag"] holds deterministic
+    counters of the walks: lock-step iterations add up over the waves,
+    max_walk_steps is the longest wave's."""
+    cfg = cfg or EstimatorConfig()
     d = body.dimension
-    pos = center + R * _unit_vectors(gen, n, d)
-    w, hits, idx = np.ones(n), np.zeros(n), np.arange(n)
-    for steps in range(_MAX_WALK_STEPS):
-        if idx.size == 0:
-            diag["max_walk_steps"] = max(diag["max_walk_steps"], steps)
-            return hits
-        diag["walker_steps"] += idx.size
-        diag["iterations"] += 1
-        r = _step_radius(body, pos, eps, diag)
-        absorbed = r < eps
-        if absorbed.any():
-            hits[idx[absorbed]] = w[absorbed]
-            live = ~absorbed
-            idx, pos, w, r = idx[live], pos.compress(live, axis=0), w[live], r[live]
-        pos += r[:, None] * _unit_vectors(gen, idx.size, d)
+    if d < 3:
+        raise UnsupportedRepresentationError("Newtonian capacity needs d >= 3")
+    eps = _shell_epsilon(body)
+    center, rb = body.bounding_ball()
+    R = 2.0 * rb
+    gen = _stream(cfg.seed, 1)
+    diag = dict.fromkeys(_WALK_COUNTERS + ("reentries", "reentry_proposals", "roulette_kills"), 0)
+
+    def moved(pos, w, r):
+        """A walker that steps out to radius rho > R keeps the weight
+        (R/rho)^(d-2), its chance to return to the R-sphere, and re-enters
+        where it would return: at a point of the exterior harmonic measure.
+        So a walk's expected absorbed weight is exactly its hitting
+        probability. Below the weight _ROULETTE a walker survives with
+        probability weight / _ROULETTE and then carries that weight, which
+        keeps the mean; the others are dropped."""
         x = pos - center
         rho = _norms(x)
         far = np.flatnonzero(rho > R)
         if far.size == 0:
-            continue
+            return None
         w[far] *= (R / rho[far]) ** (d - 2)
         low = far[w[far] < _ROULETTE]
         if low.size:
@@ -283,31 +292,11 @@ def _capacity_hits(body, center, R, n, gen, eps, diag):
             diag["roulette_kills"] += int(low.size - won.sum())
             far = far[w[far] > 0.0]
         pos[far] = center + _reenter(x.take(far, axis=0), R, gen, diag)
-        if low.size:
-            keep = w > 0.0
-            idx, pos, w = idx[keep], pos.compress(keep, axis=0), w[keep]
-    raise StuckWalkError("capacity walk exceeded step budget")
+        return w > 0.0 if low.size else None
 
-
-def wos_capacity(body, cfg=None):
-    """Newtonian capacity kappa_d R^(d-2) P(hit) by exterior walk-on-spheres
-    from the sphere of radius R = 2 x the bounding radius, with exact
-    harmonic-measure re-entry. The walks draw from one stream, wave after
-    wave. extra["diag"] holds deterministic counters of the walks: lock-step
-    iterations add up over the waves, max_walk_steps is the longest wave's."""
-    cfg = cfg or EstimatorConfig()
-    d = body.dimension
-    if d < 3:
-        raise UnsupportedRepresentationError("Newtonian capacity needs d >= 3")
-    if isinstance(body, Polytope):
-        body.boundary_pieces()  # raises where d > 3, before any draw, not in some walk
-    eps = _shell_epsilon(body)
-    center, rb = body.bounding_ball()
-    R = 2.0 * rb
-    gen = _stream(cfg.seed, 1)
-    diag = dict.fromkeys(_WALK_COUNTERS + ("reentries", "reentry_proposals", "roulette_kills"), 0)
     mean, se = _per_walk(cfg.walk_count,
-                         lambda m: _capacity_hits(body, center, R, m, gen, eps, diag))
+                         lambda m: _walks(body, center + R * _unit_vectors(gen, m, d),
+                                          np.ones(m), gen, eps, diag, moved))
     if mean == 0:
         raise DegenerateEstimateError("no capacity walk hit the body")
     scale = kappa_d(d) * R ** (d - 2)

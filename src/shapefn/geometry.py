@@ -376,7 +376,9 @@ def slab_volume_fraction(d, h):
 
 @dataclass(frozen=True, eq=False)
 class Polytope(Body):
-    """Convex hull of its vertices; the facets come from Qhull."""
+    """Convex hull of its vertices in d = 2 or 3; the facets come from Qhull.
+    Every functional needs the volume, which Qhull gives for d <= 3 only, so
+    a polytope of d > 3 is refused on construction."""
 
     vertices: np.ndarray
     normals: np.ndarray = field(init=False)  # outward unit normals
@@ -386,6 +388,8 @@ class Polytope(Body):
         V = _as_point(self.vertices)
         if V.ndim != 2:
             raise ValidationError("vertices must be an (n, d) array")
+        if V.shape[1] > 3:
+            raise UnsupportedRepresentationError("polytopes are supported only for d <= 3")
         _check_spans(V)
         hull = ConvexHull(V)
         eq = hull.equations  # n . x + b <= 0
@@ -423,51 +427,32 @@ class Polytope(Body):
         return self._hull
 
     def boundary_pieces(self):
-        """(W, off, S, D) for the exterior distance kernel, built on first use.
+        """(W, off, S, D) for the edge distance, built on first use.
 
-        S + t D (k, d) are the hull's unique edges. p @ W - off holds each
-        edge's t for p's projection onto its line and, in 3-D, for each of
-        the m facet triangles, three in-triangle tests (>= 0 inside) and
-        p's height over its plane: k + 4m columns. Triangles with a sine
-        below 1e-12 at their first vertex are left out (a scale-free test):
-        their edges cover them.
+        S + t D (k, d) are the hull's edges: in 3-D the unique sides of
+        Qhull's triangles, the diagonals that split a facet among them; in
+        2-D the sides themselves. p @ W - off holds each one's t for p's
+        projection onto its line.
         """
         pieces = getattr(self, "_pieces", None)
         if pieces is not None:
             return pieces
-        if self.dimension > 3:
-            raise UnsupportedRepresentationError(
-                "exterior polytope distance only for d <= 3")
-        hull = self.hull()
-        X, simp = hull.points, hull.simplices
-        rows, origins = [], []
+        X, simp = self.hull().points, self.hull().simplices
         if self.dimension == 3:
-            A, B, C = (X[simp[:, i]] for i in range(3))
-            n = np.cross(B - A, C - A)
-            keep = (n * n).sum(1) > 1e-24 * ((B - A) ** 2).sum(1) * ((C - A) ** 2).sum(1)
-            A, B, C, n = A[keep], B[keep], C[keep], n[keep]
-            # n x (edge) points into the triangle whatever the vertex order
-            rows = [np.cross(n, B - A), np.cross(n, C - B), np.cross(n, A - C),
-                    n / np.linalg.norm(n, axis=1, keepdims=True)]
-            origins = [A, B, C, A]
             simp = np.concatenate([simp[:, [0, 1]], simp[:, [1, 2]], simp[:, [0, 2]]])
         edges = np.unique(np.sort(simp, axis=1), axis=0)
         S = X[edges[:, 0]]
         D = X[edges[:, 1]] - S
         L2 = (D * D).sum(1)
-        W = np.concatenate([D / np.where(L2 > 0.0, L2, 1.0)[:, None]] + rows)
-        pieces = (W.T, (W * np.concatenate([S] + origins)).sum(1), S, D)
+        W = D / np.where(L2 > 0.0, L2, 1.0)[:, None]
+        pieces = (W.T, (W * S).sum(1), S, D)
         object.__setattr__(self, "_pieces", pieces)
         return pieces
 
     def measure(self):
-        if self.dimension > 3:
-            raise UnsupportedRepresentationError("polytope volume only for d <= 3")
         return float(self.hull().volume)
 
     def perimeter(self):
-        if self.dimension > 3:
-            raise UnsupportedRepresentationError("polytope perimeter only for d <= 3")
         return float(self.hull().area)
 
     def _plane_excess(self, P):
@@ -486,11 +471,26 @@ class Polytope(Body):
             X.max(axis=0, out=out[lo:lo + step])
         return out
 
+    def _foot_excess(self, Q, e):
+        """For exterior points Q with plane excess e: the largest excess over
+        the other facets of the foot Q - e n_j on the most violated facet j.
+        Where a point's nearest boundary point lies inside a facet i, every
+        other facet's excess is below e_i, so j = i and the foot is that
+        point. So where this is <= 0 the foot lies on the body and the
+        distance is e; elsewhere the nearest point lies on an edge (in 2-D,
+        a vertex)."""
+        j = (_matmul(Q, self.normals.T) - self.offsets).argmax(axis=1)
+        F = _matmul(Q - e[:, None] * self.normals[j], self.normals.T) - self.offsets
+        F[np.arange(Q.shape[0]), j] = -np.inf
+        return F.max(axis=1)
+
     def signed_distance(self, P):
         sd = self._plane_excess(P)
-        out = sd > 0
-        if np.any(out):
-            sd[out] = _polytope_exterior_distance(self, P[out])
+        out = np.flatnonzero(sd > 0)
+        if out.size:
+            Q = P.take(out, axis=0)
+            off = self._foot_excess(Q, sd[out]) > 0
+            sd[out[off]] = _edge_distance(self, Q.compress(off, axis=0))
         return sd
 
     def distance_lower(self, P):
@@ -500,22 +500,16 @@ class Polytope(Body):
 
     def distance_upper(self, P):
         """Inside, the plane distance, which signed_distance returns as it is.
-        Outside, the excess e of the most violated facet j, where the foot
-        p - e n_j lies in every other facet's halfspace with a margin of the
-        rounding allowance: the foot is then p's nearest point of the body,
-        at distance e. There the bound is e plus the allowance of 8 ulp x
-        (|p| + the largest vertex norm); elsewhere (near edges and vertices)
-        it is +inf."""
+        Outside, the plane excess e where the foot lies on the body with a
+        margin of the rounding allowance of 8 ulp x (|p| + the largest vertex
+        norm), plus that allowance; elsewhere (near edges and vertices) +inf."""
         e = self._plane_excess(P)
         up = np.abs(e)
         out = np.flatnonzero(e > 0)
         if out.size:
             Q = P.take(out, axis=0)
-            j = (_matmul(Q, self.normals.T) - self.offsets).argmax(axis=1)
-            F = _matmul(Q - e[out, None] * self.normals[j], self.normals.T) - self.offsets
-            F[np.arange(out.size), j] = -np.inf
             slack = _UPPER_ROUNDING * (_norms(Q) + self._vertex_norm)
-            up[out] = np.where(F.max(axis=1) <= -slack, e[out] + slack, np.inf)
+            up[out] = np.where(self._foot_excess(Q, e[out]) <= -slack, e[out] + slack, np.inf)
         return up
 
     def inside(self, P):
@@ -695,23 +689,13 @@ def _segment_distance(P, S, D, t):
     return np.sqrt(np.einsum("nkj,nkj->nk", diff, diff)).min(axis=1)
 
 
-def _polytope_exterior_distance(body, P):
-    """Exact distance from exterior points (n, d) to a polytope's boundary: the
-    smaller of the plane distances to the facet triangles a point projects into
-    and the nearest edge distance (Ericson, Real-Time Collision Detection 5.1.5)."""
+def _edge_distance(body, P):
+    """Distance from points (n, d) to the nearest of a polytope's edges."""
     W, off, S, D = body.boundary_pieces()
-    k = S.shape[0]
-    m = (W.shape[1] - k) // 4
     out = np.empty(P.shape[0])
     for lo in range(0, P.shape[0], _DISTANCE_BLOCK):
         B = P[lo:lo + _DISTANCE_BLOCK]
-        X = _matmul(B, W) - off
-        best = _segment_distance(B, S, D, X[:, :k])
-        if m:
-            inside = (X[:, k:k + 3 * m].reshape(-1, 3, m) >= 0.0).all(axis=1)
-            h = np.where(inside, np.abs(X[:, k + 3 * m:]), np.inf)
-            best = np.minimum(best, h.min(axis=1))
-        out[lo:lo + _DISTANCE_BLOCK] = best
+        out[lo:lo + _DISTANCE_BLOCK] = _segment_distance(B, S, D, _matmul(B, W) - off)
     return out
 
 
@@ -962,6 +946,8 @@ def john_sorted_axes(body):
 # ---------------------------------------------------------------------------
 
 def body_from_dict(doc):
+    if not isinstance(doc, dict):
+        raise ValidationError("a body document must be a JSON object")
     try:
         kind = doc["kind"]
         if kind == "ball":
@@ -977,4 +963,6 @@ def body_from_dict(doc):
             return BallUnion(doc["centers"], doc["radii"])
     except KeyError as exc:
         raise ValidationError(f"missing body field: {exc}") from exc
+    except TypeError as exc:  # a field of the wrong type, such as a string radius
+        raise ValidationError(f"malformed body field: {exc}") from exc
     raise ValidationError(f"unknown body kind: {kind!r}")

@@ -107,6 +107,22 @@ def test_compute_on_non_finite_parameters_is_a_validation_error(doc, tmp_path, c
     assert out == "" and "finite" in err
 
 
+CUBE4 = {"kind": "polytope",
+         "vertices": np.array(np.meshgrid(*[[-1.0, 1.0]] * 4)).reshape(4, -1).T.tolist()}
+
+
+@pytest.mark.parametrize("doc, message", [
+    (CUBE4, "d <= 3"),
+    ({"kind": "ball", "radius": "1", "center": [0, 0, 0]}, "malformed body field"),
+    ([1, 2], "JSON object"),
+], ids=["cube4", "string-radius", "list"])
+def test_compute_on_an_unusable_document_is_a_validation_error(doc, message, tmp_path, capsys):
+    body = write_body(tmp_path / "body.json", doc)
+    code, out, err = run(["compute", body, "--functional", "G", "--walks", "1000"], capsys)
+    assert code == EXIT_VALIDATION
+    assert out == "" and message in err
+
+
 def test_compute_h_on_planar_ball_union_is_a_validation_error(tmp_path, capsys):
     pair = write_body(tmp_path / "pair.json", {
         "kind": "ball_union", "centers": [[0.0, 0.0], [4.0, 0.0]], "radii": [1.0, 1.0]})
@@ -274,6 +290,26 @@ def test_verify_skips_non_finite_bodies(corpus, capsys, tmp_path):
     assert doc["summary"]["fail"] == 0
     with open(tmp_path / "l.json") as fh:
         assert not any(math.isnan(r["lhs"]) for r in json.load(fh))
+
+
+def test_verify_skips_a_4d_polytope_and_a_list(tmp_path, capsys):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_body(corpus / "ball3.json", {"kind": "ball", "radius": 1.0, "center": [0, 0, 0]})
+    write_body(corpus / "cube4.json", CUBE4)
+    write_body(corpus / "list.json", [1, 2])
+    code, out, err = run(["verify", str(corpus),
+                          "--out-csv", str(tmp_path / "l.csv"),
+                          "--out-json", str(tmp_path / "l.json"),
+                          "--walks", "1000"], capsys)
+    assert code == EXIT_OK
+    skipped = [line for line in err.splitlines() if line.startswith("skipped ")]
+    assert len(skipped) == 2
+    assert skipped[0].startswith("skipped cube4.json") and "d <= 3" in skipped[0]
+    assert skipped[1].startswith("skipped list.json") and "JSON object" in skipped[1]
+    assert json.loads(out)["manifest"]["bodies"] == ["ball3"]
+    with open(tmp_path / "l.json") as fh:
+        assert "ball3" in {r["body_id"] for r in json.load(fh)}
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

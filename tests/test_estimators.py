@@ -6,7 +6,7 @@ import pytest
 from shapefn import estimators as est
 from shapefn import exact_ellipsoid as ex
 from shapefn import geometry as geo
-from shapefn.errors import UnsupportedRepresentationError, ValidationError
+from shapefn.errors import StuckWalkError, UnsupportedRepresentationError, ValidationError
 from shapefn.estimators import EstimatorConfig, fekete_logcap
 from shapefn.estimators import wos_capacity, wos_torsion, wos_torsion_pointwise
 from shapefn.geometry import Ball, Capsule, Ellipsoid, Polytope
@@ -63,11 +63,11 @@ def test_a_call_draws_its_waves_from_one_stream(monkeypatch):
     # 1000-walk call bit for bit, and the next waves draw on from there
     monkeypatch.setattr(est, "_WAVE", 1000)
     waves = []
-    for name in ("_torsion_walks", "_capacity_hits"):
-        def record(*args, walks=getattr(est, name)):
-            waves.append(walks(*args))
-            return waves[-1]
-        monkeypatch.setattr(est, name, record)
+
+    def record(*args, walks=est._walks):
+        waves.append(walks(*args))
+        return waves[-1]
+    monkeypatch.setattr(est, "_walks", record)
     cube = Polytope(cube_vertices(3))
     for estimator in (wos_torsion, wos_capacity):
         waves.clear()
@@ -106,16 +106,6 @@ def test_walk_counters_repeat_and_d3_reentry_never_rejects():
     assert 0 < diag4["reentries"] < diag4["reentry_proposals"]
 
 
-def test_capacity_on_a_4d_polytope_fails_before_any_draw(monkeypatch):
-    # the exact exterior distance is d <= 3 only; whether a walk would reach
-    # it depends on the draws, so the call fails before it opens its stream
-    streams = []
-    monkeypatch.setattr(est, "_stream", lambda *key: streams.append(key))
-    with pytest.raises(UnsupportedRepresentationError):
-        wos_capacity(Polytope(cube_vertices(4)), EstimatorConfig(walk_count=1000))
-    assert streams == []
-
-
 def test_upper_bound_settles_most_absorptions_on_the_elongated_slab():
     # before the upper bound, 1000 torsion and 65 capacity points went to the
     # exact kernel at seed 0; the bound settles part of them and moves no other
@@ -126,6 +116,15 @@ def test_upper_bound_settles_most_absorptions_on_the_elongated_slab():
         assert diag["exact_fallbacks"] + diag["upper_absorbed"] == before
         if estimator is wos_torsion:
             assert diag["exact_fallbacks"] <= cfg.walk_count // 100
+
+
+def test_walks_past_the_step_budget_are_stuck(monkeypatch):
+    # a cube's walks need far more than 3 steps to reach a shell 1e-5 x the inradius wide
+    monkeypatch.setattr(est, "_MAX_WALK_STEPS", 3)
+    cube = Polytope(cube_vertices(3))
+    for estimator in (wos_torsion, wos_capacity):
+        with pytest.raises(StuckWalkError, match="step budget"):
+            estimator(cube, EstimatorConfig(walk_count=1000))
 
 
 # value.hex() and standard_error.hex() of each estimator at seed 0. At 1000

@@ -184,9 +184,13 @@ def test_unit_sphere_surface_highd():
         assert s == pytest.approx(expected, rel=1e-9)
 
 
-def test_polytope_measure_unsupported_above_3d():
-    with pytest.raises(UnsupportedRepresentationError):
-        Polytope(cube_vertices(4)).measure()
+def test_polytope_above_3d_is_refused_on_construction():
+    # every functional needs the volume, which Qhull gives for d <= 3 only, so
+    # no d > 3 polytope is built, whether in code or from a document
+    with pytest.raises(UnsupportedRepresentationError, match="d <= 3"):
+        Polytope(cube_vertices(4))
+    with pytest.raises(UnsupportedRepresentationError, match="d <= 3"):
+        geo.body_from_dict({"kind": "polytope", "vertices": cube_vertices(4).tolist()})
 
 
 # ---------------------------------------------------------------------------
@@ -490,19 +494,33 @@ def _random_hull_3d():
                     * rng.uniform(0.7, 1.3, (12, 1)))
 
 
-@pytest.mark.parametrize("poly", [
-    Polytope(np.array([[1.0, 0.2], [0.1, 1.3], [-1.2, 0.4], [-0.8, -0.9], [0.6, -1.1]])),
-    Polytope(cube_vertices(3)),
-    _random_hull_3d(),
-], ids=["pentagon", "cube", "random12"])
-def test_polytope_exterior_distance_qp_oracle(poly):
-    for t in (0.37, 1e-3):
-        P = _exterior_points(poly, t)
-        got = geo.signed_distance(poly, P)
-        assert np.allclose(got, t, rtol=1e-12, atol=0.0)
-        for p, g in zip(P[::3], got[::3]):
-            assert g == pytest.approx(_hull_projection_distance(poly.vertices, p),
-                                      rel=1e-7)
+def _heptagon():
+    t = 2 * math.pi * (np.arange(7) + np.array([0.0, 0.2, -0.15, 0.1, 0.25, -0.2, 0.05])) / 7
+    return Polytope(1.1 * np.stack([np.cos(t), np.sin(t)], axis=1) + np.array([0.3, -0.2]))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: Polytope(np.array([[1.0, 0.2], [0.1, 1.3], [-1.2, 0.4], [-0.8, -0.9], [0.6, -1.1]])),
+    _heptagon,
+    lambda: Polytope(cube_vertices(3)),
+    _random_hull_3d,
+], ids=["pentagon", "heptagon", "cube", "random12"])
+def test_polytope_exterior_distance_qp_oracle(make):
+    # the plane excess where the facet's foot lies on the body, else the edge
+    # distance, is exact at any scale: at t = 1e-9 of the size 1e-12 t is
+    # below what the rounded points resolve, so there the allowance is 4 ulp of |p|
+    for scale in (1e-8, 1.0, 1e8):
+        poly = geo.scale(make(), scale)
+        for t in (10.0, 0.37, 1e-3, 1e-9):
+            P = _exterior_points(poly, t * scale)
+            got = geo.signed_distance(poly, P)
+            atol = 4 * np.finfo(float).eps * np.abs(P).max() if t < 1e-3 else 0.0
+            assert np.allclose(got, t * scale, rtol=1e-12, atol=atol), (scale, t)
+            if t not in (0.37, 1e-3):
+                continue  # SLSQP's absolute ftol resolves squared distances near 1 only
+            for p, g in zip(P[::3], got[::3]):
+                assert g / scale == pytest.approx(
+                    _hull_projection_distance(poly.vertices / scale, p / scale), rel=1e-7)
 
 
 def test_polytope_distance_scale_invariant():
@@ -513,11 +531,6 @@ def test_polytope_distance_scale_invariant():
     for t in (1.0, 1e-6, 1e-9):
         got = geo.signed_distance(geo.scale(cube, t), P * t)
         assert np.allclose(got, t * ref, rtol=1e-12, atol=0.0)
-
-
-def _heptagon():
-    t = 2 * math.pi * (np.arange(7) + np.array([0.0, 0.2, -0.15, 0.1, 0.25, -0.2, 0.05])) / 7
-    return Polytope(1.1 * np.stack([np.cos(t), np.sin(t)], axis=1) + np.array([0.3, -0.2]))
 
 
 def _near_features(poly, rng, n):
@@ -718,6 +731,17 @@ def test_body_dict_roundtrip(body):
 def test_body_from_dict_rejects_unknown():
     with pytest.raises(ValidationError):
         geo.body_from_dict({"kind": "torus"})
+
+
+@pytest.mark.parametrize("doc", [
+    [1, 2],
+    "ball",
+    {"kind": "ball", "radius": "1", "center": [0, 0, 0]},
+    {"kind": "capsule", "p": [0, 0, 0], "q": [1, 0, 0], "radius": "0.5"},
+], ids=["list", "string", "string-radius", "string-capsule-radius"])
+def test_body_from_dict_rejects_malformed_documents(doc):
+    with pytest.raises(ValidationError):
+        geo.body_from_dict(doc)
 
 
 # ---------------------------------------------------------------------------
