@@ -106,6 +106,16 @@ def test_walk_counters_repeat_and_d3_reentry_never_rejects():
     assert 0 < diag4["reentries"] < diag4["reentry_proposals"]
 
 
+def test_capacity_on_a_4d_polytope_fails_before_any_draw(monkeypatch):
+    # a d > 3 polytope is refused when it is built, so a capacity call on one
+    # never opens its stream
+    streams = []
+    monkeypatch.setattr(est, "_stream", lambda *key: streams.append(key))
+    with pytest.raises(UnsupportedRepresentationError, match="d <= 3"):
+        wos_capacity(Polytope(cube_vertices(4)), EstimatorConfig(walk_count=1000))
+    assert streams == []
+
+
 def test_upper_bound_settles_most_absorptions_on_the_elongated_slab():
     # before the upper bound, 1000 torsion and 65 capacity points went to the
     # exact kernel at seed 0; the bound settles part of them and moves no other

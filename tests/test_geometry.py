@@ -184,7 +184,7 @@ def test_unit_sphere_surface_highd():
         assert s == pytest.approx(expected, rel=1e-9)
 
 
-def test_polytope_above_3d_is_refused_on_construction():
+def test_polytope_measure_unsupported_above_3d():
     # every functional needs the volume, which Qhull gives for d <= 3 only, so
     # no d > 3 polytope is built, whether in code or from a document
     with pytest.raises(UnsupportedRepresentationError, match="d <= 3"):
