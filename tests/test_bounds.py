@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -267,6 +268,47 @@ def test_ledger_rows_do_not_repeat():
     assert const == [("const_d2", 0.0), ("const_d2", 1.0),
                      ("const_d3", 0.0), ("const_d3", 1.0)]
     assert summary["rows"] == len(rows)
+
+
+# write_json's rows of this corpus, at 2000 walks and seed 0, are pinned in
+# tests/data/ledger_pinned.json; a change of the ledger that moves no number
+# leaves them as they are
+PINNED_PATH = pathlib.Path(__file__).parent / "data" / "ledger_pinned.json"
+
+
+def pinned_corpus():
+    Q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(4, 4)))
+    return {"ball3": Ball(1.0, np.zeros(3)),
+            "ell4_moved": Ellipsoid(np.array([1.5, 1.0, 0.7, 0.4]),
+                                    np.array([0.3, -0.2, 0.1, 0.5]), Q),
+            "ell5": Ellipsoid(np.array([1.8, 1.2, 1.0, 0.9, 0.6])),
+            "disk": Ball(1.0, np.zeros(2)),
+            "ellipse": Ellipsoid(np.array([2.0, 1.0])),
+            "square": Polytope(cube_vertices(2)),
+            "cube": Polytope(cube_vertices(3))}
+
+
+def _assert_same(got, want, where):
+    if isinstance(want, dict):
+        assert sorted(got) == sorted(want), where
+        for k in want:
+            _assert_same(got[k], want[k], f"{where}.{k}")
+    elif isinstance(want, float) and not isinstance(got, bool):
+        # an out-of-regime row's slack is inf - inf
+        assert (got == want or math.isclose(got, want, rel_tol=1e-12)
+                or math.isnan(got) and math.isnan(want)), (where, got, want)
+    else:
+        assert got == want and type(got) is type(want), (where, got, want)
+
+
+def test_ledger_matches_its_pinned_rows(tmp_path):
+    rows, _ = ledger(pinned_corpus(), EstimatorConfig(walk_count=2000, seed=0))
+    write_json(rows, tmp_path / "ledger.json")
+    got = json.loads((tmp_path / "ledger.json").read_text())
+    want = json.loads(PINNED_PATH.read_text())
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        _assert_same(g, w, f"row {i} ({w['body_id']} {w['inequality']})")
 
 
 def test_ledger_rejects_empty():
