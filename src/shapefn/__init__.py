@@ -53,10 +53,6 @@ from .bounds import (
     BoundReport,
     check_constraint_constants,
     check_dimension_constants,
-    check_planar,
-    check_thm1,
-    check_thm2,
-    check_thm6,
     ledger,
 )
 from .search import (

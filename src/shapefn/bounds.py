@@ -1,5 +1,15 @@
 """Executable inequality ledger: every quantitative bound on the shape
-functionals as a check producing a BoundReport row."""
+functionals as a BoundReport row.
+
+``ledger`` is the entry point. It writes each body's rows, then the rows
+that depend on the dimension alone. Theorems 2, 4, 6 and 8 share one shape
+for G, H, G_alpha and H_alpha in turn: an ellipsoid is at most the ball
+value, and every convex body is at most a constant times it. The table
+``_PAIRS``, keyed by ``FunctionalId.kind``, gives each functional its
+theorem, its ellipsoid row, its convex-body row and that row's constant;
+the ball value comes from ``FunctionalId.ball_value``. The rows outside
+the table (Thm1 e22/e26, Thm2 e33, Thm4 e65iii) and the inscribed-rhombus
+perimeter check follow it."""
 
 from __future__ import annotations
 
@@ -20,6 +30,7 @@ FAIL = "fail"
 INCONCLUSIVE = "inconclusive"
 VACUOUS = "vacuous"
 OUT_OF_REGIME = "out_of_regime"
+_TOL = 1e-10  # relative tolerance of every row's pass test
 
 # the complete set of checkable inequality rows; a ledger row outside this
 # enumeration is a bug
@@ -43,7 +54,7 @@ class BoundReport:
     rhs: float
     status: str
     stderr: float = 0.0
-    tol: float = 1e-10
+    tol: float = _TOL
     extra: dict = field(default_factory=dict)
 
     @property
@@ -65,71 +76,94 @@ def _status(lhs, rhs, stderr, tol):
     return FAIL
 
 
-def _row(theorem, inequality, body_id, lhs, rhs, stderr=0.0, tol=1e-10,
-         status=None, extra=None):
+def _row(theorem, inequality, body_id, lhs, rhs, stderr=0.0, status=None,
+         extra=None):
     if inequality not in ROW_TYPES[theorem]:
         raise InternalConsistencyError(
             f"row type {theorem}/{inequality} not in the ledger enumeration")
     if status is None:
-        status = _status(lhs, rhs, stderr, tol)
+        status = _status(lhs, rhs, stderr, _TOL)
     return BoundReport(theorem, inequality, body_id, float(lhs), float(rhs),
-                       status, float(stderr), tol, extra or {})
+                       status, float(stderr), extra=extra or {})
 
 
 # ---------------------------------------------------------------------------
-# d >= 3 checks
+# rows of one body
 # ---------------------------------------------------------------------------
 
-def check_thm1(body, cfg=None, body_id="body", comp=None):
-    """Sorted-axis ratio bound (conditional) and the intermediate G bound."""
+# kind -> (theorem, ellipsoid row, convex-body row, that row's constant of d
+# and alpha)
+_PAIRS = {
+    "G": ("Thm2", "e32", "e32a", lambda d, alpha: d ** (2.0 * d)),
+    "G_alpha": ("Thm6", "e89", "e81", lambda d, alpha: d ** (2.0 * d)),
+    "H": ("Thm4", "e65", "e65a", lambda d, alpha: 8.0),
+    "H_alpha": ("Thm8", "e92e", "e93",
+                lambda d, alpha: 2.0 ** (2.0 * alpha) * math.pi ** (3.0 - 2.0 * alpha)),
+}
+
+
+def _body_rows(body, comp, body_id, alphas):
+    """The rows of one body of dimension 2 (H) or >= 3 (G), from its
+    components; each alpha's rows follow in the order of alphas."""
     d = body.dimension
-    if d < 3:
-        raise ValidationError("need d >= 3")
-    comp = comp or compute_components(body, cfg)
-    g = assemble(FunctionalId("G"), comp, d)
+    axes = body.ellipsoid_axes()
     b = geometry.john_sorted_axes(body)
-    gb = exact.g_ball(d)
+    kind = "H" if d == 2 else "G"
+    if d == 2:
+        # inscribed-rhombus perimeter bound (inner ellipse has axes b/2)
+        p_lower = 2.0 * math.sqrt(b[0] ** 2 + b[1] ** 2) / 2.0
+        if comp["P"].value < p_lower * (1.0 - 1e-6):
+            raise InternalConsistencyError(
+                f"perimeter {comp['P'].value} below rhombus lower bound {p_lower}")
+
     rows = []
+    evs = [assemble(f, comp, d) for f in [FunctionalId(kind)]
+           + [FunctionalId(kind + "_alpha", a) for a in alphas]]
+    for ev in evs:
+        f = ev.functional
+        theorem, sharp, coarse, constant = _PAIRS[f.kind]
+        ref = f.ball_value(d)
+        extra = {} if f.alpha is None else {"alpha": f.alpha}
+        if axes is not None:
+            rows.append(_row(theorem, sharp, body_id, ev.value, ref, ev.stderr,
+                             extra=extra))
+        if f.kind == "H":
+            extra = {"perimeter_lower": p_lower}
+        rows.append(_row(theorem, coarse, body_id, ev.value,
+                         constant(d, f.alpha) * ref, ev.stderr, extra=extra))
+
+    g = evs[0]  # G, or H in the plane
+    gb = g.functional.ball_value(d)
+    if d == 2:
+        if axes is not None:
+            rows.append(_row("Thm4", "e65iii", body_id, g.value,
+                             2.0 ** -0.5 * gb * (1.0 + b[1] / b[0]), g.stderr))
+        return rows
 
     # axis-ratio bound, conditional on G >= G(B_1); the bound itself is
     # astronomically large, so it is compared in log scale
     antecedent = g.value >= gb * (1.0 - 1e-12) - 3.0 * g.stderr
     log_lhs = math.log(b[d - 3] / b[d - 1])
     log_rhs = 2.0 ** ((d - 2.0) / 2.0) * d ** (2.0 * d + 1.0) / (d - 2.0)
-    status = None if antecedent else VACUOUS
     rows.append(_row("Thm1", "e22", body_id, log_lhs, log_rhs,
-                     status=status,
+                     status=None if antecedent else VACUOUS,
                      extra={"log_scale": True, "antecedent_held": antecedent,
                             "G": g.value}))
-
     denom = math.log1p((b[d - 3] / b[d - 1]) ** 2)
     rhs = 2.0 ** (d / 2.0) * d ** (2.0 * d + 1.0) / (d - 2.0) * gb / denom
-    rows.append(_row("Thm1", "e26", body_id, g.value, rhs, stderr=g.stderr))
-    return rows
-
-
-def check_thm2(body, cfg=None, body_id="body", comp=None):
-    """Ellipsoid supremum, convex-class bound and the eccentricity bound."""
-    d = body.dimension
-    if d < 3:
-        raise ValidationError("need d >= 3")
-    comp = comp or compute_components(body, cfg)
-    g = assemble(FunctionalId("G"), comp, d)
-    gb = exact.g_ball(d)
-    axes = body.ellipsoid_axes()
-    rows = []
-    if axes is not None:
-        rows.append(_row("Thm2", "e32", body_id, g.value, gb, stderr=g.stderr))
-    rows.append(_row("Thm2", "e32a", body_id, g.value, d ** (2.0 * d) * gb,
-                     stderr=g.stderr))
+    rows.append(_row("Thm1", "e26", body_id, g.value, rhs, g.stderr))
     if axes is not None and d >= 4:
         C, _ = exact.eccentricity(axes)
         rhs = (gb * d * (d - 3.0) / ((d - 1.0) * (d - 2.0))
                / (1.0 - 1.0 / (1.0 + math.sqrt(C))))
-        rows.append(_row("Thm2", "e33", body_id, g.value, rhs,
-                         stderr=g.stderr, extra={"eccentricity": C}))
+        rows.append(_row("Thm2", "e33", body_id, g.value, rhs, g.stderr,
+                         extra={"eccentricity": C}))
     return rows
 
+
+# ---------------------------------------------------------------------------
+# rows of the dimension alone
+# ---------------------------------------------------------------------------
 
 def critical_epsilon(d):
     """Critical epsilon of the constrained problem: Thm 3 (d >= 4) or
@@ -195,93 +229,25 @@ def check_constraint_constants(d, epsilon):
     return rows
 
 
-def check_thm6(body, alphas=(0.0, 1.0), cfg=None, body_id="body", comp=None):
-    """Perimeter-weighted functional bounds for d >= 3."""
-    d = body.dimension
-    if d < 3:
-        raise ValidationError("need d >= 3")
-    comp = comp or compute_components(body, cfg)
-    rows = []
-    for alpha in alphas:
-        ga = assemble(FunctionalId("G_alpha", alpha), comp, d)
-        ref = exact.g_alpha_ball(d, alpha)
-        if body.ellipsoid_axes() is not None:
-            rows.append(_row("Thm6", "e89", body_id, ga.value, ref,
-                             stderr=ga.stderr, extra={"alpha": alpha}))
-        rows.append(_row("Thm6", "e81", body_id, ga.value,
-                         d ** (2.0 * d) * ref, stderr=ga.stderr,
-                         extra={"alpha": alpha}))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# planar checks
-# ---------------------------------------------------------------------------
-
-def check_planar(body, alphas=(0.0, 1.0), cfg=None, body_id="body", comp=None):
-    """The planar inequality rows of one convex body; the e95 constant,
-    which depends on no body, comes from check_dimension_constants."""
-    if body.dimension != 2:
-        raise ValidationError("need d = 2")
-    comp = comp or compute_components(body, cfg)
-    h = assemble(FunctionalId("H"), comp, 2)
-    b = geometry.john_sorted_axes(body)
-    hb = exact.H_BALL
-    rows = []
-
-    # inscribed-rhombus perimeter bound (inner ellipse has axes b/2)
-    p_lower = 2.0 * math.sqrt(b[0] ** 2 + b[1] ** 2) / 2.0
-    if comp["P"].value < p_lower * (1.0 - 1e-6):
-        raise InternalConsistencyError(
-            f"perimeter {comp['P'].value} below rhombus lower bound {p_lower}")
-
-    if body.ellipsoid_axes() is not None:
-        rows.append(_row("Thm4", "e65", body_id, h.value, hb, stderr=h.stderr))
-        rows.append(_row("Thm4", "e65iii", body_id, h.value,
-                         2.0 ** -0.5 * hb * (1.0 + b[1] / b[0]),
-                         stderr=h.stderr))
-    rows.append(_row("Thm4", "e65a", body_id, h.value, 8.0 * hb,
-                     stderr=h.stderr, extra={"perimeter_lower": p_lower}))
-
-    for alpha in alphas:
-        ha = assemble(FunctionalId("H_alpha", alpha), comp, 2)
-        ref = exact.h_alpha_ball(alpha)
-        if body.ellipsoid_axes() is not None:
-            rows.append(_row("Thm8", "e92e", body_id, ha.value, ref,
-                             stderr=ha.stderr, extra={"alpha": alpha}))
-        rows.append(_row("Thm8", "e93", body_id, ha.value,
-                         2.0 ** (2.0 * alpha) * math.pi ** (3.0 - 2.0 * alpha) * ref,
-                         stderr=ha.stderr, extra={"alpha": alpha}))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# rows of the dimension alone
-# ---------------------------------------------------------------------------
-
 def check_dimension_constants(d, alphas=(0.0, 1.0), epsilon=0.1):
     """The rows that depend on the dimension and not on a body: the e82
     (d >= 3) or e95 (d = 2) constant per alpha, and the constrained-problem
     constants for d = 2 and d >= 4."""
+    kind, theorem, inequality = (("G_alpha", "Thm6", "e82") if d >= 3
+                                 else ("H_alpha", "Thm8", "e95"))
     rows = []
     body_id = f"const_d{d}"
     for alpha in alphas:
-        FunctionalId("G_alpha" if d >= 3 else "H_alpha", alpha)  # checks alpha
+        FunctionalId(kind, alpha)  # checks alpha
         extra = {"alpha": alpha}
-        if d >= 3 and alpha < 2.0:
-            expo = (2.0 * d * d + 2.0 * d - 2.0 * d * alpha + 2.0 - alpha) / (2.0 - alpha)
-            rows.append(_row("Thm6", "e82", body_id, 2.0 * d ** expo, math.inf,
+        if alpha < (2.0 if d >= 3 else 1.5):
+            lhs = (2.0 * d ** ((2.0 * d * d + 2.0 * d - 2.0 * d * alpha + 2.0 - alpha)
+                               / (2.0 - alpha)) if d >= 3
+                   else 2.0 ** ((3.0 + 2.0 * alpha) / (3.0 - 2.0 * alpha)) * math.pi ** 2)
+            rows.append(_row(theorem, inequality, body_id, lhs, math.inf,
                              status=PASS, extra=extra))
-        elif d >= 3:
-            rows.append(_row("Thm6", "e82", body_id, math.inf, math.inf,
-                             status=OUT_OF_REGIME, extra=extra))
-        elif alpha < 1.5:
-            rows.append(_row("Thm8", "e95", body_id,
-                             2.0 ** ((3.0 + 2.0 * alpha) / (3.0 - 2.0 * alpha))
-                             * math.pi ** 2,
-                             math.inf, status=PASS, extra=extra))
         else:
-            rows.append(_row("Thm8", "e95", body_id, math.inf, math.inf,
+            rows.append(_row(theorem, inequality, body_id, math.inf, math.inf,
                              status=OUT_OF_REGIME, extra=extra))
     if d == 2 or d >= 4:
         rows += check_constraint_constants(d, epsilon)
@@ -305,15 +271,8 @@ def ledger(bodies, cfg=None, alphas=(0.0, 1.0), epsilon=0.1):
     dims = set()
     for body_id in sorted(bodies):
         body = bodies[body_id]
-        d = body.dimension
-        dims.add(d)
-        comp = compute_components(body, cfg)
-        if d == 2:
-            rows += check_planar(body, alphas, cfg, body_id, comp)
-        else:
-            rows += check_thm1(body, cfg, body_id, comp)
-            rows += check_thm2(body, cfg, body_id, comp)
-            rows += check_thm6(body, alphas, cfg, body_id, comp)
+        dims.add(body.dimension)
+        rows += _body_rows(body, compute_components(body, cfg), body_id, alphas)
     for d in sorted(dims):
         rows += check_dimension_constants(d, alphas, epsilon)
     rows.sort(key=lambda r: (r.body_id, r.theorem, r.inequality))

@@ -250,13 +250,14 @@ def test_criterion_10_desk_scale_limits():
         # the conditional axis-ratio bound is checked in log scale and only
         # when its antecedent G >= G(B_1) holds; it is never reproduced
         # numerically at its astronomical face value
-        live = bounds.check_thm1(Ball(1.0, np.zeros(3)), body_id="ball")
-        e22 = next(r for r in live if r.inequality == "e22")
+        live, _ = bounds.ledger({"ball": Ball(1.0, np.zeros(3))})
+        e22 = next(r for r in live
+                   if r.body_id == "ball" and r.inequality == "e22")
         assert e22.extra["log_scale"] and e22.extra["antecedent_held"]
         assert e22.status == bounds.PASS
-        vac = bounds.check_thm1(Ellipsoid(np.array([6.0, 1.0, 0.2])),
-                                body_id="flat")
-        e22v = next(r for r in vac if r.inequality == "e22")
+        vac, _ = bounds.ledger({"flat": Ellipsoid(np.array([6.0, 1.0, 0.2]))})
+        e22v = next(r for r in vac
+                    if r.body_id == "flat" and r.inequality == "e22")
         assert e22v.status == bounds.VACUOUS
 
         # constrained suprema: slab-cut family lower bounds with the

@@ -16,10 +16,6 @@ from shapefn.bounds import (
     BoundReport,
     check_constraint_constants,
     check_dimension_constants,
-    check_planar,
-    check_thm1,
-    check_thm2,
-    check_thm6,
     enumerated_row_types,
     ledger,
     thm3_c_constant,
@@ -36,6 +32,13 @@ def cube_vertices(d, half=1.0):
 
 
 CFG = EstimatorConfig(walk_count=4000, seed=0)
+
+
+def body_rows(body, body_id, cfg=CFG, alphas=(0.0, 1.0), theorem=None):
+    """The ledger rows of one body, of one theorem if given."""
+    rows, _ = ledger({body_id: body}, cfg, alphas=alphas)
+    return [r for r in rows if r.body_id == body_id
+            and theorem in (None, r.theorem)]
 
 
 # ---------------------------------------------------------------------------
@@ -67,7 +70,7 @@ def test_slack():
 # ---------------------------------------------------------------------------
 
 def test_thm1_ball_rows():
-    rows = check_thm1(Ball(1.0, np.zeros(3)), CFG, "ball")
+    rows = body_rows(Ball(1.0, np.zeros(3)), "ball", theorem="Thm1")
     by_id = {r.inequality: r for r in rows}
     # the ball attains G(B_1), so the conditional row is live, and the axis
     # ratio 1 gives log lhs = 0
@@ -79,14 +82,15 @@ def test_thm1_ball_rows():
 
 def test_thm1_flat_ellipsoid_vacuous():
     # strongly non-spherical: G < G(B_1), antecedent fails
-    rows = check_thm1(Ellipsoid(np.array([5.0, 1.0, 0.2])), CFG, "flat")
+    rows = body_rows(Ellipsoid(np.array([5.0, 1.0, 0.2])), "flat")
     e22 = next(r for r in rows if r.inequality == "e22")
     assert e22.status == VACUOUS
     assert not e22.extra["antecedent_held"]
 
 
 def test_thm2_rows_ellipsoid():
-    rows = check_thm2(Ellipsoid(np.array([2.0, 1.0, 1.0, 0.5])), CFG, "e4")
+    rows = body_rows(Ellipsoid(np.array([2.0, 1.0, 1.0, 0.5])), "e4",
+                     theorem="Thm2")
     ids = {r.inequality for r in rows}
     assert ids == {"e32", "e32a", "e33"}
     assert all(r.status == PASS for r in rows)
@@ -97,19 +101,19 @@ def test_thm2_rows_ellipsoid():
     # order leave it unchanged to the bit
     Q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))
     moved = Ellipsoid(np.array([1.0, 0.5, 2.0, 1.0]), np.array([0.3, -0.2, 0.1, 0.5]), Q)
-    e33m = next(r for r in check_thm2(moved, CFG, "e4m") if r.inequality == "e33")
+    e33m = next(r for r in body_rows(moved, "e4m") if r.inequality == "e33")
     assert e33m.rhs == e33.rhs and e33m.extra == e33.extra
     assert e33m.lhs == pytest.approx(e33.lhs, rel=1e-14) and e33m.status == PASS
 
 
 def test_thm2_no_e33_for_d3():
-    rows = check_thm2(Ball(1.0, np.zeros(3)), CFG, "ball")
+    rows = body_rows(Ball(1.0, np.zeros(3)), "ball", theorem="Thm2")
     assert {r.inequality for r in rows} == {"e32", "e32a"}
 
 
 def test_thm2_e33_known_value_at_d4_ball():
     # C = 1 for the ball: rhs = G(B_1) d(d-3)/((d-1)(d-2)) / (1 - 1/2)
-    rows = check_thm2(Ball(1.0, np.zeros(4)), CFG, "b4")
+    rows = body_rows(Ball(1.0, np.zeros(4)), "b4")
     e33 = next(r for r in rows if r.inequality == "e33")
     gb = ex.g_ball(4)
     assert e33.rhs == pytest.approx(gb * 4 * 1 / (3 * 2) / 0.5, rel=1e-12)
@@ -117,8 +121,8 @@ def test_thm2_e33_known_value_at_d4_ball():
 
 
 def test_thm6_rows():
-    rows = check_thm6(Ball(1.0, np.zeros(3)), alphas=(0.0, 2.0), cfg=CFG,
-                      body_id="ball")
+    rows = body_rows(Ball(1.0, np.zeros(3)), "ball", alphas=(0.0, 2.0),
+                     theorem="Thm6")
     kinds = sorted((r.inequality, r.extra["alpha"]) for r in rows)
     assert kinds == [("e81", 0.0), ("e81", 2.0), ("e89", 0.0), ("e89", 2.0)]
     # the e82 constant depends on d alone, so it is a row of the dimension
@@ -178,8 +182,7 @@ def test_out_of_regime_epsilon():
 # ---------------------------------------------------------------------------
 
 def test_planar_disk_rows():
-    rows = check_planar(Ball(1.0, np.zeros(2)), alphas=(0.0, 1.0), cfg=CFG,
-                        body_id="disk")
+    rows = body_rows(Ball(1.0, np.zeros(2)), "disk", alphas=(0.0, 1.0))
     ids = sorted({r.inequality for r in rows})
     assert ids == ["e65", "e65a", "e65iii", "e92e", "e93"]
     const = [r for r in check_dimension_constants(2, alphas=(0.0, 1.0))
@@ -192,7 +195,7 @@ def test_planar_disk_rows():
 
 
 def test_planar_e65iii_disk_constant():
-    rows = check_planar(Ball(1.0, np.zeros(2)), cfg=CFG, body_id="disk")
+    rows = body_rows(Ball(1.0, np.zeros(2)), "disk")
     r = next(r for r in rows if r.inequality == "e65iii")
     assert r.rhs == pytest.approx(2.0 ** 0.5 * ex.H_BALL, rel=1e-12)
 
@@ -205,17 +208,11 @@ def test_planar_e95_constant():
 
 def test_planar_square():
     cfg = EstimatorConfig(walk_count=4000, seed=1)
-    rows = check_planar(Polytope(cube_vertices(2)), alphas=(1.0,), cfg=cfg,
-                        body_id="square")
+    rows = body_rows(Polytope(cube_vertices(2)), "square", cfg, alphas=(1.0,))
     # non-ellipse: no sharp rows, but all coarse rows must hold
     ids = {r.inequality for r in rows}
     assert "e65" not in ids and "e92e" not in ids
     assert all(r.status in (PASS, OUT_OF_REGIME, INCONCLUSIVE) for r in rows)
-
-
-def test_planar_rejects_3d():
-    with pytest.raises(ValidationError):
-        check_planar(Ball(1.0, np.zeros(3)))
 
 
 # ---------------------------------------------------------------------------
