@@ -110,8 +110,9 @@ def _body_rows(body, comp, body_id, alphas):
     b = geometry.john_sorted_axes(body)
     kind = "H" if d == 2 else "G"
     if d == 2:
-        # inscribed-rhombus perimeter bound (inner ellipse has axes b/2)
-        p_lower = 2.0 * math.sqrt(b[0] ** 2 + b[1] ** 2) / 2.0
+        # inscribed-rhombus perimeter bound: the inner ellipse has semi-axes
+        # b/2, and the rhombus on their ends has perimeter 4 |b/2|
+        p_lower = 2.0 * math.sqrt(b[0] ** 2 + b[1] ** 2)
         if comp["P"].value < p_lower * (1.0 - 1e-6):
             raise InternalConsistencyError(
                 f"perimeter {comp['P'].value} below rhombus lower bound {p_lower}")

@@ -200,6 +200,15 @@ def test_planar_e65iii_disk_constant():
     assert r.rhs == pytest.approx(2.0 ** 0.5 * ex.H_BALL, rel=1e-12)
 
 
+def test_planar_rhombus_perimeter_bound_on_the_disk():
+    # the unit disk is its own outer ellipse; the rhombus on the ends of the
+    # inner ellipse's semi-axes (1/2, 1/2) has perimeter 2 sqrt(2)
+    e65a = next(r for r in body_rows(Ball(1.0, np.zeros(2)), "disk")
+                if r.inequality == "e65a")
+    assert e65a.extra["perimeter_lower"] == pytest.approx(2.0 * math.sqrt(2.0),
+                                                          rel=1e-12)
+
+
 def test_planar_e95_constant():
     rows = check_dimension_constants(2, alphas=(0.0,))
     r = next(r for r in rows if r.inequality == "e95")
