@@ -262,8 +262,10 @@ def check_dimension_constants(d, alphas=(0.0, 1.0), epsilon=0.1):
 def ledger(bodies, cfg=None, alphas=(0.0, 1.0), epsilon=0.1):
     """Run every applicable check over a body corpus.
 
-    bodies: mapping id -> body, or an iterable of bodies (auto ids).
+    bodies: mapping id -> body, or an iterable of bodies (auto ids); each
+    alpha counts once, in the order it first appears.
     Returns (rows, summary); summary counts statuses, failures expected zero."""
+    alphas = tuple(dict.fromkeys(alphas))
     if not isinstance(bodies, dict):
         bodies = {f"body{i:03d}": b for i, b in enumerate(bodies)}
     if not bodies:

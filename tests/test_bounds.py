@@ -317,6 +317,14 @@ def test_ledger_matches_its_pinned_rows(tmp_path):
         _assert_same(g, w, f"row {i} ({w['body_id']} {w['inequality']})")
 
 
+def test_ledger_takes_a_repeated_alpha_once():
+    bodies = {"ell3": Ellipsoid(np.array([2.0, 1.0, 0.5])),
+              "disk": Ball(1.0, np.zeros(2))}
+    once, _ = ledger(bodies, CFG, alphas=(0.0,))
+    twice, summary = ledger(bodies, CFG, alphas=(0.0, 0.0))
+    assert twice == once and summary["rows"] == len(once)
+
+
 def test_ledger_rejects_empty():
     with pytest.raises(ValidationError):
         ledger({}, CFG)
