@@ -47,7 +47,6 @@ from .functionals import (
     FunctionalId,
     evaluate,
     parse_functional,
-    scale_invariance_check,
 )
 from .bounds import (
     BoundReport,

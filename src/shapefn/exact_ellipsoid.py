@@ -57,18 +57,6 @@ def h_alpha_ball(alpha):
     return 2.0 ** ((4.0 * alpha - 9.0) / 2.0) * math.pi ** ((2.0 * alpha - 5.0) / 2.0)
 
 
-def _constants_self_test():
-    # closed-form (d-2)/(d+2) against the raw kappa*tau/omega^2 assembly
-    for d in range(3, 33):
-        assembled = kappa_d(d) * tau_d(d) / omega_d(d) ** 2
-        if abs(assembled - g_ball(d)) > 1e-13 * g_ball(d):
-            raise InternalConsistencyError(
-                f"ball-constant self-test failed at d={d}")
-
-
-_constants_self_test()
-
-
 # ---------------------------------------------------------------------------
 # torsion and capacity of ellipsoids
 # ---------------------------------------------------------------------------

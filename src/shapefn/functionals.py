@@ -148,15 +148,3 @@ def evaluate(f, body, cfg=None):
     _, pV, pP = f.exponents(d)
     return assemble(f, compute_components(body, cfg, need=_needed(pV, pP)), d)
 
-
-def scale_invariance_check(f, body, t_list, cfg=None):
-    """Max relative deviation of f over homotheties of the body.
-
-    Stochastic backends use common random numbers (same config seed), so the
-    default relative shell width makes scaled walks identical in law."""
-    base = evaluate(f, body, cfg)
-    dev = 0.0
-    for t in t_list:
-        ev = evaluate(f, geometry.scale(body, t), cfg)
-        dev = max(dev, abs(ev.value - base.value) / abs(base.value))
-    return dev

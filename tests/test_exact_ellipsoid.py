@@ -41,6 +41,13 @@ def test_g_ball_closed_form():
         ex.kappa_d(2)
 
 
+def test_g_ball_matches_its_kappa_tau_omega_assembly():
+    # closed-form (d-2)/(d+2) against the raw kappa*tau/omega^2 assembly
+    for d in range(3, 33):
+        assembled = ex.kappa_d(d) * ex.tau_d(d) / ex.omega_d(d) ** 2
+        assert abs(assembled - ex.g_ball(d)) <= 1e-13 * ex.g_ball(d), d
+
+
 def test_h_ball_value():
     assert ex.H_BALL == pytest.approx(1.0 / (2 * math.sqrt(2) * math.pi), rel=1e-15)
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shapefn import exact_ellipsoid as ex
-from shapefn import functionals as fn
 from shapefn.errors import ValidationError
 from shapefn.estimators import EstimatorConfig, wos_capacity, wos_torsion
 from shapefn.functionals import FunctionalId, evaluate, parse_functional
@@ -121,12 +120,6 @@ def test_scale_invariance_exact(axes, t, alpha):
     v1 = evaluate(f, body).value
     v2 = evaluate(f, Ellipsoid(t * np.array(axes))).value
     assert v2 == pytest.approx(v1, rel=1e-10)
-
-
-def test_scale_invariance_check_helper():
-    dev = fn.scale_invariance_check(
-        FunctionalId("G"), Ellipsoid(np.array([2.0, 1.0, 0.5])), [0.1, 1.0, 7.3])
-    assert dev < 1e-10
 
 
 def test_ball_is_maximizer_among_random_ellipsoids():
