@@ -234,14 +234,14 @@ def check_dimension_constants(d, alphas=(0.0, 1.0), epsilon=0.1):
     """The rows that depend on the dimension and not on a body: the e82
     (d >= 3) or e95 (d = 2) constant per alpha, and the constrained-problem
     constants for d = 2 and d >= 4."""
-    kind, theorem, inequality = (("G_alpha", "Thm6", "e82") if d >= 3
-                                 else ("H_alpha", "Thm8", "e95"))
+    kind, theorem, inequality, limit = (("G_alpha", "Thm6", "e82", 2.0) if d >= 3
+                                        else ("H_alpha", "Thm8", "e95", 1.5))
     rows = []
     body_id = f"const_d{d}"
     for alpha in alphas:
         FunctionalId(kind, alpha)  # checks alpha
         extra = {"alpha": alpha}
-        if alpha < (2.0 if d >= 3 else 1.5):
+        if alpha < limit:
             lhs = (2.0 * d ** ((2.0 * d * d + 2.0 * d - 2.0 * d * alpha + 2.0 - alpha)
                                / (2.0 - alpha)) if d >= 3
                    else 2.0 ** ((3.0 + 2.0 * alpha) / (3.0 - 2.0 * alpha)) * math.pi ** 2)
