@@ -277,8 +277,8 @@ def test_ledger_rows_do_not_repeat():
 
 
 # write_json's rows of this corpus, at 2000 walks and seed 0, are pinned in
-# tests/data/ledger_pinned.json; a change of the ledger that moves no number
-# leaves them as they are
+# tests/data/ledger_pinned.json: keys and statuses exactly, every number to
+# 1e-12 relative, so a refactor of the ledger must leave them all in place
 PINNED_PATH = pathlib.Path(__file__).parent / "data" / "ledger_pinned.json"
 
 
