@@ -1,7 +1,7 @@
 """Executable inequality ledger: every quantitative bound on the shape
 functionals as a BoundReport row.
 
-``ledger`` is the entry point. It writes each body's rows, then the rows
+``ledger`` is the entry point. It builds each body's rows, then the rows
 that depend on the dimension alone. Theorems 2, 4, 6 and 8 share one shape
 for G, H, G_alpha and H_alpha in turn: an ellipsoid is at most the ball
 value, and every convex body is at most a constant times it. The table
@@ -13,8 +13,6 @@ perimeter check follow it."""
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -291,30 +289,3 @@ def ledger(bodies, cfg=None, alphas=(0.0, 1.0), epsilon=0.1):
 def enumerated_row_types():
     return sorted(f"{t}:{i}" for t, ids in ROW_TYPES.items() for i in ids)
 
-
-def write_csv(rows, path):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["theorem", "body_id", "lhs", "rhs", "slack", "stderr",
-                    "status"])
-        for r in rows:
-            w.writerow([f"{r.theorem}({r.inequality})", r.body_id,
-                        repr(r.lhs), repr(r.rhs), repr(r.slack),
-                        repr(r.stderr), r.status])
-
-
-def _jsonable(obj):
-    if isinstance(obj, (np.bool_,)):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"not serializable: {type(obj).__name__}")
-
-
-def write_json(rows, path):
-    with open(path, "w") as fh:
-        json.dump([r.to_dict() for r in rows], fh, sort_keys=True, indent=1,
-                  default=_jsonable)
-        fh.write("\n")

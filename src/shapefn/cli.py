@@ -4,8 +4,8 @@ search shape families, and emit the divergent-sequence table."""
 from __future__ import annotations
 
 import argparse
+import csv
 import json
-import math
 import os
 import sys
 
@@ -30,34 +30,25 @@ EXIT_ESTIMATOR = 3
 
 
 # ---------------------------------------------------------------------------
-# deterministic JSON (sorted keys, 17 significant digits)
+# the one JSON writer and the one CSV writer
 # ---------------------------------------------------------------------------
 
-def dumps(obj, indent=0):
-    pad = " " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        x = float(obj)
-        if math.isnan(x):
-            return "NaN"
-        if math.isinf(x):
-            return "Infinity" if x > 0 else "-Infinity"
-        return format(x, ".17g")
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        items = [f'{pad} {json.dumps(str(k))}: {dumps(obj[k], indent + 1)}'
-                 for k in sorted(obj, key=str)]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple, np.ndarray)):
-        items = [f"{pad} {dumps(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
+def _plain(obj):
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     raise ValidationError(f"cannot serialize {type(obj).__name__}")
+
+
+def dumps(obj):
+    """Deterministic JSON: sorted keys, shortest round-trip floats."""
+    return json.dumps(obj, sort_keys=True, indent=1, default=_plain)
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 def _manifest(args, cfg=None, bodies=(), outputs=()):
@@ -129,8 +120,12 @@ def cmd_verify(args):
     alphas = tuple(float(a) for a in args.alphas.split(","))
     rows, summary = bounds.ledger(bodies, cfg, alphas=alphas,
                                   epsilon=args.epsilon)
-    bounds.write_csv(rows, args.out_csv)
-    bounds.write_json(rows, args.out_json)
+    _write_csv(args.out_csv,
+               ["theorem", "body_id", "lhs", "rhs", "slack", "stderr", "status"],
+               [[f"{r.theorem}({r.inequality})", r.body_id, r.lhs, r.rhs,
+                 r.slack, r.stderr, r.status] for r in rows])
+    with open(args.out_json, "w") as fh:
+        fh.write(dumps([r.to_dict() for r in rows]) + "\n")
     _emit({"summary": summary,
            "manifest": _manifest(args, cfg, bodies=sorted(bodies),
                                  outputs=[args.out_csv, args.out_json])})
@@ -156,22 +151,13 @@ def cmd_search(args):
 def cmd_counterexample(args):
     if args.kmax < 1:
         raise ValidationError("--kmax must be at least 1")
-    ks = []
-    k = 1
-    while k <= args.kmax:
-        ks.append(k)
-        k *= 2
-    if ks[-1] != args.kmax:
-        ks.append(args.kmax)
+    ks = [1 << i for i in range(args.kmax.bit_length())] + [args.kmax]
     rows = search.counterexample_sequence(args.dim, args.beta, ks)
     table = [r.to_dict() for r in rows]
     if args.out_csv:
-        with open(args.out_csv, "w") as fh:
-            cols = ["k", "G_lower", "G_upper", "volume", "torsion",
-                    "cap_lower", "cap_upper"]
-            fh.write(",".join(cols) + "\n")
-            for row in table:
-                fh.write(",".join(dumps(row[c]) for c in cols) + "\n")
+        cols = ["k", "G_lower", "G_upper", "volume", "torsion", "cap_lower",
+                "cap_upper"]
+        _write_csv(args.out_csv, cols, [[row[c] for c in cols] for row in table])
     _emit({"table": table,
            "manifest": _manifest(args, outputs=[args.out_csv] if args.out_csv else [])})
     return EXIT_OK

@@ -61,12 +61,18 @@ def h_alpha_ball(alpha):
 # torsion and capacity of ellipsoids
 # ---------------------------------------------------------------------------
 
+def _axes(a, k):
+    """a as a float array of d >= k semi-axes, each positive and finite."""
+    a = np.asarray(a, dtype=float)
+    if a.size < k or not np.all(np.isfinite(a) & (a > 0)):
+        raise ValidationError(f"need d >= {k} positive finite semi-axes")
+    return a
+
+
 def torsion_ellipsoid(a):
     """T(E(a)) = omega_d/(d+2) (prod a_i) (sum a_i^-2)^-1, any d >= 2."""
-    a = np.asarray(a, dtype=float)
+    a = _axes(a, 2)
     d = a.size
-    if d < 2 or np.any(a <= 0):
-        raise ValidationError("need d >= 2 positive semi-axes")
     return omega_d(d) / (d + 2.0) * float(np.prod(a)) / float(np.sum(a ** -2.0))
 
 
@@ -109,11 +115,8 @@ def carlson_integral(a):
     d = 3 goes through Carlson's R_F (`scipy.special.elliprf`); d >= 4
     through the trapezoid rule in log t (`adaptive_gl`) on
     prod (1 + t/a_i^2)^{-1/2}."""
-    a = np.asarray(a, dtype=float)
-    d = a.size
-    if d < 3 or np.any(a <= 0):
-        raise ValidationError("need d >= 3 positive semi-axes")
-    if d == 3:
+    a = _axes(a, 3)
+    if a.size == 3:
         return 2.0 * float(elliprf(a[0] ** 2, a[1] ** 2, a[2] ** 2))
     return _reduced_carlson(a ** -2.0) / float(np.prod(a))
 
@@ -126,10 +129,8 @@ def perimeter_ellipsoid(a):
     E_g sqrt(sum c_i g_i^2) = (4 pi)^{-1/2} int_0^inf
     (1 - prod (1 + 2 c_i t)^{-1/2}) t^{-3/2} dt, taken by the trapezoid
     rule in log t (`adaptive_gl`); E|g| = sqrt(2) Gamma((d+1)/2) / Gamma(d/2)."""
-    a = np.asarray(a, dtype=float)
+    a = _axes(a, 2)
     d = a.size
-    if d < 2 or np.any(a <= 0):
-        raise ValidationError("need d >= 2 positive semi-axes")
     c2 = 2.0 * a ** -2.0
 
     def f(t):
@@ -144,26 +145,23 @@ def perimeter_ellipsoid(a):
 def cap_newtonian_ellipsoid(a):
     """cp(closure of E(a)) = kappa_d / (d/2 - 1) / e(a), d >= 3; on a ball of
     radius r the closed form kappa_d r^(d-2), free of quadrature rounding."""
-    a = np.asarray(a, dtype=float)
+    a = _axes(a, 3)
     d = a.size
-    if d >= 3 and a[0] > 0 and np.all(a == a[0]):
+    if np.all(a == a[0]):
         return kappa_d(d) * float(a[0]) ** (d - 2)
     return kappa_d(d) / (d / 2.0 - 1.0) / carlson_integral(a)
 
 
 def cap_log_ellipse(a1, a2):
     """Logarithmic capacity of an ellipse: (a1 + a2)/2."""
-    if a1 <= 0 or a2 <= 0:
-        raise ValidationError("semi-axes must be positive")
+    _axes([a1, a2], 2)
     return 0.5 * (a1 + a2)
 
 
 def eccentricity(a):
     """(C(a), crude lower bound b_1^2/((d-1) b_d^2)) for sorted axes b."""
-    a = np.asarray(a, dtype=float)
+    a = _axes(a, 2)
     d = a.size
-    if d < 2 or np.any(a <= 0):
-        raise ValidationError("need d >= 2 positive semi-axes")
     b = np.sort(a)[::-1]
     C = float(np.sum((b[0] / b[1:]) ** 2)) / (d - 1.0)
     return C, b[0] ** 2 / ((d - 1.0) * b[-1] ** 2)
@@ -181,10 +179,8 @@ def g_ellipsoid_direct(a):
     relative disagreement beyond _G_CROSS_CHECK_TOL raises. At d = 3 the
     assembly's capacity comes from R_F, so the check is independent; at
     d >= 4 it shares the quadrature and checks the assembly constants."""
-    a = np.asarray(a, dtype=float)
+    a = _axes(a, 3)
     d = a.size
-    if d < 3 or np.any(a <= 0):
-        raise ValidationError("need d >= 3 positive semi-axes")
     c = a ** -2.0
     J = float(c.sum()) * _reduced_carlson(c)
     val = g_ball(d) * (2.0 * d / (d - 2.0)) / J

@@ -5,7 +5,7 @@ union-of-balls sequence with certified G intervals."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq, minimize
@@ -126,9 +126,8 @@ def maximize(f, family, cfg=None, restarts=20, seed=0, max_evals=4000):
     each restart; if none succeeded, the last ShapeFnError is raised."""
     if restarts < 1:
         raise ValidationError("restarts must be at least 1")
-    probe = family.to_body(np.zeros(family.n_params))
-    if not f.dimension_ok(probe.dimension):
-        raise ValidationError(f"{f.name} undefined in dimension {probe.dimension}")
+    if not f.dimension_ok(family.dim):
+        raise ValidationError(f"{f.name} undefined in dimension {family.dim}")
     best = [-math.inf, None, None, None]  # value, theta, body, evaluation
     error = None
 
@@ -176,11 +175,9 @@ def maximize_constrained(f, d, epsilon, cfg=None, restarts=8, seed=0,
     if diam / r > bound * (1.0 + 1e-9):
         raise InternalConsistencyError(
             f"best body has diam/r = {diam / r}, above the bound {bound}")
-    extra = dict(result.extra, epsilon=epsilon, diam_over_inradius=diam / r,
-                 ratio_bound=bound)
-    return SearchResult(result.best_params, result.best_body,
-                        result.best_value, result.best_eval, result.trace,
-                        result.converged, extra)
+    return replace(result, extra=dict(result.extra, epsilon=epsilon,
+                                      diam_over_inradius=diam / r,
+                                      ratio_bound=bound))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from shapefn import bounds, exact_ellipsoid as ex
+from shapefn import bounds, cli, exact_ellipsoid as ex
 from shapefn.bounds import (
     FAIL,
     INCONCLUSIVE,
@@ -19,8 +19,6 @@ from shapefn.bounds import (
     enumerated_row_types,
     ledger,
     thm3_c_constant,
-    write_csv,
-    write_json,
 )
 from shapefn.errors import InternalConsistencyError, ValidationError
 from shapefn.estimators import EstimatorConfig
@@ -228,15 +226,29 @@ def test_planar_square():
 # ledger
 # ---------------------------------------------------------------------------
 
+def small_corpus():
+    return {"ball3": Ball(1.0, np.zeros(3)),
+            "ell4": Ellipsoid(np.array([2.0, 1.0, 1.0, 0.8])),
+            "disk": Ball(1.0, np.zeros(2)),
+            "ellipse": Ellipsoid(np.array([2.0, 1.0]))}
+
+
 @pytest.fixture(scope="module")
 def small_ledger():
-    bodies = {
-        "ball3": Ball(1.0, np.zeros(3)),
-        "ell4": Ellipsoid(np.array([2.0, 1.0, 1.0, 0.8])),
-        "disk": Ball(1.0, np.zeros(2)),
-        "ellipse": Ellipsoid(np.array([2.0, 1.0])),
-    }
-    return ledger(bodies, CFG, alphas=(0.0, 1.0), epsilon=0.1)
+    return ledger(small_corpus(), CFG, alphas=(0.0, 1.0), epsilon=0.1)
+
+
+def verify_files(tmp_path, bodies, *options):
+    """Run `shapefn verify` on bodies; the CSV rows and JSON rows it writes."""
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for body_id, body in bodies.items():
+        (corpus / f"{body_id}.json").write_text(json.dumps(body.to_dict()))
+    csv_path, json_path = tmp_path / "ledger.csv", tmp_path / "ledger.json"
+    assert cli.main(["verify", str(corpus), "--out-csv", str(csv_path),
+                     "--out-json", str(json_path), *options]) == 0
+    with open(csv_path, newline="") as fh:
+        return list(csv.reader(fh)), json.loads(json_path.read_text())
 
 
 def test_ledger_no_failures(small_ledger):
@@ -276,9 +288,10 @@ def test_ledger_rows_do_not_repeat():
     assert summary["rows"] == len(rows)
 
 
-# write_json's rows of this corpus, at 2000 walks and seed 0, are pinned in
-# tests/data/ledger_pinned.json: keys and statuses exactly, every number to
-# 1e-12 relative, so a refactor of the ledger must leave them all in place
+# the ledger JSON that `shapefn verify` writes for this corpus, at 2000
+# walks and seed 0, is pinned in tests/data/ledger_pinned.json: keys and
+# statuses exactly, every number to 1e-12 relative, so a refactor of the
+# ledger or its writer must leave them all in place
 PINNED_PATH = pathlib.Path(__file__).parent / "data" / "ledger_pinned.json"
 
 
@@ -308,9 +321,7 @@ def _assert_same(got, want, where):
 
 
 def test_ledger_matches_its_pinned_rows(tmp_path):
-    rows, _ = ledger(pinned_corpus(), EstimatorConfig(walk_count=2000, seed=0))
-    write_json(rows, tmp_path / "ledger.json")
-    got = json.loads((tmp_path / "ledger.json").read_text())
+    _, got = verify_files(tmp_path, pinned_corpus(), "--walks", "2000", "--seed", "0")
     want = json.loads(PINNED_PATH.read_text())
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
@@ -342,21 +353,15 @@ def test_ledger_auto_ids():
 
 def test_write_csv_and_json(tmp_path, small_ledger):
     rows, _ = small_ledger
-    csv_path = tmp_path / "ledger.csv"
-    json_path = tmp_path / "ledger.json"
-    write_csv(rows, csv_path)
-    write_json(rows, json_path)
-
-    with open(csv_path, newline="") as fh:
-        got = list(csv.reader(fh))
+    got, doc = verify_files(tmp_path, small_corpus(), "--walks", "4000",
+                            "--seed", "0", "--alphas", "0,1", "--epsilon", "0.1")
     assert got[0] == ["theorem", "body_id", "lhs", "rhs", "slack", "stderr",
                       "status"]
     assert len(got) == len(rows) + 1
-    # repr round-trip: lhs column reparses to the exact float
+    # the lhs column reparses to the exact float
     for line, row in zip(got[1:], rows):
         assert float(line[2]) == row.lhs or (math.isnan(row.lhs))
 
-    doc = json.loads(json_path.read_text())
     assert len(doc) == len(rows)
     assert {r["status"] for r in doc} <= {PASS, FAIL, INCONCLUSIVE, VACUOUS,
                                           OUT_OF_REGIME}

@@ -43,7 +43,8 @@ def test_dumps_scalars():
     assert cli.dumps(None) == "null"
     assert cli.dumps(True) == "true"
     assert cli.dumps(3) == "3"
-    assert cli.dumps(0.1) == "0.10000000000000001"
+    assert cli.dumps(0.1) == "0.1"
+    assert cli.dumps(8.0) == "8.0"
     assert cli.dumps(math.inf) == "Infinity"
     assert cli.dumps(-math.inf) == "-Infinity"
     assert cli.dumps("a\"b") == '"a\\"b"'

@@ -148,6 +148,21 @@ def test_capacity_monotone_in_axes():
     assert ex.cap_newtonian_ellipsoid(a + 0.1) > ex.cap_newtonian_ellipsoid(a)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+@pytest.mark.parametrize("fn, k", [
+    (ex.torsion_ellipsoid, 2), (ex.carlson_integral, 3), (ex.carlson_integral, 4),
+    (ex.perimeter_ellipsoid, 2), (ex.perimeter_ellipsoid, 3), (ex.eccentricity, 2),
+    (ex.cap_newtonian_ellipsoid, 3), (ex.g_ellipsoid_direct, 3),
+    (lambda a: ex.cap_log_ellipse(*a), 2),
+], ids=["torsion", "carlson3", "carlson4", "perimeter2", "perimeter3",
+        "eccentricity", "cap_newtonian", "g_direct", "cap_log"])
+def test_exact_backends_reject_a_bad_semi_axis(fn, k, bad):
+    # a NaN or infinite axis is a validation error like a non-positive one,
+    # not a NaN, an infinity, an OverflowError or a bare ValueError
+    with pytest.raises(ValidationError):
+        fn([bad] + [1.0] * (k - 1))
+
+
 def test_cap_log_ellipse():
     assert ex.cap_log_ellipse(2.0, 1.0) == 1.5
     assert ex.cap_log_ellipse(1.0, 1.0) == 1.0  # disk: its own radius

@@ -700,6 +700,18 @@ def test_john_pair_sandwich():
                       == pytest.approx(outer.semi_axes))
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_john_pair_raises_on_an_inner_ellipsoid_outside_the_body(d, monkeypatch):
+    # a simplex's inner John ellipsoid touches every facet, so an outer
+    # ellipsoid grown by 1e-4 puts part of the inner one outside the body
+    simplex = Polytope(np.random.default_rng(d).normal(size=(d + 1, d)))
+    outer = simplex.john_outer()
+    grown = Ellipsoid(outer.semi_axes * (1.0 + 1e-4), outer.center, outer.orientation)
+    monkeypatch.setattr(Polytope, "john_outer", lambda self: grown)
+    with pytest.raises(InternalConsistencyError):
+        geo.john_pair(simplex)
+
+
 def test_john_pair_rejects_capsule():
     with pytest.raises(UnsupportedRepresentationError):
         geo.john_pair(Capsule(np.zeros(3), np.array([3.0, 0, 0]), 1.0))
