@@ -21,7 +21,7 @@ import numpy as np
 from . import exact_ellipsoid as exact
 from . import geometry
 from .errors import InternalConsistencyError, ValidationError
-from .functionals import FunctionalId, assemble, compute_components
+from .functionals import KINDS, FunctionalId, assemble, compute_components
 
 PASS = "pass"
 FAIL = "fail"
@@ -232,14 +232,14 @@ def check_dimension_constants(d, alphas=(0.0, 1.0), epsilon=0.1):
     """The rows that depend on the dimension and not on a body: the e82
     (d >= 3) or e95 (d = 2) constant per alpha, and the constrained-problem
     constants for d = 2 and d >= 4."""
-    kind, theorem, inequality, limit = (("G_alpha", "Thm6", "e82", 2.0) if d >= 3
-                                        else ("H_alpha", "Thm8", "e95", 1.5))
+    kind, theorem, inequality = (("G_alpha", "Thm6", "e82") if d >= 3
+                                 else ("H_alpha", "Thm8", "e95"))
     rows = []
     body_id = f"const_d{d}"
     for alpha in alphas:
         FunctionalId(kind, alpha)  # checks alpha
         extra = {"alpha": alpha}
-        if alpha < limit:
+        if alpha < KINDS[kind].max_alpha:
             lhs = (2.0 * d ** ((2.0 * d * d + 2.0 * d - 2.0 * d * alpha + 2.0 - alpha)
                                / (2.0 - alpha)) if d >= 3
                    else 2.0 ** ((3.0 + 2.0 * alpha) / (3.0 - 2.0 * alpha)) * math.pi ** 2)
@@ -260,12 +260,10 @@ def check_dimension_constants(d, alphas=(0.0, 1.0), epsilon=0.1):
 def ledger(bodies, cfg=None, alphas=(0.0, 1.0), epsilon=0.1):
     """Run every applicable check over a body corpus.
 
-    bodies: mapping id -> body, or an iterable of bodies (auto ids); each
-    alpha counts once, in the order it first appears.
+    bodies: mapping id -> body; each alpha counts once, in the order it
+    first appears.
     Returns (rows, summary); summary counts statuses, failures expected zero."""
     alphas = tuple(dict.fromkeys(alphas))
-    if not isinstance(bodies, dict):
-        bodies = {f"body{i:03d}": b for i, b in enumerate(bodies)}
     if not bodies:
         raise ValidationError("empty body corpus")
     rows = []

@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .estimators import EstimatorConfig
-from .functionals import evaluate, parse_functional
+from .functionals import KINDS, evaluate, parse_functional
 
 EXIT_OK = 0
 EXIT_LEDGER_FAILURE = 1
@@ -179,8 +179,7 @@ def build_parser():
 
     p = sub.add_parser("compute", help="evaluate a functional on a body")
     p.add_argument("body")
-    p.add_argument("--functional", required=True,
-                   choices=["G", "H", "G_alpha", "H_alpha"])
+    p.add_argument("--functional", required=True, choices=list(KINDS))
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--output", default=None)
     _add_common(p)
@@ -196,8 +195,7 @@ def build_parser():
     p.set_defaults(fn=cmd_verify)
 
     p = sub.add_parser("search", help="maximize a functional over a family")
-    p.add_argument("--functional", required=True,
-                   choices=["G", "H", "G_alpha", "H_alpha"])
+    p.add_argument("--functional", required=True, choices=list(KINDS))
     p.add_argument("--alpha", type=float, default=None)
     p.add_argument("--family", default="ellipsoids",
                    choices=["ellipsoids", "boxes", "capsules"])
@@ -223,9 +221,11 @@ def build_parser():
 def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # a measure out of double precision range is an error; underflow is not
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            return args.fn(args)
     except (ValidationError, RankDeficiencyError, UnsupportedRepresentationError,
-            OSError, ValueError) as e:
+            OSError, ValueError, ArithmeticError) as e:
         sys.stderr.write(f"error: {e}\n")
         return EXIT_VALIDATION
     except (StuckWalkError, DegenerateEstimateError) as e:

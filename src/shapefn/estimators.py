@@ -68,7 +68,6 @@ class EstimatorConfig:
 class Estimate:
     value: float
     standard_error: float
-    walk_count_used: int
     backend: str
     extra: dict = field(default_factory=dict)
 
@@ -190,7 +189,7 @@ def wos_torsion(body, cfg=None):
     cfg = cfg or EstimatorConfig()
     vol = body.measure()
     mean, se, extra = _torsion_mean(body, cfg, lambda rng, m: _sample_interior(body, m, rng))
-    return Estimate(vol * mean, vol * se, cfg.walk_count, "wos_torsion", extra)
+    return Estimate(vol * mean, vol * se, "wos_torsion", extra)
 
 
 def wos_torsion_pointwise(body, point, cfg=None):
@@ -201,7 +200,7 @@ def wos_torsion_pointwise(body, point, cfg=None):
     if signed_distance(body, p) > 0:
         raise ValidationError("the torsion function is defined only in the body")
     mean, se, extra = _torsion_mean(body, cfg, lambda rng, m: np.tile(p, (m, 1)))
-    return Estimate(mean, se, cfg.walk_count, "wos_torsion_pointwise", extra)
+    return Estimate(mean, se, "wos_torsion_pointwise", extra)
 
 
 # Russian roulette plays below this weight. Against 1e-6, 0.1 and 0.5 at 10^4
@@ -300,8 +299,7 @@ def wos_capacity(body, cfg=None):
     if mean == 0:
         raise DegenerateEstimateError("no capacity walk hit the body")
     scale = kappa_d(d) * R ** (d - 2)
-    return Estimate(scale * mean, scale * se, cfg.walk_count, "wos_capacity",
-                    extra={"diag": diag})
+    return Estimate(scale * mean, scale * se, "wos_capacity", extra={"diag": diag})
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +364,7 @@ def _arc_logcap(V, closed):
         a = np.concatenate([A[e] + gi[:-1, None] * E[e] for e, gi in enumerate(g)])
         b = np.concatenate([A[e] + gi[1:, None] * E[e] for e, gi in enumerate(g)])
         caps.append(diam * math.exp(_symm_potential(a, b)))
-    return caps[0], caps[1], 2 * int(m.sum())
+    return caps[0], caps[1]
 
 
 def fekete_logcap(body):
@@ -379,28 +377,27 @@ def fekete_logcap(body):
     replaced by its axis-aligned inscribed 2^k-gons, k = 8, 9, each solved
     as a polygon, and extrapolated for their N^-2 order, (4 v9 - v8) / 3, so
     its closed form stays an independent check. The standard error is
-    |v2 - v1| (|v9 - v8|), and walk_count_used is the finer level's panel
-    count."""
+    |v2 - v1| (|v9 - v8|)."""
     planar = body.dimension == 2
     if planar and isinstance(body, (Ball, Ellipsoid)):
         a = body.ellipsoid_axes()
         raw = []
         for k in (8, 9):
             th = 2.0 * math.pi * np.arange(2 ** k) / 2 ** k
-            v1, v2, n = _arc_logcap(np.stack([a[0] * np.cos(th), a[1] * np.sin(th)], 1),
-                                    closed=True)
+            v1, v2 = _arc_logcap(np.stack([a[0] * np.cos(th), a[1] * np.sin(th)], 1),
+                                 closed=True)
             raw.append(v2 + (v2 - v1) / 7.0)
         v1, v2 = raw
         value = (4.0 * v2 - v1) / 3.0
     elif planar and (isinstance(body, Polytope)
                      or isinstance(body, Capsule) and body.radius == 0.0):
         closed = isinstance(body, Polytope)
-        v1, v2, n = _arc_logcap(body.vertices if closed else np.stack([body.p, body.q]),
-                                closed)
+        v1, v2 = _arc_logcap(body.vertices if closed else np.stack([body.p, body.q]),
+                             closed)
         value = v2 + (v2 - v1) / 7.0
     else:
         raise UnsupportedRepresentationError(
             "logarithmic capacity needs a planar polygon, segment, disk or ellipse")
     se = abs(v2 - v1)
-    return Estimate(value, se, n, "symm",
+    return Estimate(value, se, "symm",
                     extra={"raw_n": v1, "raw_2n": v2, "converged": bool(se < 1e-6 * value)})

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 from . import estimators, geometry
 from . import exact_ellipsoid as exact
@@ -12,22 +13,38 @@ from .errors import ValidationError
 from .estimators import Estimate
 
 
+class Kind(NamedTuple):
+    max_alpha: float | None  # None: the kind takes no alpha
+    planar: bool  # defined for d = 2, else for d >= 3
+    exponents: Callable  # (d, alpha) -> (torsion, volume, perimeter) powers
+    ball_value: Callable  # (d, alpha) -> the value on a ball
+
+
+# G, H and their perimeter variants, in the CLI's order
+KINDS = {
+    "G": Kind(None, False, lambda d, a: (1.0, 2.0, 0.0), lambda d, a: exact.g_ball(d)),
+    "H": Kind(None, True, lambda d, a: (0.5, 1.5, 0.0), lambda d, a: exact.H_BALL),
+    "G_alpha": Kind(2.0, False, lambda d, a: (1.0, a, d * (2.0 - a) / (d - 1.0)),
+                    lambda d, a: exact.g_alpha_ball(d, a)),
+    "H_alpha": Kind(1.5, True, lambda d, a: (0.5, a, 3.0 - 2.0 * a),
+                    lambda d, a: exact.h_alpha_ball(a)),
+}
+
+
 @dataclass(frozen=True)
 class FunctionalId:
-    kind: str  # G | H | G_alpha | H_alpha
+    kind: str  # a key of KINDS
     alpha: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("G", "H", "G_alpha", "H_alpha"):
+        if self.kind not in KINDS:
             raise ValidationError(f"unknown functional {self.kind!r}")
-        if self.kind == "G_alpha":
-            if self.alpha is None or not 0.0 <= self.alpha <= 2.0:
-                raise ValidationError("G_alpha needs alpha in [0, 2]")
-        elif self.kind == "H_alpha":
-            if self.alpha is None or not 0.0 <= self.alpha <= 1.5:
-                raise ValidationError("H_alpha needs alpha in [0, 3/2]")
-        elif self.alpha is not None:
-            raise ValidationError(f"{self.kind} takes no alpha")
+        top = KINDS[self.kind].max_alpha
+        if top is None:
+            if self.alpha is not None:
+                raise ValidationError(f"{self.kind} takes no alpha")
+        elif self.alpha is None or not 0.0 <= self.alpha <= top:
+            raise ValidationError(f"{self.kind} needs alpha in [0, {top:g}]")
 
     @property
     def name(self):
@@ -36,34 +53,20 @@ class FunctionalId:
         return f"{self.kind}({self.alpha:g})"
 
     def dimension_ok(self, d):
-        if self.kind in ("G", "G_alpha"):
-            return d >= 3
-        return d == 2
+        return d == 2 if KINDS[self.kind].planar else d >= 3
 
     def exponents(self, d):
         """(torsion power, volume power, perimeter power); capacity power 1."""
-        if self.kind == "G":
-            return 1.0, 2.0, 0.0
-        if self.kind == "G_alpha":
-            return 1.0, self.alpha, d * (2.0 - self.alpha) / (d - 1.0)
-        if self.kind == "H":
-            return 0.5, 1.5, 0.0
-        return 0.5, self.alpha, 3.0 - 2.0 * self.alpha
+        return KINDS[self.kind].exponents(d, self.alpha)
 
     def ball_value(self, d):
-        if self.kind == "G":
-            return exact.g_ball(d)
-        if self.kind == "G_alpha":
-            return exact.g_alpha_ball(d, self.alpha)
-        if self.kind == "H":
-            return exact.H_BALL
-        return exact.h_alpha_ball(self.alpha)
+        return KINDS[self.kind].ball_value(d, self.alpha)
 
 
 def parse_functional(kind, alpha=None):
-    if kind in ("G_alpha", "H_alpha"):
-        return FunctionalId(kind, float(alpha))
-    return FunctionalId(kind)
+    if kind in KINDS and KINDS[kind].max_alpha is not None:
+        return FunctionalId(kind, None if alpha is None else float(alpha))
+    return FunctionalId(kind)  # which ignores alpha
 
 
 @dataclass(frozen=True)
@@ -91,7 +94,7 @@ def _component_dict(c):
 
 
 def _exact(value):
-    return Estimate(value, 0.0, 0, "exact")
+    return Estimate(value, 0.0, "exact")
 
 
 def compute_components(body, cfg=None, need=("T", "cap", "V", "P")):

@@ -19,11 +19,11 @@ A module function remains only where it does more than call one:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 from scipy.optimize import linprog
-from scipy.spatial import ConvexHull
+from scipy.spatial import ConvexHull, QhullError
 from scipy.special import betainc
 
 from .errors import (
@@ -150,8 +150,16 @@ class Body:
         raise self._unsupported("scaling")
 
     def to_dict(self):
-        """JSON form, read back by body_from_dict."""
-        raise self._unsupported("serialization")
+        """JSON form for body_from_dict: the kind and each constructor field set."""
+        kind = next((k for k, cls in BODY_KINDS.items() if cls is type(self)), None)
+        if kind is None:
+            raise self._unsupported("serialization")
+        doc = {"kind": kind}
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.init and v is not None:
+                doc[f.name] = v.tolist() if isinstance(v, np.ndarray) else v
+        return doc
 
     def john_outer(self):
         """Outer John (Loewner) ellipsoid."""
@@ -199,9 +207,6 @@ class Ball(Body):
 
     def scaled(self, t):
         return Ball(self.radius * t, self.center * t)
-
-    def to_dict(self):
-        return {"kind": "ball", "radius": self.radius, "center": self.center.tolist()}
 
     def john_outer(self):
         return Ellipsoid(np.full(self.dimension, self.radius), self.center)
@@ -291,13 +296,6 @@ class Ellipsoid(Body):
 
     def scaled(self, t):
         return Ellipsoid(self.semi_axes * t, self.center * t, self.orientation)
-
-    def to_dict(self):
-        out = {"kind": "ellipsoid", "semi_axes": self.semi_axes.tolist(),
-               "center": self.center.tolist()}
-        if self.orientation is not None:
-            out["orientation"] = self.orientation.tolist()
-        return out
 
     def john_outer(self):
         return self
@@ -391,7 +389,10 @@ class Polytope(Body):
         if V.shape[1] > 3:
             raise UnsupportedRepresentationError("polytopes are supported only for d <= 3")
         _check_spans(V)
-        hull = ConvexHull(V)
+        try:
+            hull = ConvexHull(V)
+        except QhullError as exc:  # flat to Qhull's own precision
+            raise RankDeficiencyError(str(exc).splitlines()[0]) from exc
         eq = hull.equations  # n . x + b <= 0
         norms = np.linalg.norm(eq[:, :-1], axis=1)
         if V.shape[1] == 2:
@@ -545,9 +546,6 @@ class Polytope(Body):
     def scaled(self, t):
         return Polytope(self.vertices * t)
 
-    def to_dict(self):
-        return {"kind": "polytope", "vertices": self.vertices.tolist()}
-
     def john_outer(self):
         return loewner_ellipsoid(self.vertices)
 
@@ -603,10 +601,6 @@ class Capsule(Body):
     def scaled(self, t):
         return Capsule(self.p * t, self.q * t, self.radius * t)
 
-    def to_dict(self):
-        return {"kind": "capsule", "p": self.p.tolist(), "q": self.q.tolist(),
-                "radius": self.radius}
-
 
 @dataclass(frozen=True, eq=False)
 class BallUnion(Body):
@@ -653,10 +647,6 @@ class BallUnion(Body):
 
     def scaled(self, t):
         return BallUnion(self.centers * t, self.radii * t)
-
-    def to_dict(self):
-        return {"kind": "ball_union", "centers": self.centers.tolist(),
-                "radii": self.radii.tolist()}
 
 
 # ---------------------------------------------------------------------------
@@ -945,24 +935,23 @@ def john_sorted_axes(body):
 # JSON serialization
 # ---------------------------------------------------------------------------
 
+BODY_KINDS = {"ball": Ball, "ellipsoid": Ellipsoid, "polytope": Polytope,
+              "capsule": Capsule, "ball_union": BallUnion}
+
+
 def body_from_dict(doc):
+    """The body of a JSON document: its kind plus the constructor's fields,
+    of which those with a default may be left out; other keys are ignored."""
     if not isinstance(doc, dict):
         raise ValidationError("a body document must be a JSON object")
     try:
         kind = doc["kind"]
-        if kind == "ball":
-            return Ball(doc["radius"], doc.get("center"))
-        if kind == "ellipsoid":
-            return Ellipsoid(doc["semi_axes"], doc.get("center"),
-                             doc.get("orientation"))
-        if kind == "polytope":
-            return Polytope(np.asarray(doc["vertices"], dtype=float))
-        if kind == "capsule":
-            return Capsule(doc["p"], doc["q"], doc["radius"])
-        if kind == "ball_union":
-            return BallUnion(doc["centers"], doc["radii"])
+        cls = BODY_KINDS.get(kind) if isinstance(kind, str) else None
+        if cls is None:
+            raise ValidationError(f"unknown body kind: {kind!r}")
+        return cls(**{f.name: doc[f.name] for f in fields(cls)
+                      if f.init and (f.name in doc or f.default is MISSING)})
     except KeyError as exc:
         raise ValidationError(f"missing body field: {exc}") from exc
     except TypeError as exc:  # a field of the wrong type, such as a string radius
         raise ValidationError(f"malformed body field: {exc}") from exc
-    raise ValidationError(f"unknown body kind: {kind!r}")

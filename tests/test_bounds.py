@@ -342,7 +342,7 @@ def test_ledger_rejects_empty():
 
 
 def test_ledger_auto_ids():
-    rows, summary = ledger([Ball(1.0, np.zeros(3))], CFG, epsilon=0.1)
+    rows, summary = ledger({"body000": Ball(1.0, np.zeros(3))}, CFG, epsilon=0.1)
     assert all(r.body_id in ("body000", "const_d3") for r in rows)
     assert summary[FAIL] == 0
 

@@ -112,11 +112,19 @@ CUBE4 = {"kind": "polytope",
          "vertices": np.array(np.meshgrid(*[[-1.0, 1.0]] * 4)).reshape(4, -1).T.tolist()}
 
 
+# a triangle that numpy's rank test passes and Qhull finds flat
+FLAT_TRIANGLE = {"kind": "polytope", "vertices": [[0, 0], [1, 0], [0.5, 1e-15]]}
+
+
 @pytest.mark.parametrize("doc, message", [
     (CUBE4, "d <= 3"),
     ({"kind": "ball", "radius": "1", "center": [0, 0, 0]}, "malformed body field"),
     ([1, 2], "JSON object"),
-], ids=["cube4", "string-radius", "list"])
+    (FLAT_TRIANGLE, "QH6154"),
+    # measures out of double precision range
+    ({"kind": "ball", "radius": 1e120, "center": [0, 0, 0]}, "overflow"),
+    ({"kind": "ellipsoid", "semi_axes": [1e-200, 1, 1]}, "divide by zero"),
+], ids=["cube4", "string-radius", "list", "flat-triangle", "huge-ball", "thin-ellipsoid"])
 def test_compute_on_an_unusable_document_is_a_validation_error(doc, message, tmp_path, capsys):
     body = write_body(tmp_path / "body.json", doc)
     code, out, err = run(["compute", body, "--functional", "G", "--walks", "1000"], capsys)
@@ -265,9 +273,12 @@ def test_verify_skips_bad_files(corpus, capsys, tmp_path):
     assert json.loads(out)["summary"]["fail"] == 0
 
 
-def test_verify_skips_collinear_polygon(corpus, capsys, tmp_path):
-    write_body(corpus / "flat.json", {"kind": "polytope",
-                                      "vertices": [[0, 0], [1, 1], [2, 2], [3, 3]]})
+@pytest.mark.parametrize("flat", [
+    {"kind": "polytope", "vertices": [[0, 0], [1, 1], [2, 2], [3, 3]]},
+    FLAT_TRIANGLE,
+], ids=["collinear", "flat-to-qhull"])
+def test_verify_skips_collinear_polygon(flat, corpus, capsys, tmp_path):
+    write_body(corpus / "flat.json", flat)
     code, out, err = run(["verify", str(corpus),
                           "--out-csv", str(tmp_path / "l.csv"),
                           "--out-json", str(tmp_path / "l.json"),

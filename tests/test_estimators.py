@@ -284,7 +284,6 @@ def test_torsion_unit_ball_3d():
     exact = 4 * math.pi / 45
     assert abs(e.value - exact) < max(3 * e.standard_error, 0.03 * exact)
     assert 0 < e.standard_error < 0.05 * exact
-    assert e.walk_count_used == 20000
 
 
 def test_torsion_ellipse_2d():

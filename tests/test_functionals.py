@@ -36,6 +36,8 @@ def test_id_validation():
         FunctionalId("H_alpha", alpha=1.6)
     with pytest.raises(ValidationError):
         FunctionalId("G_alpha")
+    with pytest.raises(ValidationError):  # --functional G_alpha without --alpha
+        parse_functional("G_alpha")
 
 
 def test_dimension_gate():

@@ -43,6 +43,9 @@ def test_ball_without_a_center_is_the_3d_origin():
 FINITE_DOCS = {
     "ball": ({"kind": "ball", "radius": 1.0, "center": [0.0, 0.0, 0.0]},
              [("radius",), ("center", 1)]),
+    # a key that is not a constructor field is ignored
+    "ball_extra_key": ({"kind": "ball", "radius": 1.0, "center": [0.0, 0.0, 0.0],
+                        "label": "unit ball"}, [("radius",), ("center", 1)]),
     "ellipsoid": ({"kind": "ellipsoid", "semi_axes": [2.0, 1.0, 0.5],
                    "center": [0.0, 0.0, 0.0], "orientation": np.eye(3).tolist()},
                   [("semi_axes", 0), ("center", 2), ("orientation", 1, 1)]),
@@ -732,6 +735,7 @@ def test_john_sorted_axes_ellipsoid_passthrough():
     Polytope(cube_vertices(2)),
     Capsule(np.zeros(3), np.array([1.0, 1, 0]), 0.5),
     BallUnion(np.array([[0.0, 0, 0], [9.0, 0, 0]]), np.array([1.0, 2.0])),
+    UPPER_ELLIPSOIDS["off_centre"],  # orientation is the one field written only when set
 ])
 def test_body_dict_roundtrip(body):
     doc = body.to_dict()
@@ -750,7 +754,8 @@ def test_body_from_dict_rejects_unknown():
     "ball",
     {"kind": "ball", "radius": "1", "center": [0, 0, 0]},
     {"kind": "capsule", "p": [0, 0, 0], "q": [1, 0, 0], "radius": "0.5"},
-], ids=["list", "string", "string-radius", "string-capsule-radius"])
+    {"kind": ["ball"], "radius": 1.0},
+], ids=["list", "string", "string-radius", "string-capsule-radius", "list-kind"])
 def test_body_from_dict_rejects_malformed_documents(doc):
     with pytest.raises(ValidationError):
         geo.body_from_dict(doc)
