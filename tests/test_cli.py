@@ -95,6 +95,13 @@ def test_compute_wrong_dimension(ball3, capsys):
     assert code == EXIT_VALIDATION
 
 
+def test_compute_with_a_seed_outside_64_bits_is_a_validation_error(ball3, capsys):
+    # the seed would key its stream modulo 2^64, unlike the one the manifest records
+    code, out, err = run(["compute", ball3, "--functional", "G", "--seed", "-1"], capsys)
+    assert code == EXIT_VALIDATION
+    assert out == "" and "seed" in err
+
+
 @pytest.mark.parametrize("doc", [
     {"kind": "ellipsoid", "semi_axes": [math.inf, 1.0, 1.0]},
     {"kind": "ball", "radius": math.inf, "center": [0, 0, 0]},
@@ -187,8 +194,9 @@ def test_compute_at_1000_walks_prints_no_infinity(cube, capsys):
 
 
 def test_compute_writes_the_walk_counters_alike_in_two_processes(cube):
-    # the counters are deterministic; on the cube the facet-foot upper bound
-    # settles every torsion absorption, so no torsion point reaches the exact kernel
+    # the counters are deterministic; a torsion walk ends on the shell or in
+    # the roulette, and on the cube the facet-foot upper bound settles every
+    # absorption, so no torsion point reaches the exact kernel
     src = str(Path(shapefn.__file__).parent.parent)
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
@@ -198,8 +206,10 @@ def test_compute_writes_the_walk_counters_alike_in_two_processes(cube):
             for _ in range(2)]
     assert outs[0] == outs[1]
     components = json.loads(outs[0])["evaluation"]["components"]
-    assert components["T"]["diag"]["exact_fallbacks"] == 0
-    assert components["T"]["diag"]["upper_absorbed"] == 1000
+    torsion = components["T"]["diag"]
+    assert torsion["exact_fallbacks"] == 0
+    assert (torsion["upper_absorbed"] + torsion["exact_fallbacks"]
+            + torsion["roulette_kills"]) == 1000
     assert components["cap"]["diag"]["walker_steps"] > 0
 
 

@@ -24,6 +24,12 @@ def cube_vertices(d, half=1.0):
 def test_config_validation():
     with pytest.raises(ValidationError):
         EstimatorConfig(walk_count=500)
+    # the stream's key holds 64 bits of seed: -1 would walk as 2^64 - 1, and
+    # 2^64 + 5 as 5, while the manifest records the seed given
+    for seed in (-1, 2 ** 64 + 5):
+        with pytest.raises(ValidationError, match="seed"):
+            EstimatorConfig(walk_count=1000, seed=seed)
+    assert EstimatorConfig(walk_count=1000, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
 
 
 def test_config_has_no_shell_width():
@@ -91,11 +97,15 @@ def test_walk_counters_repeat_and_d3_reentry_never_rejects():
         assert first.extra == second.extra
         assert first.extra["diag"]["walker_steps"] > first.extra["diag"]["iterations"] > 0
         assert first.extra["diag"]["max_walk_steps"] == second.extra["diag"]["max_walk_steps"] > 0
-        # the facet-foot upper bound settles every torsion absorption; capacity
-        # sends the same 1325 points to the two as when all went to the exact kernel
+        # a torsion walk ends on the shell or in the roulette, and the
+        # facet-foot upper bound settles every absorption; capacity sends the
+        # same 1325 points to the two as when all went to the exact kernel
         if estimator is wos_torsion:
-            assert first.extra["diag"]["exact_fallbacks"] == 0
-            assert first.extra["diag"]["upper_absorbed"] == cfg.walk_count
+            diag = first.extra["diag"]
+            assert diag["exact_fallbacks"] == 0
+            assert (diag["upper_absorbed"] + diag["exact_fallbacks"]
+                    + diag["roulette_kills"]) == cfg.walk_count
+            assert diag["roulette_kills"] > 0
         else:
             assert (first.extra["diag"]["exact_fallbacks"]
                     + first.extra["diag"]["upper_absorbed"]) == 1325
@@ -117,15 +127,17 @@ def test_capacity_on_a_4d_polytope_fails_before_any_draw(monkeypatch):
 
 
 def test_upper_bound_settles_most_absorptions_on_the_elongated_slab():
-    # before the upper bound, 1000 torsion and 65 capacity points went to the
-    # exact kernel at seed 0; the bound settles part of them and moves no other
+    # before the upper bound, 65 capacity points went to the exact kernel at
+    # seed 0; the bound settles part of them and moves no other. Every torsion
+    # walk ends on the shell, through one of the two, or in the roulette
     body = SlabBody([2.4, 1.0, 0.5, 0.35], 0.3)
     cfg = EstimatorConfig(walk_count=1000, seed=0)
-    for estimator, before in ((wos_torsion, 1000), (wos_capacity, 65)):
-        diag = estimator(body, cfg).extra["diag"]
-        assert diag["exact_fallbacks"] + diag["upper_absorbed"] == before
-        if estimator is wos_torsion:
-            assert diag["exact_fallbacks"] <= cfg.walk_count // 100
+    diag = wos_capacity(body, cfg).extra["diag"]
+    assert diag["exact_fallbacks"] + diag["upper_absorbed"] == 65
+    diag = wos_torsion(body, cfg).extra["diag"]
+    assert (diag["upper_absorbed"] + diag["exact_fallbacks"]
+            + diag["roulette_kills"]) == cfg.walk_count
+    assert diag["exact_fallbacks"] <= cfg.walk_count // 100
 
 
 def test_walks_past_the_step_budget_are_stuck(monkeypatch):
@@ -137,100 +149,100 @@ def test_walks_past_the_step_budget_are_stuck(monkeypatch):
             estimator(cube, EstimatorConfig(walk_count=1000))
 
 
-# value.hex() and standard_error.hex() of each estimator at seed 0. At 1000
-# walks torsion's were recorded before the blocks of one call shared a
-# lock-step loop, capacity's when it took up harmonic-measure re-entry and
-# roulette, the slab's when its step radii took up the quadratic ellipsoid
-# bound, and the rotated ellipsoid's and the elongated slab's before
-# absorption took up the distance upper bound. The 2500- and 10000-walk
-# values were recorded when a call took one stream for all its walks: any
-# change to the walks' arithmetic or draws shows
+# value.hex() and standard_error.hex() of each estimator at seed 0: any
+# change to the walks' arithmetic or draws shows. Every torsion value was
+# recorded when torsion walks took up Russian roulette. Capacity's were
+# recorded at 1000 walks when it took up harmonic-measure re-entry and
+# roulette (the slab's when its step radii took up the quadratic ellipsoid
+# bound, the rotated ellipsoid's and the elongated slab's before absorption
+# took up the distance upper bound), and at 2500 and 10000 walks when a call
+# took one stream for all its walks
 PINNED_BITS = {
     ("ball3", 1000): {
-        "wos_torsion": ("0x1.09bd465f7c5aep-2", "0x1.503f143799bcdp-7"),
-        "wos_torsion_pointwise": ("0x1.234a11a7a64c5p-3", "0x1.68fe368e3271cp-9"),
+        "wos_torsion": ("0x1.20465eaea20a7p-2", "0x1.6202c551425e0p-7"),
+        "wos_torsion_pointwise": ("0x1.1c75dca740ad1p-3", "0x1.471e25a72f753p-9"),
         "wos_capacity": ("0x1.a039b54599e8dp+3", "0x1.1dfff4448ab3fp-2"),
     },
     ("ball3", 2500): {
-        "wos_torsion": ("0x1.25595ada7eb74p-2", "0x1.da14fc16e737dp-8"),
-        "wos_torsion_pointwise": ("0x1.245d0e4b7a269p-3", "0x1.c85ab89eeeb8fp-10"),
+        "wos_torsion": ("0x1.2eb15be5a1bfep-2", "0x1.f11cad367097fp-8"),
+        "wos_torsion_pointwise": ("0x1.23a07bdfd21b8p-3", "0x1.c2006d0b7b00dp-10"),
         "wos_capacity": ("0x1.913003f8b1cd0p+3", "0x1.5e01fad667155p-3"),
     },
     ("ball3", 10000): {
-        "wos_torsion": ("0x1.2519059392814p-2", "0x1.debdba2421f3fp-9"),
-        "wos_torsion_pointwise": ("0x1.23e928760cdfep-3", "0x1.cf310fe7c6cbep-11"),
+        "wos_torsion": ("0x1.24b76795b64e6p-2", "0x1.de5d71a4a4e1ap-9"),
+        "wos_torsion_pointwise": ("0x1.278061ddce51dp-3", "0x1.e181a3fc726e4p-11"),
         "wos_capacity": ("0x1.930a40cfeada5p+3", "0x1.5eda665be1066p-4"),
     },
     ("cube", 1000): {
-        "wos_torsion": ("0x1.5618af10ee2cbp-1", "0x1.dcda9f502bf37p-6"),
-        "wos_torsion_pointwise": ("0x1.aafa8afabedf8p-3", "0x1.11e1b86ea2c0fp-8"),
+        "wos_torsion": ("0x1.3d1e8c9b1ba2bp-1", "0x1.cbdc29ae8f490p-6"),
+        "wos_torsion_pointwise": ("0x1.9139d0a4b6c2bp-3", "0x1.d5e5b37dc2ce0p-9"),
         "wos_capacity": ("0x1.0fc38614e97b6p+4", "0x1.ec55461ccccdcp-2"),
     },
     ("cube", 2500): {
-        "wos_torsion": ("0x1.4a91ae1c5bc5fp-1", "0x1.229f9a392ce77p-6"),
-        "wos_torsion_pointwise": ("0x1.a0521c5fa84e4p-3", "0x1.3b8b43b99803ep-9"),
+        "wos_torsion": ("0x1.53abede42f097p-1", "0x1.36bad613f4461p-6"),
+        "wos_torsion_pointwise": ("0x1.9f3357740af15p-3", "0x1.4b097772e4c9ep-9"),
         "wos_capacity": ("0x1.043a76ce874d9p+4", "0x1.35f2b6715ddfdp-2"),
     },
     ("cube", 10000): {
-        "wos_torsion": ("0x1.49c9720ac415fp-1", "0x1.1f0a6f82be4a4p-7"),
-        "wos_torsion_pointwise": ("0x1.992ca55f060c3p-3", "0x1.3a4aebc54abe9p-10"),
+        "wos_torsion": ("0x1.4bc433d3801d0p-1", "0x1.2dd63040533c0p-7"),
+        "wos_torsion_pointwise": ("0x1.a0a4f8c9b4febp-3", "0x1.4f8a1a26c52c3p-10"),
         "wos_capacity": ("0x1.079d4bf9e2ed6p+4", "0x1.34576b8d9a1f3p-3"),
     },
     ("slab", 1000): {
-        "wos_torsion": ("0x1.e20e1cfd44600p-4", "0x1.3207c566af4e4p-8"),
-        "wos_torsion_pointwise": ("0x1.579d3db09d352p-4", "0x1.cc6601ba09de7p-10"),
+        "wos_torsion": ("0x1.dbd75968e7af3p-4", "0x1.315b15fc068b6p-8"),
+        "wos_torsion_pointwise": ("0x1.5cb81fdbf44b6p-4", "0x1.d30cd455af439p-10"),
         "wos_capacity": ("0x1.744bc5e27b8bcp+3", "0x1.1b06ee6c6c25fp-2"),
     },
     ("slab", 2500): {
-        "wos_torsion": ("0x1.ef3f6e669cd0ep-4", "0x1.985c0cc92d781p-9"),
-        "wos_torsion_pointwise": ("0x1.6b39a11a063d4p-4", "0x1.313e02f03f77ap-10"),
+        "wos_torsion": ("0x1.ed31e0df82ba3p-4", "0x1.a0c0d4242ff35p-9"),
+        "wos_torsion_pointwise": ("0x1.711358b402774p-4", "0x1.41877ee0a56b2p-10"),
         "wos_capacity": ("0x1.658687da5d732p+3", "0x1.61103970a875ep-3"),
     },
     ("slab", 10000): {
-        "wos_torsion": ("0x1.e8fa314994916p-4", "0x1.a2ca97ed2ed82p-10"),
-        "wos_torsion_pointwise": ("0x1.65ec753d6c4e0p-4", "0x1.35f56e22f9432p-11"),
+        "wos_torsion": ("0x1.dd4b09137b0bfp-4", "0x1.8ef4f21cb0e8bp-10"),
+        "wos_torsion_pointwise": ("0x1.666bae3bf6e28p-4", "0x1.33e51a7e73d3ep-11"),
         "wos_capacity": ("0x1.6d4b987731903p+3", "0x1.651e910c461cdp-4"),
     },
     ("square", 1000): {
-        "wos_torsion": ("0x1.281d6a790bc23p-1", "0x1.6a5f3a0b64965p-6"),
-        "wos_torsion_pointwise": ("0x1.07c38f2954c5fp-2", "0x1.4fe98fd698589p-8"),
+        "wos_torsion": ("0x1.269d03f641c74p-1", "0x1.7638ae008b3edp-6"),
+        "wos_torsion_pointwise": ("0x1.0d4445e0e9d39p-2", "0x1.6888fcf2d8a2ap-8"),
     },
     ("square", 2500): {
-        "wos_torsion": ("0x1.27ef161fc1b40p-1", "0x1.d1a56498b7a44p-7"),
-        "wos_torsion_pointwise": ("0x1.099df75d957f0p-2", "0x1.ab96c87e66c7bp-9"),
+        "wos_torsion": ("0x1.2cd816f277007p-1", "0x1.df7ec065f7d9bp-7"),
+        "wos_torsion_pointwise": ("0x1.100f502e1524bp-2", "0x1.e07a48ae87a40p-9"),
     },
     ("square", 10000): {
-        "wos_torsion": ("0x1.2067a53df550dp-1", "0x1.b98159ddecfb4p-8"),
-        "wos_torsion_pointwise": ("0x1.0ccbd10c44548p-2", "0x1.c1bf1c734412bp-10"),
+        "wos_torsion": ("0x1.1d01b74bb3bf8p-1", "0x1.b836320e58e3fp-8"),
+        "wos_torsion_pointwise": ("0x1.0c3bb050d9855p-2", "0x1.c130e18ebc50cp-10"),
     },
     ("ellipsoid_rot", 1000): {
-        "wos_torsion": ("0x1.8a9cf0e59db28p-3", "0x1.05fe7f7b1c5dbp-7"),
+        "wos_torsion": ("0x1.66c2b5f403dfdp-3", "0x1.b3866754b417ep-8"),
         "wos_capacity": ("0x1.b49e83a61a861p+3", "0x1.a9e503a834e64p-2"),
     },
     ("slab_long", 1000): {
-        "wos_torsion": ("0x1.675267810cbc8p-9", "0x1.cdfebc4228ac8p-14"),
+        "wos_torsion": ("0x1.615b9c89f2620p-9", "0x1.c5ccf23b37262p-14"),
         "wos_capacity": ("0x1.d68ba92475ef3p+4", "0x1.fe4bb9a51370cp+1"),
     },
     # d >= 5: re-entry keeps fewer proposals (about 0.59 at d = 6), so it runs several rounds
     ("ellipsoid5", 1000): {
-        "wos_torsion": ("0x1.cb185a91add3ap-6", "0x1.47715fe07b4abp-10"),
+        "wos_torsion": ("0x1.c8a8dd6332913p-6", "0x1.4ed523b4f4864p-10"),
         "wos_capacity": ("0x1.98e779a27cd84p+5", "0x1.082a5d0758180p+3"),
     },
     ("slab6", 1000): {
-        "wos_torsion": ("0x1.36b12bc4f4fe2p-6", "0x1.af11983e86f30p-11"),
+        "wos_torsion": ("0x1.3d8a21e6d6d72p-6", "0x1.bcb87d055ba6bp-11"),
         "wos_capacity": ("0x1.ff46bf242a97ep+5", "0x1.2373f2000e893p+4"),
     },
-    # recorded before the walks took up column-by-column row sums, which d >= 8
-    # leaves to numpy's own (pairwise) sum
+    # capacity's recorded before the walks took up column-by-column row sums,
+    # which d >= 8 leaves to numpy's own (pairwise) sum
     ("hull12", 1000): {
-        "wos_torsion": ("0x1.4d0ccd253253bp-5", "0x1.bd9d8ec0589c0p-10"),
+        "wos_torsion": ("0x1.6036060053018p-5", "0x1.e4a3bbf89cb0bp-10"),
         "wos_capacity": ("0x1.448f2a0e9d818p+3", "0x1.45a9c05de5479p-2"),
     },
     ("heptagon", 1000): {
-        "wos_torsion": ("0x1.8b86b477fade9p-2", "0x1.e1948e8351c3ep-7"),
+        "wos_torsion": ("0x1.a1b1058d9bb51p-2", "0x1.fd928bba85d32p-7"),
     },
     ("ball8", 1000): {
-        "wos_torsion": ("0x1.ac3d3e4ab84b3p-5", "0x1.3cc2a9f075818p-9"),
+        "wos_torsion": ("0x1.954fd118e6c8cp-5", "0x1.553ba00d3533cp-9"),
         "wos_capacity": ("0x1.cfdd84549a88cp+7", "0x1.7e221498571bdp+5"),
     },
 }
@@ -284,6 +296,9 @@ def test_torsion_unit_ball_3d():
     exact = 4 * math.pi / 45
     assert abs(e.value - exact) < max(3 * e.standard_error, 0.03 * exact)
     assert 0 < e.standard_error < 0.05 * exact
+    assert set(e.extra) == {"diag"}
+    assert set(e.extra["diag"]) == {"walker_steps", "iterations", "max_walk_steps",
+                                    "exact_fallbacks", "upper_absorbed", "roulette_kills"}
 
 
 def test_torsion_ellipse_2d():
@@ -353,8 +368,9 @@ def test_torsion_pooled_over_seeds_is_unbiased_on_an_elongated_ellipsoid():
     mean = np.mean([e.value for e in runs])
     se = math.sqrt(sum(e.standard_error ** 2 for e in runs)) / len(runs)
     assert abs(mean - ex.torsion_ellipsoid(axes)) < 3 * se
-    # 361,452 walker-steps at seed 0 plus 10 %; |g - 1| a_min steps took 1,148,320
-    assert runs[0].extra["diag"]["walker_steps"] <= 398_000
+    # 168,930 walker-steps at seed 0 plus 10 %; 358,314 before the roulette,
+    # and |g - 1| a_min steps took 1,148,320
+    assert runs[0].extra["diag"]["walker_steps"] <= 186_000
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +412,8 @@ def test_stderr_calibrated_at_1000_walks():
     prolate = Ellipsoid(np.array([2.0, 1.0, 1.0]))
     for estimator, body, exact in (
             (wos_torsion, ball, 4 * math.pi / 45),
+            (wos_torsion, Polytope(cube_vertices(2)), 0.5623080598137711),
+            (wos_torsion, Ball(1.0, np.zeros(4)), ex.torsion_ellipsoid(np.ones(4))),
             (wos_capacity, ball, 4 * math.pi),
             (wos_capacity, prolate, ex.cap_newtonian_ellipsoid([2.0, 1.0, 1.0]))):
         covered = 0
