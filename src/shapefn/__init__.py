@@ -40,7 +40,6 @@ from .estimators import (
     fekete_logcap,
     wos_capacity,
     wos_torsion,
-    wos_torsion_pointwise,
 )
 from .functionals import (
     Evaluation,

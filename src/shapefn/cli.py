@@ -14,6 +14,7 @@ import numpy as np
 from . import __version__, bounds, geometry, search
 from .errors import (
     DegenerateEstimateError,
+    InternalConsistencyError,
     RankDeficiencyError,
     ShapeFnError,
     StuckWalkError,
@@ -27,6 +28,7 @@ EXIT_OK = 0
 EXIT_LEDGER_FAILURE = 1
 EXIT_VALIDATION = 2
 EXIT_ESTIMATOR = 3
+EXIT_INTERNAL = 4
 
 
 # ---------------------------------------------------------------------------
@@ -231,6 +233,9 @@ def main(argv=None):
     except (StuckWalkError, DegenerateEstimateError) as e:
         sys.stderr.write(f"estimator failure: {e}\n")
         return EXIT_ESTIMATOR
+    except InternalConsistencyError as e:
+        sys.stderr.write(f"internal consistency failure: {e}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

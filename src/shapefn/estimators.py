@@ -35,10 +35,8 @@ from .errors import (
 )
 from .exact_ellipsoid import kappa_d
 from .geometry import (
-    Ball,
     BallUnion,
     Capsule,
-    Ellipsoid,
     Polytope,
     _norms,
     _rowsum,
@@ -50,7 +48,7 @@ from .geometry import (
 
 _MAX_WALK_STEPS = 10 ** 6
 _WALK_COUNTERS = ("walker_steps", "iterations", "max_walk_steps", "exact_fallbacks",
-                  "upper_absorbed")  # every walk's; each estimator adds its roulette's
+                  "upper_absorbed", "roulette_kills")
 _WAVE = 32_768  # walkers advanced together; bounds the walk state
 _SHELL = 1e-5  # width of the absorbing shell, in _walk_length
 # Torsion walkers play Russian roulette after a step shorter than
@@ -199,15 +197,16 @@ def _roulette(w, low, target, gen, diag):
     diag["roulette_kills"] += low.size - int(np.count_nonzero(won))
 
 
-def _torsion_mean(body, cfg, start):
-    """Mean and standard error of the torsion walk value over
-    cfg.walk_count walks, and the walks' counters. start(rng, m) gives a
-    wave's m starting points from the call's stream, which then draws the
-    wave's steps."""
+def wos_torsion(body, cfg=None):
+    """Torsional rigidity T(body) = |body| x the mean walk value, each walk
+    started uniformly in the body; a wave's starts come from the call's
+    stream, which then draws the wave's steps."""
+    cfg = cfg or EstimatorConfig()
+    vol = body.measure()
     length = _walk_length(body)
     eps, theta = _SHELL * length, _ROULETTE_STEP * length
     gen = _stream(cfg.seed, 0)
-    diag = dict.fromkeys(_WALK_COUNTERS + ("roulette_kills",), 0)
+    diag = dict.fromkeys(_WALK_COUNTERS, 0)
     twice_d = 2.0 * body.dimension
 
     def moved(pos, w, r):
@@ -227,28 +226,9 @@ def _torsion_mean(body, cfg, start):
         return m > 0.0
 
     mean, se = _per_walk(cfg.walk_count,
-                         lambda m: _walks(body, start(gen, m), np.tile([0.0, 1.0], (m, 1)),
-                                          gen, eps, diag, moved))
-    return mean, se, {"diag": diag}
-
-
-def wos_torsion(body, cfg=None):
-    """Torsional rigidity T(body) = |body| x mean of the walk accumulator."""
-    cfg = cfg or EstimatorConfig()
-    vol = body.measure()
-    mean, se, extra = _torsion_mean(body, cfg, lambda rng, m: _sample_interior(body, m, rng))
-    return Estimate(vol * mean, vol * se, "wos_torsion", extra)
-
-
-def wos_torsion_pointwise(body, point, cfg=None):
-    """Estimate of the torsion function u(point) (pointwise oracle); exactly
-    0 on the boundary. A point outside the body is a ValidationError."""
-    cfg = cfg or EstimatorConfig()
-    p = np.asarray(point, dtype=float)
-    if signed_distance(body, p) > 0:
-        raise ValidationError("the torsion function is defined only in the body")
-    mean, se, extra = _torsion_mean(body, cfg, lambda rng, m: np.tile(p, (m, 1)))
-    return Estimate(mean, se, "wos_torsion_pointwise", extra)
+                         lambda m: _walks(body, _sample_interior(body, m, gen),
+                                          np.tile([0.0, 1.0], (m, 1)), gen, eps, diag, moved))
+    return Estimate(vol * mean, vol * se, "wos_torsion", extra={"diag": diag})
 
 
 # Russian roulette plays below this weight. Against 1e-6, 0.1 and 0.5 at 10^4
@@ -315,7 +295,7 @@ def wos_capacity(body, cfg=None):
     center, rb = body.bounding_ball()
     R = 2.0 * rb
     gen = _stream(cfg.seed, 1)
-    diag = dict.fromkeys(_WALK_COUNTERS + ("reentries", "reentry_proposals", "roulette_kills"), 0)
+    diag = dict.fromkeys(_WALK_COUNTERS + ("reentries", "reentry_proposals"), 0)
 
     def moved(pos, w, r):
         """A walker that steps out to radius rho > R keeps the weight
@@ -424,8 +404,8 @@ def fekete_logcap(body):
     its closed form stays an independent check. The standard error is
     |v2 - v1| (|v9 - v8|)."""
     planar = body.dimension == 2
-    if planar and isinstance(body, (Ball, Ellipsoid)):
-        a = body.ellipsoid_axes()
+    a = body.ellipsoid_axes()
+    if planar and a is not None:
         raw = []
         for k in (8, 9):
             th = 2.0 * math.pi * np.arange(2 ** k) / 2 ** k

@@ -64,9 +64,8 @@ class FunctionalId:
 
 
 def parse_functional(kind, alpha=None):
-    if kind in KINDS and KINDS[kind].max_alpha is not None:
-        return FunctionalId(kind, None if alpha is None else float(alpha))
-    return FunctionalId(kind)  # which ignores alpha
+    """The FunctionalId of a kind and its alpha, which checks that they fit."""
+    return FunctionalId(kind, None if alpha is None else float(alpha))
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from functools import cached_property
 
 import numpy as np
 from scipy.optimize import linprog
@@ -306,7 +307,11 @@ class Ellipsoid(Body):
 
 @dataclass(frozen=True, eq=False)
 class SlabBody(Body):
-    """Axis-aligned ellipsoid cut by the symmetric slab |x_d| <= h a_d."""
+    """Axis-aligned ellipsoid cut by the symmetric slab |x_d| <= h a_d.
+
+    Its signed distance is exact inside. Outside, it is the larger of the
+    ellipsoid's and the slab's signed distances, which near the rim of the
+    cut is only a lower bound on the distance to the body."""
 
     axes: np.ndarray
     h: float
@@ -427,6 +432,7 @@ class Polytope(Body):
     def hull(self):
         return self._hull
 
+    @cached_property
     def boundary_pieces(self):
         """(W, off, S, D) for the edge distance, built on first use.
 
@@ -435,9 +441,6 @@ class Polytope(Body):
         2-D the sides themselves. p @ W - off holds each one's t for p's
         projection onto its line.
         """
-        pieces = getattr(self, "_pieces", None)
-        if pieces is not None:
-            return pieces
         X, simp = self.hull().points, self.hull().simplices
         if self.dimension == 3:
             simp = np.concatenate([simp[:, [0, 1]], simp[:, [1, 2]], simp[:, [0, 2]]])
@@ -446,9 +449,7 @@ class Polytope(Body):
         D = X[edges[:, 1]] - S
         L2 = (D * D).sum(1)
         W = D / np.where(L2 > 0.0, L2, 1.0)[:, None]
-        pieces = (W.T, (W * S).sum(1), S, D)
-        object.__setattr__(self, "_pieces", pieces)
-        return pieces
+        return W.T, (W * S).sum(1), S, D
 
     def measure(self):
         return float(self.hull().volume)
@@ -525,10 +526,11 @@ class Polytope(Body):
         return self.vertices.min(axis=0), self.vertices.max(axis=0)
 
     def diameter_inradius(self):
+        return self._diameter_inradius
+
+    @cached_property
+    def _diameter_inradius(self):
         """(diameter, inradius), computed on first use and kept on the body."""
-        kept = getattr(self, "_diameter_inradius", None)
-        if kept is not None:
-            return kept
         V = self.vertices
         D = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=-1)
         diam = float(D.max())
@@ -539,9 +541,7 @@ class Polytope(Body):
                       bounds=[(None, None)] * d + [(0, None)], method="highs")
         if not res.success:
             raise InternalConsistencyError("inradius LP failed: " + res.message)
-        kept = (diam, float(res.x[-1]))
-        object.__setattr__(self, "_diameter_inradius", kept)
-        return kept
+        return diam, float(res.x[-1])
 
     def scaled(self, t):
         return Polytope(self.vertices * t)
@@ -681,7 +681,7 @@ def _segment_distance(P, S, D, t):
 
 def _edge_distance(body, P):
     """Distance from points (n, d) to the nearest of a polytope's edges."""
-    W, off, S, D = body.boundary_pieces()
+    W, off, S, D = body.boundary_pieces
     out = np.empty(P.shape[0])
     for lo in range(0, P.shape[0], _DISTANCE_BLOCK):
         B = P[lo:lo + _DISTANCE_BLOCK]
@@ -876,12 +876,10 @@ def loewner_ellipsoid(points):
         km = 1.0 - M[jm] / (d + 1)
         if kp <= _LOEWNER_TOL and km <= _LOEWNER_TOL:
             break
-        if kp >= km:
-            j, Mj = jp, M[jp]
-            lam = (Mj - d - 1.0) / ((d + 1.0) * (Mj - 1.0))
-        else:
-            j, Mj = jm, M[jm]
-            lam = (Mj - d - 1.0) / ((d + 1.0) * (Mj - 1.0))
+        up = kp >= km  # else a decrease step, which keeps u[j] >= 0
+        j = jp if up else jm
+        lam = (M[j] - d - 1.0) / ((d + 1.0) * (M[j] - 1.0))
+        if not up:
             lam = max(lam, -u[j] / (1.0 - u[j]))
         u = (1.0 - lam) * u
         u[j] += lam

@@ -15,9 +15,7 @@ from shapefn.functionals import FunctionalId, evaluate
 from shapefn.geometry import Ball, Capsule, Ellipsoid, Polytope
 from shapefn.search import Family, counterexample_sequence, maximize, maximize_constrained
 
-
-def cube_vertices(d, half=1.0):
-    return np.array(np.meshgrid(*[[-1.0, 1.0]] * d)).reshape(d, -1).T * half
+from helpers import cube_vertices
 
 
 @contextlib.contextmanager

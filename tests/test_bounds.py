@@ -24,9 +24,7 @@ from shapefn.errors import InternalConsistencyError, ValidationError
 from shapefn.estimators import EstimatorConfig
 from shapefn.geometry import Ball, Ellipsoid, Polytope
 
-
-def cube_vertices(d, half=1.0):
-    return np.array(np.meshgrid(*[[-1.0, 1.0]] * d)).reshape(d, -1).T * half
+from helpers import cube_vertices
 
 
 CFG = EstimatorConfig(walk_count=4000, seed=0)

@@ -13,9 +13,15 @@ import numpy as np
 import pytest
 
 import shapefn
-from shapefn import bounds, cli, estimators
-from shapefn.cli import EXIT_ESTIMATOR, EXIT_LEDGER_FAILURE, EXIT_OK, EXIT_VALIDATION
-from shapefn.errors import StuckWalkError, ValidationError
+from shapefn import bounds, cli, estimators, geometry
+from shapefn.cli import (
+    EXIT_ESTIMATOR,
+    EXIT_INTERNAL,
+    EXIT_LEDGER_FAILURE,
+    EXIT_OK,
+    EXIT_VALIDATION,
+)
+from shapefn.errors import InternalConsistencyError, StuckWalkError, ValidationError
 
 
 def write_body(path, doc):
@@ -178,6 +184,18 @@ def test_compute_alpha_functional(ball3, capsys):
                         "--alpha", "1.0"], capsys)
     assert code == EXIT_OK
     assert json.loads(out)["evaluation"]["functional"] == "G_alpha(1)"
+
+
+@pytest.mark.parametrize("argv", [
+    ["compute", "BALL", "--functional", "G", "--alpha", "1"],
+    ["search", "--functional", "G", "--alpha", "1", "--dim", "3", "--restarts", "1"],
+], ids=["compute", "search"])
+def test_alpha_for_g_is_a_validation_error(argv, ball3, capsys):
+    # G takes no alpha: one given is refused, not ignored
+    code, out, err = run([ball3 if a == "BALL" else a for a in argv], capsys)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "takes no alpha" in err
 
 
 @pytest.fixture()
@@ -383,6 +401,19 @@ def test_verify_tamper_negative_control(corpus, capsys, tmp_path, monkeypatch):
     tampered = [r for r in json.loads((tmp_path / "l.json").read_text())
                 if r["extra"].get("tampered")]
     assert len(tampered) == 1 and tampered[0]["status"] == "fail"
+
+
+def test_internal_consistency_failure_exits_4(corpus, capsys, monkeypatch, tmp_path):
+    def uncontained(body):
+        raise InternalConsistencyError("inner John ellipsoid not contained in body")
+
+    monkeypatch.setattr(geometry, "john_pair", uncontained)
+    code, out, err = run(["verify", str(corpus), "--out-csv", str(tmp_path / "l.csv"),
+                          "--out-json", str(tmp_path / "l.json")], capsys)
+    assert code == EXIT_INTERNAL
+    assert out == ""
+    assert err == ("internal consistency failure: "
+                   "inner John ellipsoid not contained in body\n")
 
 
 def test_verify_needle_ellipsoids(tmp_path, capsys):

@@ -8,13 +8,11 @@ from shapefn import exact_ellipsoid as ex
 from shapefn import geometry as geo
 from shapefn.errors import StuckWalkError, UnsupportedRepresentationError, ValidationError
 from shapefn.estimators import EstimatorConfig, fekete_logcap
-from shapefn.estimators import wos_capacity, wos_torsion, wos_torsion_pointwise
+from shapefn.estimators import wos_capacity, wos_torsion
 from shapefn.geometry import Ball, Capsule, Ellipsoid, Polytope
 from shapefn.search import SlabBody
 
-
-def cube_vertices(d, half=1.0):
-    return np.array(np.meshgrid(*[[-1.0, 1.0]] * d)).reshape(d, -1).T * half
+from helpers import cube_vertices
 
 
 # ---------------------------------------------------------------------------
@@ -160,60 +158,48 @@ def test_walks_past_the_step_budget_are_stuck(monkeypatch):
 PINNED_BITS = {
     ("ball3", 1000): {
         "wos_torsion": ("0x1.20465eaea20a7p-2", "0x1.6202c551425e0p-7"),
-        "wos_torsion_pointwise": ("0x1.1c75dca740ad1p-3", "0x1.471e25a72f753p-9"),
         "wos_capacity": ("0x1.a039b54599e8dp+3", "0x1.1dfff4448ab3fp-2"),
     },
     ("ball3", 2500): {
         "wos_torsion": ("0x1.2eb15be5a1bfep-2", "0x1.f11cad367097fp-8"),
-        "wos_torsion_pointwise": ("0x1.23a07bdfd21b8p-3", "0x1.c2006d0b7b00dp-10"),
         "wos_capacity": ("0x1.913003f8b1cd0p+3", "0x1.5e01fad667155p-3"),
     },
     ("ball3", 10000): {
         "wos_torsion": ("0x1.24b76795b64e6p-2", "0x1.de5d71a4a4e1ap-9"),
-        "wos_torsion_pointwise": ("0x1.278061ddce51dp-3", "0x1.e181a3fc726e4p-11"),
         "wos_capacity": ("0x1.930a40cfeada5p+3", "0x1.5eda665be1066p-4"),
     },
     ("cube", 1000): {
         "wos_torsion": ("0x1.3d1e8c9b1ba2bp-1", "0x1.cbdc29ae8f490p-6"),
-        "wos_torsion_pointwise": ("0x1.9139d0a4b6c2bp-3", "0x1.d5e5b37dc2ce0p-9"),
         "wos_capacity": ("0x1.0fc38614e97b6p+4", "0x1.ec55461ccccdcp-2"),
     },
     ("cube", 2500): {
         "wos_torsion": ("0x1.53abede42f097p-1", "0x1.36bad613f4461p-6"),
-        "wos_torsion_pointwise": ("0x1.9f3357740af15p-3", "0x1.4b097772e4c9ep-9"),
         "wos_capacity": ("0x1.043a76ce874d9p+4", "0x1.35f2b6715ddfdp-2"),
     },
     ("cube", 10000): {
         "wos_torsion": ("0x1.4bc433d3801d0p-1", "0x1.2dd63040533c0p-7"),
-        "wos_torsion_pointwise": ("0x1.a0a4f8c9b4febp-3", "0x1.4f8a1a26c52c3p-10"),
         "wos_capacity": ("0x1.079d4bf9e2ed6p+4", "0x1.34576b8d9a1f3p-3"),
     },
     ("slab", 1000): {
         "wos_torsion": ("0x1.dbd75968e7af3p-4", "0x1.315b15fc068b6p-8"),
-        "wos_torsion_pointwise": ("0x1.5cb81fdbf44b6p-4", "0x1.d30cd455af439p-10"),
         "wos_capacity": ("0x1.744bc5e27b8bcp+3", "0x1.1b06ee6c6c25fp-2"),
     },
     ("slab", 2500): {
         "wos_torsion": ("0x1.ed31e0df82ba3p-4", "0x1.a0c0d4242ff35p-9"),
-        "wos_torsion_pointwise": ("0x1.711358b402774p-4", "0x1.41877ee0a56b2p-10"),
         "wos_capacity": ("0x1.658687da5d732p+3", "0x1.61103970a875ep-3"),
     },
     ("slab", 10000): {
         "wos_torsion": ("0x1.dd4b09137b0bfp-4", "0x1.8ef4f21cb0e8bp-10"),
-        "wos_torsion_pointwise": ("0x1.666bae3bf6e28p-4", "0x1.33e51a7e73d3ep-11"),
         "wos_capacity": ("0x1.6d4b987731903p+3", "0x1.651e910c461cdp-4"),
     },
     ("square", 1000): {
         "wos_torsion": ("0x1.269d03f641c74p-1", "0x1.7638ae008b3edp-6"),
-        "wos_torsion_pointwise": ("0x1.0d4445e0e9d39p-2", "0x1.6888fcf2d8a2ap-8"),
     },
     ("square", 2500): {
         "wos_torsion": ("0x1.2cd816f277007p-1", "0x1.df7ec065f7d9bp-7"),
-        "wos_torsion_pointwise": ("0x1.100f502e1524bp-2", "0x1.e07a48ae87a40p-9"),
     },
     ("square", 10000): {
         "wos_torsion": ("0x1.1d01b74bb3bf8p-1", "0x1.b836320e58e3fp-8"),
-        "wos_torsion_pointwise": ("0x1.0c3bb050d9855p-2", "0x1.c130e18ebc50cp-10"),
     },
     ("ellipsoid_rot", 1000): {
         "wos_torsion": ("0x1.66c2b5f403dfdp-3", "0x1.b3866754b417ep-8"),
@@ -259,31 +245,29 @@ _T7 = 2 * math.pi * (np.arange(7) + np.array([0.0, 0.2, -0.15, 0.1, 0.25, -0.2, 
 HEPTAGON = 1.1 * np.stack([np.cos(_T7), np.sin(_T7)], axis=1)
 
 PIN_BODIES = {
-    "ball3": (Ball(1.0, np.zeros(3)), [0.3, -0.2, 0.1]),
-    "cube": (Polytope(cube_vertices(3)), [0.3, -0.2, 0.1]),
-    "square": (Polytope(cube_vertices(2)), [0.3, -0.2]),
-    "slab": (SlabBody([1.0, 1.0, 1.0], 0.5), [0.3, -0.2, 0.1]),
-    "ellipsoid_rot": (Ellipsoid([1.5, 1.0, 0.6], [0.3, -0.2, 0.5], ROTATION), None),
-    "slab_long": (SlabBody([2.4, 1.0, 0.5, 0.35], 0.3), None),
-    "ellipsoid5": (Ellipsoid([1.5, 1.0, 0.8, 0.6, 0.5]), None),
-    "slab6": (SlabBody([1.4, 1.0, 0.9, 0.8, 0.7, 0.6], 0.5), None),
-    "hull12": (Polytope(HULL12), None),
-    "heptagon": (Polytope(HEPTAGON), None),
-    "ball8": (Ball(1.0, np.zeros(8)), None),
+    "ball3": Ball(1.0, np.zeros(3)),
+    "cube": Polytope(cube_vertices(3)),
+    "square": Polytope(cube_vertices(2)),
+    "slab": SlabBody([1.0, 1.0, 1.0], 0.5),
+    "ellipsoid_rot": Ellipsoid([1.5, 1.0, 0.6], [0.3, -0.2, 0.5], ROTATION),
+    "slab_long": SlabBody([2.4, 1.0, 0.5, 0.35], 0.3),
+    "ellipsoid5": Ellipsoid([1.5, 1.0, 0.8, 0.6, 0.5]),
+    "slab6": SlabBody([1.4, 1.0, 0.9, 0.8, 0.7, 0.6], 0.5),
+    "hull12": Polytope(HULL12),
+    "heptagon": Polytope(HEPTAGON),
+    "ball8": Ball(1.0, np.zeros(8)),
 }
 
 
 @pytest.mark.parametrize("name", list(PIN_BODIES))
 def test_estimates_are_pinned_bit_for_bit(name):
-    body, point = PIN_BODIES[name]
-    run = {"wos_torsion": wos_torsion, "wos_capacity": wos_capacity,
-           "wos_torsion_pointwise": lambda b, cfg: wos_torsion_pointwise(b, point, cfg)}
+    run = {"wos_torsion": wos_torsion, "wos_capacity": wos_capacity}
     for (pinned, n), want in PINNED_BITS.items():
         if pinned != name:
             continue
         cfg = EstimatorConfig(walk_count=n, seed=0)
         for key, bits in want.items():
-            e = run[key](body, cfg)
+            e = run[key](PIN_BODIES[name], cfg)
             assert (e.value.hex(), e.standard_error.hex()) == bits, (key, n)
 
 
@@ -314,23 +298,6 @@ def test_torsion_square_against_series_value():
     e = wos_torsion(sq, EstimatorConfig(walk_count=20000, seed=11))
     exact = 0.5623080598137711
     assert abs(e.value - exact) < max(4 * e.standard_error, 0.05 * exact)
-
-
-def test_torsion_pointwise_ball_center():
-    # u(0) = 1/(2d) for the unit ball
-    e = wos_torsion_pointwise(Ball(1.0, np.zeros(3)), np.zeros(3),
-                              EstimatorConfig(walk_count=5000, seed=4))
-    assert abs(e.value - 1.0 / 6) < max(3 * e.standard_error, 0.05 / 6)
-
-
-def test_torsion_pointwise_outside_the_body_is_a_validation_error():
-    square = Polytope(cube_vertices(2))
-    cfg = EstimatorConfig(walk_count=1000)
-    with pytest.raises(ValidationError):
-        wos_torsion_pointwise(square, [2.0, 0.0], cfg)
-    # on the boundary u = 0 exactly: every walk is absorbed at once
-    e = wos_torsion_pointwise(square, [1.0, 0.0], cfg)
-    assert (e.value, e.standard_error) == (0.0, 0.0)
 
 
 def test_torsion_scaling_with_common_random_numbers():

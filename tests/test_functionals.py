@@ -10,9 +10,7 @@ from shapefn.estimators import EstimatorConfig, wos_capacity, wos_torsion
 from shapefn.functionals import FunctionalId, evaluate, parse_functional
 from shapefn.geometry import Ball, Ellipsoid, Polytope
 
-
-def cube_vertices(d, half=1.0):
-    return np.array(np.meshgrid(*[[-1.0, 1.0]] * d)).reshape(d, -1).T * half
+from helpers import cube_vertices
 
 
 # ---------------------------------------------------------------------------

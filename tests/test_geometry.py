@@ -17,9 +17,7 @@ from shapefn.errors import (
 )
 from shapefn.geometry import Ball, BallUnion, Capsule, Ellipsoid, Polytope, SlabBody
 
-
-def cube_vertices(d, half=1.0):
-    return np.array(np.meshgrid(*[[-1.0, 1.0]] * d)).reshape(d, -1).T * half
+from helpers import cube_vertices
 
 
 # ---------------------------------------------------------------------------
