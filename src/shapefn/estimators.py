@@ -12,8 +12,10 @@ first, and hands each step to the estimator. Torsion keeps a value and a
 weight m: a step of radius R adds m R^2/(2d) to the value, and once the
 steps are short, Russian roulette ends walkers or raises their weight
 without bias. Capacity's value is its weight, to which it applies the far
-field. Capacity walks launch from one sphere and re-enter it from the exact
-exterior harmonic measure, so no extrapolation across radii is needed.
+field. Capacity walks launch from the equilibrium measure of an ellipsoid E
+that encloses the body and are scaled by cap(E); walkers that escape
+re-enter a sphere about E from the exact exterior harmonic measure, so no
+extrapolation across radii is needed.
 Standard errors come from the per-walk values, so they are finite at any
 walk count.
 """
@@ -33,7 +35,7 @@ from .errors import (
     UnsupportedRepresentationError,
     ValidationError,
 )
-from .exact_ellipsoid import kappa_d
+from .exact_ellipsoid import cap_newtonian_ellipsoid
 from .geometry import (
     BallUnion,
     Capsule,
@@ -281,10 +283,18 @@ def _reenter(x, R, gen, diag):
 
 
 def wos_capacity(body, cfg=None):
-    """Newtonian capacity kappa_d R^(d-2) P(hit) by exterior walk-on-spheres
-    from the sphere of radius R = 2 x the bounding radius, launched
-    uniformly on it, with exact harmonic-measure re-entry. The walks draw
-    from one stream, wave after wave. extra["diag"] holds deterministic
+    """Newtonian capacity cap(E) P(hit) by exterior walk-on-spheres, launched
+    from the body's enclosing ellipsoid E = c + S B, S = O diag(a) O^T.
+
+    By Newton's homoeoid theorem E's equilibrium measure is the image of the
+    uniform measure on the unit sphere, so a walk starts at c + S u for a
+    unit vector u, and cap(body) = cap(E) x the mean hitting probability
+    from that measure (Port & Stone 1978); ZENO's launch sphere is the case
+    where E is a ball. S, unlike O alone, does not depend on the basis that
+    a repeated axis leaves free. A walker that steps outside the sphere of
+    radius R = max(2 r_b, |c - centre| + max a) about the bounding ball's
+    centre re-enters it from the exact exterior harmonic measure. The walks
+    draw from one stream, wave after wave. extra["diag"] holds deterministic
     counters of the walks: lock-step iterations add up over the waves,
     max_walk_steps is the longest wave's."""
     cfg = cfg or EstimatorConfig()
@@ -293,7 +303,10 @@ def wos_capacity(body, cfg=None):
         raise UnsupportedRepresentationError("Newtonian capacity needs d >= 3")
     eps = _SHELL * _walk_length(body)
     center, rb = body.bounding_ball()
-    R = 2.0 * rb
+    E = body.enclosing_ellipsoid()
+    a, O = E.semi_axes, E.orientation
+    S = np.diag(a) if O is None else (O * a) @ O.T
+    R = max(2.0 * rb, float(np.linalg.norm(E.center - center)) + float(a.max()))
     gen = _stream(cfg.seed, 1)
     diag = dict.fromkeys(_WALK_COUNTERS + ("reentries", "reentry_proposals"), 0)
 
@@ -319,11 +332,11 @@ def wos_capacity(body, cfg=None):
         return v > 0.0 if low.size else None
 
     mean, se = _per_walk(cfg.walk_count,
-                         lambda m: _walks(body, center + R * _unit_vectors(gen, m, d),
+                         lambda m: _walks(body, E.center + _unit_vectors(gen, m, d) @ S,
                                           np.ones((m, 1)), gen, eps, diag, moved))
     if mean == 0:
         raise DegenerateEstimateError("no capacity walk hit the body")
-    scale = kappa_d(d) * R ** (d - 2)
+    scale = cap_newtonian_ellipsoid(a)
     return Estimate(scale * mean, scale * se, "wos_capacity", extra={"diag": diag})
 
 

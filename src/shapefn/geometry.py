@@ -3,9 +3,10 @@
 Each body kind is one immutable class derived from ``Body`` that holds all of
 its geometry: measure, perimeter, signed distance (negative inside), cheap
 lower and (where one exists) upper bounds on it, membership, bounding ball
-and box, diameter/inradius, homothety, JSON form and the outer John
-ellipsoid. The kinds are balls, ellipsoids, ellipsoids cut by a slab,
-polytopes, capsules and unions of disjoint balls. The methods are the API.
+and box, diameter/inradius, homothety, JSON form, the outer John ellipsoid
+and the enclosing ellipsoid that capacity walks launch from. The kinds are
+balls, ellipsoids, ellipsoids cut by a slab, polytopes, capsules and unions
+of disjoint balls. The methods are the API.
 A module function remains only where it does more than call one:
 
 - ``signed_distance``, ``scale`` and ``body_from_dict`` validate outside
@@ -165,6 +166,13 @@ class Body:
     def john_outer(self):
         """Outer John (Loewner) ellipsoid."""
         raise self._unsupported("John ellipsoid")
+
+    def enclosing_ellipsoid(self):
+        """An ellipsoid containing the body, from which capacity walks
+        launch: the sphere of radius 2 r_b about the bounding ball's centre
+        unless a kind declares a tighter one."""
+        c, r = self.bounding_ball()
+        return Ellipsoid(np.full(c.size, 2.0 * r), c)
 
     def ellipsoid_axes(self):
         """Semi-axes when the body is an ellipsoid (balls included), which
@@ -354,6 +362,10 @@ class SlabBody(Body):
 
     def bounding_ball(self):
         return np.zeros(self.dimension), float(self.axes.max())
+
+    def enclosing_ellipsoid(self):
+        # the uncut part of its boundary is the body's: walks launched there end at once
+        return self.ellipsoid
 
     def bounding_box(self):
         hi = self.axes.copy()
@@ -547,7 +559,15 @@ class Polytope(Body):
         return Polytope(self.vertices * t)
 
     def john_outer(self):
+        return self._john_outer
+
+    @cached_property
+    def _john_outer(self):
+        """The Loewner ellipsoid, computed on first use and kept on the body."""
         return loewner_ellipsoid(self.vertices)
+
+    def enclosing_ellipsoid(self):
+        return self.john_outer()
 
 
 @dataclass(frozen=True, eq=False)

@@ -97,7 +97,7 @@ def test_walk_counters_repeat_and_d3_reentry_never_rejects():
         assert first.extra["diag"]["max_walk_steps"] == second.extra["diag"]["max_walk_steps"] > 0
         # a torsion walk ends on the shell or in the roulette, and the
         # facet-foot upper bound settles every absorption; capacity sends the
-        # same 1325 points to the two as when all went to the exact kernel
+        # same 1708 points to the two as when all went to the exact kernel
         if estimator is wos_torsion:
             diag = first.extra["diag"]
             assert diag["exact_fallbacks"] == 0
@@ -106,7 +106,7 @@ def test_walk_counters_repeat_and_d3_reentry_never_rejects():
             assert diag["roulette_kills"] > 0
         else:
             assert (first.extra["diag"]["exact_fallbacks"]
-                    + first.extra["diag"]["upper_absorbed"]) == 1325
+                    + first.extra["diag"]["upper_absorbed"]) == 1708
     diag = wos_capacity(cube, cfg).extra["diag"]
     assert diag["reentries"] == diag["reentry_proposals"] > 0
     assert diag["roulette_kills"] > 0
@@ -125,13 +125,13 @@ def test_capacity_on_a_4d_polytope_fails_before_any_draw(monkeypatch):
 
 
 def test_upper_bound_settles_most_absorptions_on_the_elongated_slab():
-    # before the upper bound, 65 capacity points went to the exact kernel at
+    # before the upper bound, 903 capacity points went to the exact kernel at
     # seed 0; the bound settles part of them and moves no other. Every torsion
     # walk ends on the shell, through one of the two, or in the roulette
     body = SlabBody([2.4, 1.0, 0.5, 0.35], 0.3)
     cfg = EstimatorConfig(walk_count=1000, seed=0)
     diag = wos_capacity(body, cfg).extra["diag"]
-    assert diag["exact_fallbacks"] + diag["upper_absorbed"] == 65
+    assert diag["exact_fallbacks"] + diag["upper_absorbed"] == 903
     diag = wos_torsion(body, cfg).extra["diag"]
     assert (diag["upper_absorbed"] + diag["exact_fallbacks"]
             + diag["roulette_kills"]) == cfg.walk_count
@@ -154,7 +154,9 @@ def test_walks_past_the_step_budget_are_stuck(monkeypatch):
 # roulette (the slab's when its step radii took up the quadratic ellipsoid
 # bound, the rotated ellipsoid's and the elongated slab's before absorption
 # took up the distance upper bound), and at 2500 and 10000 walks when a call
-# took one stream for all its walks
+# took one stream for all its walks. The cube's, the three slabs' and hull12's
+# were recorded when capacity walks took up the launch from the body's
+# enclosing ellipsoid
 PINNED_BITS = {
     ("ball3", 1000): {
         "wos_torsion": ("0x1.20465eaea20a7p-2", "0x1.6202c551425e0p-7"),
@@ -170,27 +172,27 @@ PINNED_BITS = {
     },
     ("cube", 1000): {
         "wos_torsion": ("0x1.3d1e8c9b1ba2bp-1", "0x1.cbdc29ae8f490p-6"),
-        "wos_capacity": ("0x1.0fc38614e97b6p+4", "0x1.ec55461ccccdcp-2"),
+        "wos_capacity": ("0x1.09342eae11475p+4", "0x1.05bdc23049725p-2"),
     },
     ("cube", 2500): {
         "wos_torsion": ("0x1.53abede42f097p-1", "0x1.36bad613f4461p-6"),
-        "wos_capacity": ("0x1.043a76ce874d9p+4", "0x1.35f2b6715ddfdp-2"),
+        "wos_capacity": ("0x1.0a61e9bb9ab59p+4", "0x1.47553b3252bbdp-3"),
     },
     ("cube", 10000): {
         "wos_torsion": ("0x1.4bc433d3801d0p-1", "0x1.2dd63040533c0p-7"),
-        "wos_capacity": ("0x1.079d4bf9e2ed6p+4", "0x1.34576b8d9a1f3p-3"),
+        "wos_capacity": ("0x1.0a4c28d71700ap+4", "0x1.47955271aafd2p-4"),
     },
     ("slab", 1000): {
         "wos_torsion": ("0x1.dbd75968e7af3p-4", "0x1.315b15fc068b6p-8"),
-        "wos_capacity": ("0x1.744bc5e27b8bcp+3", "0x1.1b06ee6c6c25fp-2"),
+        "wos_capacity": ("0x1.721d968f43523p+3", "0x1.746925cd24e26p-4"),
     },
     ("slab", 2500): {
         "wos_torsion": ("0x1.ed31e0df82ba3p-4", "0x1.a0c0d4242ff35p-9"),
-        "wos_capacity": ("0x1.658687da5d732p+3", "0x1.61103970a875ep-3"),
+        "wos_capacity": ("0x1.74935ddee9f8fp+3", "0x1.d44d26e631abfp-5"),
     },
     ("slab", 10000): {
         "wos_torsion": ("0x1.dd4b09137b0bfp-4", "0x1.8ef4f21cb0e8bp-10"),
-        "wos_capacity": ("0x1.6d4b987731903p+3", "0x1.651e910c461cdp-4"),
+        "wos_capacity": ("0x1.7156f5672c216p+3", "0x1.e5de5c51cf661p-6"),
     },
     ("square", 1000): {
         "wos_torsion": ("0x1.269d03f641c74p-1", "0x1.7638ae008b3edp-6"),
@@ -207,7 +209,7 @@ PINNED_BITS = {
     },
     ("slab_long", 1000): {
         "wos_torsion": ("0x1.615b9c89f2620p-9", "0x1.c5ccf23b37262p-14"),
-        "wos_capacity": ("0x1.d68ba92475ef3p+4", "0x1.fe4bb9a51370cp+1"),
+        "wos_capacity": ("0x1.01033071e151ep+5", "0x1.563653770b887p-2"),
     },
     # d >= 5: re-entry keeps fewer proposals (about 0.59 at d = 6), so it runs several rounds
     ("ellipsoid5", 1000): {
@@ -216,17 +218,17 @@ PINNED_BITS = {
     },
     ("slab6", 1000): {
         "wos_torsion": ("0x1.3d8a21e6d6d72p-6", "0x1.bcb87d055ba6bp-11"),
-        "wos_capacity": ("0x1.ff46bf242a97ep+5", "0x1.2373f2000e893p+4"),
+        "wos_capacity": ("0x1.1c3c056c7dbb6p+6", "0x1.0fae837412820p-1"),
     },
-    # capacity's recorded before the walks took up column-by-column row sums,
-    # which d >= 8 leaves to numpy's own (pairwise) sum
     ("hull12", 1000): {
         "wos_torsion": ("0x1.6036060053018p-5", "0x1.e4a3bbf89cb0bp-10"),
-        "wos_capacity": ("0x1.448f2a0e9d818p+3", "0x1.45a9c05de5479p-2"),
+        "wos_capacity": ("0x1.34541478f9520p+3", "0x1.2b9e83e546a31p-3"),
     },
     ("heptagon", 1000): {
         "wos_torsion": ("0x1.a1b1058d9bb51p-2", "0x1.fd928bba85d32p-7"),
     },
+    # capacity's recorded before the walks took up column-by-column row sums,
+    # which d >= 8 leaves to numpy's own (pairwise) sum
     ("ball8", 1000): {
         "wos_torsion": ("0x1.954fd118e6c8cp-5", "0x1.553ba00d3533cp-9"),
         "wos_capacity": ("0x1.cfdd84549a88cp+7", "0x1.7e221498571bdp+5"),
@@ -402,6 +404,43 @@ def test_capacity_pooled_over_seeds_is_unbiased(axes):
     mean = np.mean([e.value for e in runs])
     se = math.sqrt(sum(e.standard_error ** 2 for e in runs)) / len(runs)
     assert abs(mean - exact) < 3 * se
+
+
+def test_capacity_pooled_over_seeds_is_unbiased_on_the_cube():
+    # walks launched from the Loewner sphere; the unit cube's capacity is
+    # 0.66067813 x 4 pi (Hwang & Mascagni 2004), and [-1, 1]^3 is twice it
+    runs = [wos_capacity(Polytope(cube_vertices(3)), EstimatorConfig(walk_count=10_000, seed=s))
+            for s in range(10)]
+    mean = np.mean([e.value for e in runs])
+    se = math.sqrt(sum(e.standard_error ** 2 for e in runs)) / len(runs)
+    assert abs(mean - 4 * math.pi * 2 * 0.66067813) < 3 * se
+
+
+def test_the_capacity_launch_and_john_pair_share_one_loewner_ellipsoid(monkeypatch):
+    calls = []
+
+    def counted(points, loewner=geo.loewner_ellipsoid):
+        calls.append(points)
+        return loewner(points)
+    monkeypatch.setattr(geo, "loewner_ellipsoid", counted)
+    cube = Polytope(cube_vertices(3))
+    _, outer = geo.john_pair(cube)
+    wos_capacity(cube, EstimatorConfig(walk_count=1000))
+    assert len(calls) == 1 and cube.enclosing_ellipsoid() is outer
+
+
+@pytest.mark.parametrize("axes, h", [([1.556, 1.791, 1.160, 1.0], 0.7595),
+                                     ([2.4, 1.0, 0.5, 0.35], 0.3),
+                                     ([1.2, 1.0, 0.9], 0.6)],
+                         ids=["criterion10", "slab_long", "slab3"])
+def test_slab_capacity_lies_between_its_inner_and_outer_ellipsoids(axes, h):
+    # walks launched from the uncut ellipsoid; the slab body holds the
+    # ellipsoid with its last axis cut to h a_d, and capacity is monotone
+    inner = np.array(axes)
+    inner[-1] *= h
+    e = wos_capacity(SlabBody(axes, h), EstimatorConfig(walk_count=10_000, seed=0))
+    assert ex.cap_newtonian_ellipsoid(inner) - 3 * e.standard_error <= e.value
+    assert e.value <= ex.cap_newtonian_ellipsoid(axes) + 3 * e.standard_error
 
 
 def reentry_sample(d, ratio, n, seed):
