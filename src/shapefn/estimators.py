@@ -144,8 +144,10 @@ def _step_radius(body, pos, eps, diag):
     boundary distance. Where it is below eps, the body's upper bound is asked
     too: a point whose upper bound is below eps as well is absorbed with its
     lower bound, a radius the walks never use, and only the band
-    lower < eps <= upper gets the exact distance. diag["upper_absorbed"] and
-    diag["exact_fallbacks"] count the points of each kind."""
+    lower < eps <= upper gets the exact distance, in one call; on a kind
+    with no upper bound (+inf) that is every point below eps.
+    diag["upper_absorbed"] and diag["exact_fallbacks"] count the points of
+    each kind."""
     r = boundary_distance_lower(body, pos)
     near = np.flatnonzero(r < eps)
     if near.size:

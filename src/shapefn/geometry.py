@@ -128,7 +128,10 @@ class Body:
 
     def distance_upper(self, P):
         """Upper bound on |signed distance| of each point, rounding included,
-        so never below the exact kernel's value; +inf where a kind has none."""
+        so never below the exact kernel's value; +inf where a kind has none.
+        A kind has one only where its exact kernel costs more than the
+        bound: the ellipsoid's Newton iteration, behind Ellipsoid and
+        SlabBody."""
         return np.full(P.shape[0], np.inf)
 
     def inside(self, P):
@@ -189,6 +192,8 @@ class Ball(Body):
         if not 0 < self.radius < np.inf:
             raise ValidationError("ball radius must be positive and finite")
         c = np.zeros(3) if self.center is None else _as_point(self.center)
+        if c.ndim != 1 or c.size < 2:
+            raise ValidationError("ball center must be a point of dimension >= 2")
         object.__setattr__(self, "center", c)
 
     @property
@@ -421,8 +426,6 @@ class Polytope(Body):
         # equal planes: each plane is kept once, where it first appears
         keep = np.sort(np.unique(np.c_[normals, offsets], axis=0, return_index=True)[1])
         object.__setattr__(self, "_hull", hull)
-        # bounds every offset and vertex coordinate the kernels round
-        object.__setattr__(self, "_vertex_norm", float(np.linalg.norm(V, axis=1).max()))
         object.__setattr__(self, "vertices", V)
         object.__setattr__(self, "normals", normals[keep])
         object.__setattr__(self, "offsets", offsets[keep])
@@ -431,7 +434,8 @@ class Polytope(Body):
     def _check_representations(self):
         # mutual containment: every vertex satisfies the H-rep, every facet is
         # tight, to _REP_TOL x the largest vertex norm, so at any scale
-        slack = (self.vertices @ self.normals.T - self.offsets) / self._vertex_norm
+        V = self.vertices
+        slack = (V @ self.normals.T - self.offsets) / np.linalg.norm(V, axis=1).max()
         if slack.max() > _REP_TOL:
             raise ValidationError("V- and H-representations disagree (vertex outside)")
         if np.any(slack.max(axis=0) < -_REP_TOL):
@@ -485,25 +489,21 @@ class Polytope(Body):
             X.max(axis=0, out=out[lo:lo + step])
         return out
 
-    def _foot_excess(self, Q, e):
-        """For exterior points Q with plane excess e: the largest excess over
-        the other facets of the foot Q - e n_j on the most violated facet j.
-        Where a point's nearest boundary point lies inside a facet i, every
-        other facet's excess is below e_i, so j = i and the foot is that
-        point. So where this is <= 0 the foot lies on the body and the
-        distance is e; elsewhere the nearest point lies on an edge (in 2-D,
-        a vertex)."""
-        j = (_matmul(Q, self.normals.T) - self.offsets).argmax(axis=1)
-        F = _matmul(Q - e[:, None] * self.normals[j], self.normals.T) - self.offsets
-        F[np.arange(Q.shape[0]), j] = -np.inf
-        return F.max(axis=1)
-
     def signed_distance(self, P):
+        """The plane excess e, the exact distance inside. Outside, e where
+        the foot p - e n_j on the most violated facet j lies on the body,
+        which holds wherever p's nearest boundary point lies inside a facet i:
+        every other facet's excess is below e_i there, so j = i and the foot
+        is that point. Elsewhere the nearest point lies on an edge (in 2-D,
+        a vertex)."""
         sd = self._plane_excess(P)
         out = np.flatnonzero(sd > 0)
         if out.size:
             Q = P.take(out, axis=0)
-            off = self._foot_excess(Q, sd[out]) > 0
+            j = (_matmul(Q, self.normals.T) - self.offsets).argmax(axis=1)
+            F = _matmul(Q - sd[out][:, None] * self.normals[j], self.normals.T) - self.offsets
+            F[np.arange(out.size), j] = -np.inf
+            off = F.max(axis=1) > 0
             sd[out[off]] = _edge_distance(self, Q.compress(off, axis=0))
         return sd
 
@@ -511,20 +511,6 @@ class Polytope(Body):
         # interior: exact facet-plane distance; exterior: the largest
         # halfspace violation is a valid lower bound
         return np.abs(self._plane_excess(P))
-
-    def distance_upper(self, P):
-        """Inside, the plane distance, which signed_distance returns as it is.
-        Outside, the plane excess e where the foot lies on the body with a
-        margin of the rounding allowance of 8 ulp x (|p| + the largest vertex
-        norm), plus that allowance; elsewhere (near edges and vertices) +inf."""
-        e = self._plane_excess(P)
-        up = np.abs(e)
-        out = np.flatnonzero(e > 0)
-        if out.size:
-            Q = P.take(out, axis=0)
-            slack = _UPPER_ROUNDING * (_norms(Q) + self._vertex_norm)
-            up[out] = np.where(self._foot_excess(Q, e[out]) <= -slack, e[out] + slack, np.inf)
-        return up
 
     def inside(self, P):
         # signed_distance keeps the plane excess where it is not positive
@@ -578,6 +564,8 @@ class Capsule(Body):
 
     def __post_init__(self):
         p = _as_point(self.p)
+        if p.ndim != 1 or p.size < 2:
+            raise ValidationError("capsule ends must be points of dimension >= 2")
         q = _as_point(self.q, p.size)
         if not 0 <= self.radius < np.inf:
             raise ValidationError("capsule radius must be non-negative and finite")
@@ -634,6 +622,8 @@ class BallUnion(Body):
         r = np.atleast_1d(np.asarray(self.radii, dtype=float))
         if C.shape[0] != r.size or not _positive(r):
             raise ValidationError("centers/radii mismatch, or a radius not positive and finite")
+        if C.ndim != 2 or C.shape[1] < 2:
+            raise ValidationError("ball union centers must be points of dimension >= 2")
         object.__setattr__(self, "centers", C)
         object.__setattr__(self, "radii", r)
         if C.shape[0] > 1:
@@ -820,8 +810,10 @@ def _distance_upper(k, P):
       meets g = 1: with X = |p / a^2|, Y = |p / a^3| and c = 1 - g^2, at
       t = c / (X^2 + sqrt(X^4 + Y^2 c)), the root of Y^2 t^2 + 2 X^2 t = c
       nearest 0, and at distance X |t|; none where the line misses;
-    - inside, the cut plane's foot at distance cut - |p_d|, and the inradius
-      r, which keeps the centre finite.
+    - the cut plane's foot: inside, at distance cut - |p_d|, where the
+      inradius r also counts and keeps the centre finite; outside, where
+      g < 1 the point lies over the flat face and its foot on it, at
+      distance |p_d| - cut, is the nearest point of the body.
     A segment from an interior point to a point outside the body or on its
     boundary crosses the boundary, so inside every point counts. Outside,
     the line point counts only where it lies in the slab.
@@ -842,7 +834,7 @@ def _distance_upper(k, P):
         t = c / (X2 + np.sqrt(X2 * X2 + _rowsum(v * v) * c))
         hit = inside | (np.abs(P[:, -1] * (1.0 + t / a2[-1])) <= cut)
         line = np.where(hit, np.sqrt(X2) * np.abs(t), np.inf)
-    side = np.where(inside, np.minimum(cut - pd, r), np.inf)
+    side = np.where(inside, np.minimum(cut - pd, r), np.where(g2 < 1.0, pd - cut, np.inf))
     return np.fmin(np.fmin(ray, line), side) + _UPPER_ROUNDING * (norm + r)
 
 

@@ -213,8 +213,8 @@ def test_compute_at_1000_walks_prints_no_infinity(cube, capsys):
 
 def test_compute_writes_the_walk_counters_alike_in_two_processes(cube):
     # the counters are deterministic; a torsion walk ends on the shell or in
-    # the roulette, and on the cube the facet-foot upper bound settles every
-    # absorption, so no torsion point reaches the exact kernel
+    # the roulette, and a polytope has no upper bound, so every absorbed
+    # torsion point reaches the exact kernel
     src = str(Path(shapefn.__file__).parent.parent)
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
@@ -225,9 +225,8 @@ def test_compute_writes_the_walk_counters_alike_in_two_processes(cube):
     assert outs[0] == outs[1]
     components = json.loads(outs[0])["evaluation"]["components"]
     torsion = components["T"]["diag"]
-    assert torsion["exact_fallbacks"] == 0
-    assert (torsion["upper_absorbed"] + torsion["exact_fallbacks"]
-            + torsion["roulette_kills"]) == 1000
+    assert torsion["upper_absorbed"] == 0
+    assert torsion["exact_fallbacks"] + torsion["roulette_kills"] == 1000
     assert components["cap"]["diag"]["walker_steps"] > 0
 
 
@@ -350,6 +349,30 @@ def test_verify_skips_a_4d_polytope_and_a_list(tmp_path, capsys):
     assert json.loads(out)["manifest"]["bodies"] == ["ball3"]
     with open(tmp_path / "l.json") as fh:
         assert "ball3" in {r["body_id"] for r in json.load(fh)}
+
+
+def test_verify_skips_one_dimensional_bodies(tmp_path, capsys):
+    # a 1-D ball, capsule or ball union is refused when it is built, as a 1-D
+    # polytope is, so verify names it and goes on with the rest
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_body(corpus / "ball3.json", {"kind": "ball", "radius": 1.0, "center": [0, 0, 0]})
+    write_body(corpus / "b1.json", {"kind": "ball", "radius": 1, "center": [0]})
+    write_body(corpus / "b1_scalar.json", {"kind": "ball", "radius": 1, "center": 0})
+    write_body(corpus / "capsule1.json", {"kind": "capsule", "p": [0], "q": [1], "radius": 0.5})
+    write_body(corpus / "union1.json", {"kind": "ball_union", "centers": [[0], [5]],
+                                        "radii": [1, 1]})
+    code, out, err = run(["verify", str(corpus),
+                          "--out-csv", str(tmp_path / "l.csv"),
+                          "--out-json", str(tmp_path / "l.json"),
+                          "--walks", "1000"], capsys)
+    assert code == EXIT_OK
+    skipped = [line for line in err.splitlines() if line.startswith("skipped ")]
+    assert [line.split(":")[0] for line in skipped] == [
+        "skipped b1.json", "skipped b1_scalar.json", "skipped capsule1.json",
+        "skipped union1.json"]
+    assert all("dimension >= 2" in line for line in skipped)
+    assert json.loads(out)["manifest"]["bodies"] == ["ball3"]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])

@@ -95,23 +95,40 @@ def test_walk_counters_repeat_and_d3_reentry_never_rejects():
         assert first.extra == second.extra
         assert first.extra["diag"]["walker_steps"] > first.extra["diag"]["iterations"] > 0
         assert first.extra["diag"]["max_walk_steps"] == second.extra["diag"]["max_walk_steps"] > 0
-        # a torsion walk ends on the shell or in the roulette, and the
-        # facet-foot upper bound settles every absorption; capacity sends the
-        # same 1708 points to the two as when all went to the exact kernel
+        # a polytope has no upper bound, so every point in the shell goes to
+        # the exact kernel: a torsion walk ends there or in the roulette, and
+        # capacity sends 1708 points there
+        diag = first.extra["diag"]
+        assert diag["upper_absorbed"] == 0
         if estimator is wos_torsion:
-            diag = first.extra["diag"]
-            assert diag["exact_fallbacks"] == 0
-            assert (diag["upper_absorbed"] + diag["exact_fallbacks"]
-                    + diag["roulette_kills"]) == cfg.walk_count
+            assert diag["exact_fallbacks"] + diag["roulette_kills"] == cfg.walk_count
             assert diag["roulette_kills"] > 0
         else:
-            assert (first.extra["diag"]["exact_fallbacks"]
-                    + first.extra["diag"]["upper_absorbed"]) == 1708
+            assert diag["exact_fallbacks"] == 1708
     diag = wos_capacity(cube, cfg).extra["diag"]
     assert diag["reentries"] == diag["reentry_proposals"] > 0
     assert diag["roulette_kills"] > 0
     diag4 = wos_capacity(Ball(1.0, np.zeros(4)), cfg).extra["diag"]
     assert 0 < diag4["reentries"] < diag4["reentry_proposals"]
+
+
+@pytest.mark.parametrize("estimator", [wos_torsion, wos_capacity])
+def test_each_polytope_point_goes_once_to_the_exact_kernel(estimator, monkeypatch):
+    # the exact kernel sees exactly the exact_fallbacks points, so no point
+    # is asked for twice, and the call's value does not change
+    cube = Polytope(cube_vertices(3))
+    cfg = EstimatorConfig(walk_count=1000, seed=4)
+    plain = estimator(cube, cfg)
+    seen = []
+
+    def counted(body, points):
+        seen.append(len(points))
+        return geo.signed_distance(body, points)
+
+    monkeypatch.setattr(est, "signed_distance", counted)
+    wrapped = estimator(cube, cfg)
+    assert sum(seen) == wrapped.extra["diag"]["exact_fallbacks"] > 0
+    assert (wrapped.value, wrapped.extra) == (plain.value, plain.extra)
 
 
 def test_capacity_on_a_4d_polytope_fails_before_any_draw(monkeypatch):
@@ -126,12 +143,14 @@ def test_capacity_on_a_4d_polytope_fails_before_any_draw(monkeypatch):
 
 def test_upper_bound_settles_most_absorptions_on_the_elongated_slab():
     # before the upper bound, 903 capacity points went to the exact kernel at
-    # seed 0; the bound settles part of them and moves no other. Every torsion
-    # walk ends on the shell, through one of the two, or in the roulette
+    # seed 0; the bound settles all of them, those over the flat face on the
+    # cut plane's foot, and moves no other. Every torsion walk ends on the
+    # shell, through one of the two, or in the roulette
     body = SlabBody([2.4, 1.0, 0.5, 0.35], 0.3)
     cfg = EstimatorConfig(walk_count=1000, seed=0)
     diag = wos_capacity(body, cfg).extra["diag"]
-    assert diag["exact_fallbacks"] + diag["upper_absorbed"] == 903
+    assert diag["upper_absorbed"] == 903
+    assert diag["exact_fallbacks"] == 0
     diag = wos_torsion(body, cfg).extra["diag"]
     assert (diag["upper_absorbed"] + diag["exact_fallbacks"]
             + diag["roulette_kills"]) == cfg.walk_count

@@ -114,6 +114,19 @@ def test_slab_distance_upper_is_valid(axes, h):
     # inside, the cut plane and the ellipsoid's normal line keep it close
     inner = b.signed_distance(P) < -1e-9
     assert np.median(up[inner] / sd[inner]) < 1.001
+    # just outside the flat face, inside the ellipsoid, out to its rim: the
+    # bound is the kernel's plane excess |p_d| - cut plus its allowance
+    # (which the sum rounds)
+    face = rng.standard_normal((4000, b.dimension))
+    face[:, :-1] *= (math.sqrt(1.0 - h * h) * rng.uniform(0.0, 1.0, (4000, 1))
+                     / np.linalg.norm(face[:, :-1] / b.axes[:-1], axis=1, keepdims=True))
+    face[:, -1] = np.sign(face[:, -1]) * (h + 10.0 ** rng.uniform(-12.0, -2.0, 4000)) * b.axes[-1]
+    face = face[np.sum((face / b.axes) ** 2, axis=1) < 1.0]
+    assert face.shape[0] > 2000
+    up, sd = b.distance_upper(face), b.signed_distance(face)
+    assert np.all(sd > 0) and np.all(up >= sd)
+    allowance = 8 * np.finfo(float).eps * (np.linalg.norm(face, axis=1) + b.bounding_box()[1].min())
+    assert np.all(up - sd <= 2 * allowance)
 
 
 def test_slab_body_dispatch_through_geometry():
