@@ -73,6 +73,9 @@ class EstimatorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, v in self.to_dict().items():  # a float seed 1.5 would walk as 1
+            if isinstance(v, bool) or not isinstance(v, (int, np.integer)):
+                raise ValidationError(f"{name} must be an integer, got {v!r}")
         if self.walk_count < 1000:
             raise ValidationError("walk_count must be at least 10^3")
         if not 0 <= self.seed < 2 ** 64:  # the stream's key holds 64 bits of seed

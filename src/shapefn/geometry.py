@@ -1,10 +1,10 @@
 """Convex body representations and geometric measures.
 
 Each body kind is one immutable class derived from ``Body`` that holds all of
-its geometry: measure, perimeter, signed distance (negative inside), cheap
-lower and (where one exists) upper bounds on it, membership, bounding ball
-and box, diameter/inradius, homothety, JSON form, the outer John ellipsoid
-and the enclosing ellipsoid that capacity walks launch from. The kinds are
+its geometry: measure, perimeter, signed distance (negative inside), a cheap
+signed lower bound on it, whose sign is membership, an upper bound where one
+exists, bounding ball and box, diameter/inradius, homothety, JSON form, the
+outer John ellipsoid and the enclosing ellipsoid that capacity walks launch from. The kinds are
 balls, ellipsoids, ellipsoids cut by a slab, polytopes, capsules and unions
 of disjoint balls. The methods are the API.
 A module function remains only where it does more than call one:
@@ -123,8 +123,9 @@ class Body:
         raise self._unsupported("signed distance")
 
     def distance_lower(self, P):
-        """Lower bound on |signed distance| of each point."""
-        return np.abs(signed_distance(self, P))
+        """Signed lower bound on the distance of each point, negative exactly
+        inside and never larger in size; by default the signed distance."""
+        return signed_distance(self, P)
 
     def distance_upper(self, P):
         """Upper bound on |signed distance| of each point, rounding included,
@@ -135,8 +136,8 @@ class Body:
         return np.full(P.shape[0], np.inf)
 
     def inside(self, P):
-        """Whether each point is interior: signed distance < 0."""
-        return signed_distance(self, P) < 0
+        """Whether each point is interior: the sign of the lower bound."""
+        return self.distance_lower(P) < 0
 
     def bounding_ball(self):
         """A (not necessarily minimal) enclosing ball: (center, radius)."""
@@ -288,12 +289,6 @@ class Ellipsoid(Body):
     def distance_upper(self, P):
         return _distance_upper(self._bounds, self._local(P))
 
-    def inside(self, P):
-        # the exact kernel's sign test: sqrt rounds monotonically and 1 exactly,
-        # so g^2 < 1 exactly when its g * g < 1
-        q = self._local(P) / self.semi_axes
-        return _rowsum(q * q) < 1.0
-
     def bounding_ball(self):
         return self.center.copy(), float(self.semi_axes.max())
 
@@ -359,11 +354,6 @@ class SlabBody(Body):
 
     def distance_upper(self, P):
         return _distance_upper(self._bounds, P)
-
-    def inside(self, P):
-        # signed_distance's max of two signed distances is negative exactly here
-        q = P / self.axes
-        return (_rowsum(q * q) < 1.0) & (np.abs(P[:, -1]) < self.h * self.axes[-1])
 
     def bounding_ball(self):
         return np.zeros(self.dimension), float(self.axes.max())
@@ -473,10 +463,12 @@ class Polytope(Body):
     def perimeter(self):
         return float(self.hull().area)
 
-    def _plane_excess(self, P):
-        """max over facets of n . p - offset, in products of facets x points
-        of at most _PLANE_ENTRIES entries; the max runs along the long axis.
-        At 10^4 points on a 2-core Xeon (OpenBLAS 0.3.31), 2^17 entries took
+    def distance_lower(self, P):
+        """The plane excess, max over facets of n . p - offset: the exact
+        signed distance inside and, outside, the largest halfspace violation,
+        a lower bound. It is computed in products of facets x points of at
+        most _PLANE_ENTRIES entries; the max runs along the long axis. At
+        10^4 points on a 2-core Xeon (OpenBLAS 0.3.31), 2^17 entries took
         35 us on the square, 52 on the cube and 175 on a 20-facet hull,
         against 76, 97 and 256 in 1024-point blocks; more entries gained
         nothing from 3000 to 32768 points, and one product of the cube's
@@ -490,13 +482,13 @@ class Polytope(Body):
         return out
 
     def signed_distance(self, P):
-        """The plane excess e, the exact distance inside. Outside, e where
-        the foot p - e n_j on the most violated facet j lies on the body,
-        which holds wherever p's nearest boundary point lies inside a facet i:
-        every other facet's excess is below e_i there, so j = i and the foot
-        is that point. Elsewhere the nearest point lies on an edge (in 2-D,
-        a vertex)."""
-        sd = self._plane_excess(P)
+        """The plane excess e of distance_lower, the exact distance inside.
+        Outside, e where the foot p - e n_j on the most violated facet j lies
+        on the body, which holds wherever p's nearest boundary point lies
+        inside a facet i: every other facet's excess is below e_i there, so
+        j = i and the foot is that point. Elsewhere the nearest point lies on
+        an edge (in 2-D, a vertex)."""
+        sd = self.distance_lower(P)
         out = np.flatnonzero(sd > 0)
         if out.size:
             Q = P.take(out, axis=0)
@@ -506,15 +498,6 @@ class Polytope(Body):
             off = F.max(axis=1) > 0
             sd[out[off]] = _edge_distance(self, Q.compress(off, axis=0))
         return sd
-
-    def distance_lower(self, P):
-        # interior: exact facet-plane distance; exterior: the largest
-        # halfspace violation is a valid lower bound
-        return np.abs(self._plane_excess(P))
-
-    def inside(self, P):
-        # signed_distance keeps the plane excess where it is not positive
-        return self._plane_excess(P) < 0
 
     def bounding_ball(self):
         c = self.vertices.mean(axis=0)
@@ -677,8 +660,14 @@ def diameter_inradius(body):
 # signed distance
 # ---------------------------------------------------------------------------
 
-_DISTANCE_BLOCK = 1024  # points per pass of the kernels below; bounds their temporaries
-_PLANE_ENTRIES = 2 ** 17  # facets x points per product of Polytope._plane_excess (1 MB)
+# Points per pass of the kernels below. On john_pair's 10^4 points of the five
+# d = 2..6 ellipsoids of bench/workloads.py's exact corpus (seed 0, 2-core Xeon),
+# the ellipsoid kernel's peak allocation was 0.34-0.63 MB, against 2.0-4.3 MB in
+# blocks of _PLANE_ENTRIES // d, for the same bits; with those john_pair took
+# 0-7 % longer in 7 of 8 alternations (80-89 ms), though the lone kernel was
+# ~20 % faster at d = 2, 3.
+_DISTANCE_BLOCK = 1024
+_PLANE_ENTRIES = 2 ** 17  # facets x points per product of Polytope.distance_lower (1 MB)
 _NEWTON_MAX_ITER = 200  # from s0 >= 1e-18 a_min^2, steps of x1.5 reach any root in ~100
 
 
@@ -766,18 +755,22 @@ def _bound_constants(axes, cut=np.inf):
 
 
 def _distance_lower(k, P):
-    """Lower bound on the distance from points to the boundary of an
+    """Signed lower bound on the distance from points to the boundary of an
     axis-aligned ellipsoid, exact to first order at the end of a long axis,
-    or of its cut by the slab |x_d| <= cut (k: the body's _bound_constants).
+    or of its cut by the slab |x_d| <= cut (k: the body's _bound_constants):
+    negative exactly inside, and never larger in size than the distance.
 
     A step v, |v| = delta, changes g^2 = |p / a|^2 by 2 (p / a^2).v + |v / a|^2,
     which lies in [-2 X delta + delta^2 / a_max^2, 2 X delta + delta^2 / a_min^2]
     with X = |p / a^2|. So reaching g^2 = 1 needs delta >= |1 - g^2| / (X + sqrt(D)),
     D = X^2 + (1 - g^2) / a_min^2 inside and X^2 - (g^2 - 1) / a_max^2 =
     sum (p_i / a_i)^2 (1 / a_i^2 - 1 / a_max^2) + 1 / a_max^2 outside, both sums
-    of non-negative terms. The bound is the larger of this and |g - 1| a_min.
-    With a cut it is, inside, the smaller of that and the plane distance and,
-    outside, the larger of the plane excess and the shell's bound (0 where g <= 1).
+    of non-negative terms. The bound is the larger of this and |g - 1| a_min,
+    of the sign of g^2 - 1, which is the exact kernel's: sqrt rounds
+    monotonically and 1 exactly, so g^2 < 1 exactly when its g * g < 1. On
+    the shell the bound is -0.0, which is not inside. With a cut it is, as
+    the body's signed distance is, the larger of that and the plane's signed
+    distance |p_d| - cut, which is 0.0 on the plane.
     """
     a, a2, lo, lo2, hi_2, outer, cut, _ = k
     q2 = (P / a) ** 2
@@ -786,12 +779,8 @@ def _distance_lower(k, P):
     c = 1.0 - g2
     D = np.where(c > 0.0, X2 + c / lo2, _rowsum(q2 * outer) + hi_2)
     lb = np.maximum(np.abs(c) / (np.sqrt(X2) + np.sqrt(D)), np.abs(np.sqrt(g2) - 1.0) * lo)
-    if cut == np.inf:
-        return lb
-    sd_s = np.abs(P[:, -1]) - cut
-    in_e = c >= 0.0
-    return np.where(in_e & (sd_s <= 0.0), np.minimum(lb, -sd_s),
-                    np.maximum(np.where(in_e, 0.0, lb), sd_s))
+    lb = np.copysign(lb, -c)
+    return lb if cut == np.inf else np.maximum(lb, np.abs(P[:, -1]) - cut)
 
 
 _UPPER_ROUNDING = 8.0 * np.finfo(float).eps  # upper-bound allowance per unit |p| + body size
@@ -853,8 +842,8 @@ def signed_distance(body, points):
 
 
 def boundary_distance_lower(body, points):
-    """Lower bound on |signed_distance|, cheap enough for WoS step sizing."""
-    return body.distance_lower(np.atleast_2d(np.asarray(points, dtype=float)))
+    """|distance_lower|, a lower bound on |signed_distance| for WoS steps."""
+    return np.abs(body.distance_lower(np.atleast_2d(np.asarray(points, dtype=float))))
 
 
 def scale(body, t):

@@ -28,6 +28,16 @@ def test_config_validation():
         with pytest.raises(ValidationError, match="seed"):
             EstimatorConfig(walk_count=1000, seed=seed)
     assert EstimatorConfig(walk_count=1000, seed=2 ** 64 - 1).seed == 2 ** 64 - 1
+    # seed 1.5 would walk as seed 1 while the manifest records 1.5, and a
+    # float walk_count would escape from range as a TypeError
+    for bad in (1.5, 7.0, "3", True):
+        with pytest.raises(ValidationError, match="seed"):
+            EstimatorConfig(walk_count=1000, seed=bad)
+    for bad in (1000.0, 2500.5, "1000", True):
+        with pytest.raises(ValidationError, match="walk_count"):
+            EstimatorConfig(walk_count=bad, seed=0)
+    cfg = EstimatorConfig(walk_count=np.int64(1000), seed=np.uint64(2 ** 64 - 1))
+    assert (cfg.walk_count, cfg.seed) == (1000, 2 ** 64 - 1)
 
 
 def test_config_has_no_shell_width():

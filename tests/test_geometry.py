@@ -102,7 +102,8 @@ def test_polytope_vertex_order_2d():
 
 def test_polytope_keeps_each_facet_plane_once():
     # Qhull gives each square face of the cube as two triangles with equal
-    # planes; the polytope keeps 6, and their plane excess is the 12-row max
+    # planes; the polytope keeps 6, and their plane excess, its lower bound,
+    # is the 12-row max
     cube = Polytope(cube_vertices(3))
     assert cube.normals.shape == (6, 3) and cube.offsets.shape == (6,)
     eq = cube.hull().equations
@@ -112,7 +113,7 @@ def test_polytope_keeps_each_facet_plane_once():
     P = np.random.default_rng(3).uniform(-2.0, 2.0, (1000, 3))
     for X in (P, P[:1]):
         twelve = (geo._matmul(normals, X.T) - offsets[:, None]).max(axis=0)
-        assert cube._plane_excess(X).tobytes() == twelve.tobytes()
+        assert cube.distance_lower(X).tobytes() == twelve.tobytes()
 
 
 @pytest.mark.parametrize("d", range(2, 13))
@@ -240,15 +241,19 @@ def bound_test_points(axes, seed):
        st.integers(-3, 3), st.integers(0, 2 ** 31 - 1))
 def test_ellipsoid_distance_lower_bound_valid(log10_ratios, scale, seed):
     # axis ratios down to 1e-3 in d = 2..6, at interior and exterior points:
-    # below the exact distance, never below |g - 1| a_min, and homogeneous
+    # of the exact distance's sign, below it in size, never below
+    # |g - 1| a_min, and homogeneous
     a = 10.0 ** np.array(log10_ratios) * 2.0 ** scale
     P = bound_test_points(a, seed)
+    signed = Ellipsoid(a).distance_lower(P)
     lb = geo.boundary_distance_lower(Ellipsoid(a), P)
-    assert np.all(lb <= np.abs(geo.signed_distance(Ellipsoid(a), P)) * (1 + 1e-13))
+    sd = geo.signed_distance(Ellipsoid(a), P)
+    assert np.array_equal(lb, np.abs(signed)) and np.array_equal(signed < 0, sd < 0)
+    assert np.all(lb <= np.abs(sd) * (1 + 1e-13))
     g = np.sqrt(np.sum((P / a) ** 2, axis=1))
     assert np.all(lb >= np.abs(g - 1.0) * a.min())
     for t in (2.0 ** -20, 0.5, 8.0):
-        assert np.array_equal(Ellipsoid(t * a).distance_lower(t * P), t * lb)
+        assert np.array_equal(Ellipsoid(t * a).distance_lower(t * P), t * signed)
     # at g = 1 +- 1e-6 the exact kernel's own rounding shows
     shell = P / g[:, None] * (1.0 + 1e-6 * np.sign(g - 1.0))[:, None]
     sd = np.abs(geo.signed_distance(Ellipsoid(a), shell))
@@ -259,9 +264,11 @@ def test_ellipsoid_distance_lower_bound_valid(log10_ratios, scale, seed):
 def test_ellipsoid_distance_lower_bound_is_tight_at_a_long_axis_tip(x):
     a = np.array([1.0, 0.1, 0.1])
     p = np.array([[x, 0.0, 0.0]])
-    exact = abs(geo.signed_distance(Ellipsoid(a), p)[0])
+    sd = geo.signed_distance(Ellipsoid(a), p)[0]
+    exact = abs(sd)
     assert exact == pytest.approx(1e-3, rel=1e-9)
-    assert Ellipsoid(a).distance_lower(p)[0] >= 0.95 * exact
+    lb = Ellipsoid(a).distance_lower(p)[0]
+    assert (lb < 0) == (sd < 0) and abs(lb) >= 0.95 * exact
     # |g - 1| a_min alone gives a tenth of it
     assert abs(np.linalg.norm(p / a) - 1.0) * a.min() == pytest.approx(0.1 * exact)
 
@@ -270,10 +277,10 @@ def test_ellipsoid_distance_lower_bound_is_finite_at_the_extremes():
     # pytest turns RuntimeWarning into an error
     a = np.array([2.0, 1.0, 1e-3, 0.5])
     e = Ellipsoid(a)
-    assert e.distance_lower(np.zeros((1, 4)))[0] == 1e-3
+    assert e.distance_lower(np.zeros((1, 4)))[0] == -1e-3
     u = np.random.default_rng(8).standard_normal((200, 4))
     on = u / np.linalg.norm(u / a, axis=1, keepdims=True)
-    assert np.all(e.distance_lower(on) <= 1e-14)
+    assert np.all(geo.boundary_distance_lower(e, on) <= 1e-14)
     far = e.distance_lower(1e12 * on)
     assert np.all(np.isfinite(far) & (far > 0.0))
 
@@ -576,10 +583,10 @@ def test_polytope_distance_upper_is_valid(make, scale):
     assert np.all(poly.distance_upper(P) == np.inf)
     lb = poly.distance_lower(P)
     out = sd > 0
-    assert np.array_equal(lb[~out], -sd[~out])
+    assert np.array_equal(lb[~out], sd[~out]) and np.array_equal(lb < 0, sd < 0)
     assert 1000 < (~out).sum() < 5000
     allowance = 2 * np.finfo(float).eps * (np.linalg.norm(P, axis=1) + np.abs(poly.vertices).max())
-    assert np.all(lb <= np.abs(sd) + allowance)
+    assert np.all(np.abs(lb) <= np.abs(sd) + allowance)
     assert (lb[out] == sd[out]).mean() > 0.3
 
 
@@ -800,6 +807,29 @@ MEMBERSHIP_BODIES = dict(PROTOCOL_BODIES, polytope3_random=(_random_hull_3d(), N
                          slab_long=(SlabBody(np.array([2.4, 1.0, 0.5, 0.35]), 0.3), None))
 
 
+def boundary_ties(body, rng, n=500):
+    """Points exactly on the boundary in the body's own arithmetic, or None:
+    the cube's points with a coordinate of +-1, a slab's points inside its
+    ellipsoid with |x_d| = h a_d, and the axis tips +-a_i e_i of a centred,
+    axis-aligned ellipsoid or ball (of a slab, those of its first d - 1 axes)."""
+    d = body.dimension
+    if isinstance(body, Polytope) and np.array_equal(np.abs(body.vertices), np.ones((2 ** d, d))):
+        P = rng.uniform(-1.0, 1.0, (n, d))
+        P[np.arange(n), rng.integers(0, d, n)] = rng.choice([-1.0, 1.0], n)
+        return P
+    if isinstance(body, SlabBody):
+        cut = body.h * body.axes[-1]
+        P = rng.uniform(-0.5, 0.5, (n, d)) * body.axes * math.sqrt(1.0 - body.h ** 2)
+        P[:, -1] = rng.choice([-cut, cut], n)
+        tips = np.diag(body.axes)[:-1]
+        return np.concatenate([P, tips, -tips])
+    if (isinstance(body, (Ball, Ellipsoid)) and not body.center.any()
+            and getattr(body, "orientation", None) is None):
+        tips = np.diag(body.ellipsoid_axes())
+        return np.concatenate([tips, -tips])
+    return None
+
+
 @pytest.mark.parametrize("kind", sorted(MEMBERSHIP_BODIES))
 def test_inside_is_the_sign_of_the_signed_distance(kind):
     body = MEMBERSHIP_BODIES[kind][0]
@@ -809,6 +839,14 @@ def test_inside_is_the_sign_of_the_signed_distance(kind):
     inside = body.inside(P)
     assert 0 < inside.sum() < P.shape[0]
     assert np.array_equal(inside, geo.signed_distance(body, P) < 0)
+    # the lower bound's size never exceeds the distance's
+    sd = np.abs(geo.signed_distance(body, P))
+    assert np.all(geo.boundary_distance_lower(body, P) <= sd * (1 + 1e-13) + 1e-15)
+    # a point on the boundary is not inside, by either test
+    ties = boundary_ties(body, np.random.default_rng(14))
+    if ties is not None:
+        assert not body.inside(ties).any()
+        assert not (geo.signed_distance(body, ties) < 0).any()
 
 
 @pytest.mark.parametrize("kind", sorted(PROTOCOL_BODIES))

@@ -61,8 +61,8 @@ def test_slab_body_distance_contract():
     P = rng.normal(size=(2000, 3)) * 1.5
     sd = b.signed_distance(P)
     lb = b.distance_lower(P)
-    assert np.all(lb <= np.abs(sd) + 1e-9)
-    assert np.all(lb >= 0)
+    assert np.all(np.abs(lb) <= np.abs(sd) + 1e-9)
+    assert np.array_equal(lb < 0, sd < 0)
     # sign agreement with membership
     inside = (np.sum((P / b.axes) ** 2, axis=1) < 1) & (np.abs(P[:, 2]) < 0.6)
     assert np.array_equal(sd < 0, inside)
@@ -87,10 +87,10 @@ def test_elongated_slab_distance_lower_is_valid_near_the_cut_edge():
     sd = b.signed_distance(P)
     lb = b.distance_lower(P)
     assert 1000 < np.sum(sd < 0) < 5000
-    assert np.all(lb >= 0) and np.all(lb <= np.abs(sd) * (1 + 1e-13))
+    assert np.array_equal(lb < 0, sd < 0) and np.all(np.abs(lb) <= np.abs(sd) * (1 + 1e-13))
     # near the end of the long axis the bound is close to the distance
     tip = np.array([[2.4 - 1e-3, 0.0, 0.0, 0.0]])
-    assert b.distance_lower(tip)[0] >= 0.9 * abs(b.signed_distance(tip)[0])
+    assert -b.distance_lower(tip)[0] >= 0.9 * -b.signed_distance(tip)[0] > 0
 
 
 @pytest.mark.parametrize("axes, h", [([2.4, 1.0, 0.5, 0.35], 0.3), ([1.2, 1.0, 0.9], 0.6),
