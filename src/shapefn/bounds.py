@@ -21,7 +21,7 @@ import numpy as np
 from . import exact_ellipsoid as exact
 from . import geometry
 from .errors import InternalConsistencyError, ValidationError
-from .functionals import KINDS, FunctionalId, assemble, compute_components
+from .functionals import KINDS, FunctionalId, _named, assemble, compute_components
 
 PASS = "pass"
 FAIL = "fail"
@@ -105,7 +105,8 @@ def _body_rows(body, comp, body_id, alphas):
     components; each alpha's rows follow in the order of alphas."""
     d = body.dimension
     axes = body.ellipsoid_axes()
-    b = geometry.john_sorted_axes(body)
+    with _named("John ellipsoid"):
+        b = geometry.john_sorted_axes(body)
     kind = "H" if d == 2 else "G"
     if d == 2:
         # inscribed-rhombus perimeter bound: the inner ellipse has semi-axes
@@ -262,16 +263,24 @@ def ledger(bodies, cfg=None, alphas=(0.0, 1.0), epsilon=0.1):
 
     bodies: mapping id -> body; each alpha counts once, in the order it
     first appears.
-    Returns (rows, summary); summary counts statuses, failures expected zero."""
+    Returns (rows, summary); summary counts statuses, failures expected
+    zero, and summary["skipped"] maps each body left out, one with a
+    quantity out of double precision range (an ArithmeticError), to that
+    error; its dimension's constant rows come only with another body."""
     alphas = tuple(dict.fromkeys(alphas))
     if not bodies:
         raise ValidationError("empty body corpus")
     rows = []
     dims = set()
+    skipped = {}
     for body_id in sorted(bodies):
         body = bodies[body_id]
+        try:
+            rows += _body_rows(body, compute_components(body, cfg), body_id, alphas)
+        except ArithmeticError as e:
+            skipped[body_id] = str(e)
+            continue
         dims.add(body.dimension)
-        rows += _body_rows(body, compute_components(body, cfg), body_id, alphas)
     for d in sorted(dims):
         rows += check_dimension_constants(d, alphas, epsilon)
     rows.sort(key=lambda r: (r.body_id, r.theorem, r.inequality))
@@ -281,6 +290,7 @@ def ledger(bodies, cfg=None, alphas=(0.0, 1.0), epsilon=0.1):
         summary[r.status] += 1
     summary["rows"] = len(rows)
     summary["row_types"] = sorted({f"{r.theorem}:{r.inequality}" for r in rows})
+    summary["skipped"] = skipped
     return rows, summary
 
 

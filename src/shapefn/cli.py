@@ -106,7 +106,7 @@ def _load_corpus(directory):
         try:
             with open(path) as fh:
                 bodies[name[:-5]] = geometry.body_from_dict(json.load(fh))
-        except (OSError, ValueError, ShapeFnError) as e:
+        except (OSError, ValueError, ArithmeticError, ShapeFnError) as e:
             errors.append(f"{name}: {e}")
     return bodies, errors
 
@@ -122,6 +122,9 @@ def cmd_verify(args):
     alphas = tuple(float(a) for a in args.alphas.split(","))
     rows, summary = bounds.ledger(bodies, cfg, alphas=alphas,
                                   epsilon=args.epsilon)
+    skipped = summary.pop("skipped")
+    for body_id, why in skipped.items():
+        sys.stderr.write(f"skipped {body_id}.json: {why}\n")
     _write_csv(args.out_csv,
                ["theorem", "body_id", "lhs", "rhs", "slack", "stderr", "status"],
                [[f"{r.theorem}({r.inequality})", r.body_id, r.lhs, r.rhs,
@@ -129,7 +132,7 @@ def cmd_verify(args):
     with open(args.out_json, "w") as fh:
         fh.write(dumps([r.to_dict() for r in rows]) + "\n")
     _emit({"summary": summary,
-           "manifest": _manifest(args, cfg, bodies=sorted(bodies),
+           "manifest": _manifest(args, cfg, bodies=sorted(set(bodies) - set(skipped)),
                                  outputs=[args.out_csv, args.out_json])})
     return EXIT_LEDGER_FAILURE if summary[bounds.FAIL] else EXIT_OK
 

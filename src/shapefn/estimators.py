@@ -8,7 +8,12 @@ walkers, advanced together by one lock-step loop, _walks, that both
 estimators share; each wave draws its starts and steps from the call's
 stream after the wave before it. So results are bit-identical for a fixed
 body, seed and walk_count. The loop carries a state per walker, its value
-first, and hands each step to the estimator. Torsion keeps a value and a
+first, and takes its step as its one variation: the walk-on-spheres step
+to a shell or, outside a polytope, the jump to where Brownian motion first
+hits the plane of the most violated facet, at excess h; that point follows
+the half-space Poisson kernel, a (d-1)-dimensional Cauchy law of scale h,
+so the jump is exact and needs no shell. It hands each step to the
+estimator. Torsion keeps a value and a
 weight m: a step of radius R adds m R^2/(2d) to the value, and once the
 steps are short, Russian roulette ends walkers or raises their weight
 without bias. Capacity's value is its weight, to which it applies the far
@@ -162,27 +167,64 @@ def _step_radius(body, pos, eps, diag):
     return r
 
 
-def _walks(body, pos, w, gen, eps, diag, moved):
-    """Walk-on-spheres from pos until absorption; returns each walker's
-    value w[:, 0] when it is absorbed or dropped. Walker i starts at pos[i]
-    with the state w[i], its value first; every step draws the live
-    walkers' directions from gen, in walker order, and then calls
+def _sphere_step(body, gen, eps, diag):
+    """The walk-on-spheres step: a walker whose step radius (_step_radius)
+    is below eps is absorbed where it stands, and every other one moves to
+    a point drawn uniformly on the sphere of that radius about it."""
+    d = body.dimension
+
+    def step(pos):
+        r = _step_radius(body, pos, eps, diag)
+        dead = r < eps
+        live = None
+        if dead.any():
+            live = ~dead
+            pos, r = pos.compress(live, axis=0), r[live]
+        pos += r[:, None] * _unit_vectors(gen, r.size, d)
+        return pos, r, live
+
+    return step
+
+
+def _jump_step(body, gen):
+    """The exterior step on a Polytope, which needs no shell: a walker in or
+    on the body is absorbed where it stands, and every other one jumps, by
+    the exact half-space Poisson kernel, to where Brownian motion first hits
+    the plane of its most violated facet (Polytope.plane_jump). A walker
+    that lands in that facet is absorbed there; the others walk on from
+    where they landed. A jump has no radius."""
+    def step(pos):
+        h, j = body.plane_excess(pos)
+        live = h > 0.0
+        if not live.all():
+            pos, h, j = pos.compress(live, axis=0), h[live], j[live]
+        landed = body.plane_jump(pos, h, j, gen.standard_normal(pos.shape))
+        live[live] = ~landed
+        return pos.compress(~landed, axis=0), None, live
+
+    return step
+
+
+def _walks(pos, w, step, diag, moved):
+    """Walks from pos until absorption; returns each walker's value w[:, 0]
+    when it is absorbed or dropped. Walker i starts at pos[i] with the state
+    w[i], its value first. Each lock-step iteration calls step(pos), which
+    draws what it needs for the live walkers, in walker order, and returns
+    their new positions, their step radii (None for a jump) and a mask of
+    the walkers that were not absorbed, or None for all; then it calls
     moved(pos, w, r), which updates pos and w in place and returns a mask of
     the walkers it keeps, or None for all. Only live walkers are kept, in
     their order, so a step in which none ends indexes nothing."""
-    d, n = body.dimension, pos.shape[0]
+    n = pos.shape[0]
     out, idx = np.zeros(n), np.arange(n)
     for steps in range(1, _MAX_WALK_STEPS + 1):
         diag["walker_steps"] += idx.size
         diag["iterations"] += 1
-        r = _step_radius(body, pos, eps, diag)
-        dead = r < eps
-        if dead.any():
+        pos, r, live = step(pos)
+        if live is not None:
+            dead = ~live
             out[idx[dead]] = w[:, 0][dead]
-            alive = ~dead
-            idx, pos, w, r = (idx[alive], pos.compress(alive, axis=0),
-                              w.compress(alive, axis=0), r[alive])
-        pos += r[:, None] * _unit_vectors(gen, idx.size, d)
+            idx, w = idx[live], w.compress(live, axis=0)
         keep = moved(pos, w, r)
         if keep is not None:
             gone = ~keep
@@ -232,9 +274,10 @@ def wos_torsion(body, cfg=None):
         _roulette(m, low, target[low], gen, diag)
         return m > 0.0
 
+    step = _sphere_step(body, gen, eps, diag)
     mean, se = _per_walk(cfg.walk_count,
-                         lambda m: _walks(body, _sample_interior(body, m, gen),
-                                          np.tile([0.0, 1.0], (m, 1)), gen, eps, diag, moved))
+                         lambda m: _walks(_sample_interior(body, m, gen),
+                                          np.tile([0.0, 1.0], (m, 1)), step, diag, moved))
     return Estimate(vol * mean, vol * se, "wos_torsion", extra={"diag": diag})
 
 
@@ -288,17 +331,19 @@ def _reenter(x, R, gen, diag):
 
 
 def wos_capacity(body, cfg=None):
-    """Newtonian capacity cap(E) P(hit) by exterior walk-on-spheres, launched
-    from the body's enclosing ellipsoid E = c + S B, S = O diag(a) O^T.
+    """Newtonian capacity cap(E) P(hit) by exterior walks, launched from the
+    body's enclosing ellipsoid E = c + S B, S = O diag(a) O^T: walk-on-spheres
+    to a shell or, outside a polytope, exact jumps from facet plane to facet
+    plane (_jump_step), which need no shell and no exact distance.
 
     By Newton's homoeoid theorem E's equilibrium measure is the image of the
     uniform measure on the unit sphere, so a walk starts at c + S u for a
     unit vector u, and cap(body) = cap(E) x the mean hitting probability
     from that measure (Port & Stone 1978); ZENO's launch sphere is the case
     where E is a ball. S, unlike O alone, does not depend on the basis that
-    a repeated axis leaves free. A walker that steps outside the sphere of
-    radius R = max(2 r_b, |c - centre| + max a) about the bounding ball's
-    centre re-enters it from the exact exterior harmonic measure. The walks
+    a repeated axis leaves free. A walker that steps or jumps outside the
+    sphere of radius R = max(2 r_b, |c - centre| + max a) about the bounding
+    ball's centre re-enters it from the exact exterior harmonic measure. The walks
     draw from one stream, wave after wave. extra["diag"] holds deterministic
     counters of the walks: lock-step iterations add up over the waves,
     max_walk_steps is the longest wave's."""
@@ -306,7 +351,6 @@ def wos_capacity(body, cfg=None):
     d = body.dimension
     if d < 3:
         raise UnsupportedRepresentationError("Newtonian capacity needs d >= 3")
-    eps = _SHELL * _walk_length(body)
     center, rb = body.bounding_ball()
     E = body.enclosing_ellipsoid()
     a, O = E.semi_axes, E.orientation
@@ -314,10 +358,12 @@ def wos_capacity(body, cfg=None):
     R = max(2.0 * rb, float(np.linalg.norm(E.center - center)) + float(a.max()))
     gen = _stream(cfg.seed, 1)
     diag = dict.fromkeys(_WALK_COUNTERS + ("reentries", "reentry_proposals"), 0)
+    step = (_jump_step(body, gen) if isinstance(body, Polytope)
+            else _sphere_step(body, gen, _SHELL * _walk_length(body), diag))
 
     def moved(pos, w, r):
-        """A walker that steps out to radius rho > R keeps the weight
-        (R/rho)^(d-2), its chance to return to the R-sphere, and re-enters
+        """A walker that steps or jumps out to radius rho > R keeps the
+        weight (R/rho)^(d-2), its chance to return to the R-sphere, and re-enters
         where it would return: at a point of the exterior harmonic measure.
         So a walk's expected absorbed weight is exactly its hitting
         probability. A walker whose weight falls below _ROULETTE plays
@@ -337,8 +383,8 @@ def wos_capacity(body, cfg=None):
         return v > 0.0 if low.size else None
 
     mean, se = _per_walk(cfg.walk_count,
-                         lambda m: _walks(body, E.center + _unit_vectors(gen, m, d) @ S,
-                                          np.ones((m, 1)), gen, eps, diag, moved))
+                         lambda m: _walks(E.center + _unit_vectors(gen, m, d) @ S,
+                                          np.ones((m, 1)), step, diag, moved))
     if mean == 0:
         raise DegenerateEstimateError("no capacity walk hit the body")
     scale = cap_newtonian_ellipsoid(a)

@@ -4,6 +4,7 @@ measure and perimeter, with exact/stochastic backend dispatch."""
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -96,26 +97,42 @@ def _exact(value):
     return Estimate(value, 0.0, "exact")
 
 
+@contextmanager
+def _named(quantity):
+    """Prefixes an ArithmeticError met inside, such as a float overflow,
+    with the name of the quantity that met it."""
+    try:
+        yield
+    except ArithmeticError as e:
+        raise type(e)(f"{quantity}: {e}") from e
+
+
 def compute_components(body, cfg=None, need=("T", "cap", "V", "P")):
     """Torsion, capacity, volume and perimeter of a body as the Estimates of
-    their backends; ellipsoids/balls are exact, other bodies stochastic."""
+    their backends; ellipsoids/balls are exact, other bodies stochastic. A
+    component out of double precision range raises the ArithmeticError it
+    met, named after the quantity."""
     d = body.dimension
     axes = body.ellipsoid_axes()
     comp = {}
     if "T" in need:
-        comp["T"] = (estimators.wos_torsion(body, cfg) if axes is None
-                     else _exact(exact.torsion_ellipsoid(axes)))
+        with _named("torsional rigidity"):
+            comp["T"] = (estimators.wos_torsion(body, cfg) if axes is None
+                         else _exact(exact.torsion_ellipsoid(axes)))
     if "cap" in need:
-        if axes is None:
-            comp["cap"] = (estimators.wos_capacity(body, cfg) if d >= 3
-                           else estimators.fekete_logcap(body))
-        else:
-            comp["cap"] = _exact(exact.cap_newtonian_ellipsoid(axes) if d >= 3
-                                 else exact.cap_log_ellipse(*axes))
+        with _named("capacity"):
+            if axes is None:
+                comp["cap"] = (estimators.wos_capacity(body, cfg) if d >= 3
+                               else estimators.fekete_logcap(body))
+            else:
+                comp["cap"] = _exact(exact.cap_newtonian_ellipsoid(axes) if d >= 3
+                                     else exact.cap_log_ellipse(*axes))
     if "V" in need:
-        comp["V"] = _exact(body.measure())
+        with _named("volume"):
+            comp["V"] = _exact(body.measure())
     if "P" in need:
-        comp["P"] = _exact(geometry.perimeter(body))
+        with _named("perimeter"):
+            comp["P"] = _exact(geometry.perimeter(body))
     return comp
 
 
@@ -124,14 +141,15 @@ def assemble(f, components, d):
     pT, pV, pP = f.exponents(d)
     T = components["T"]
     cap = components["cap"]
-    value = T.value ** pT * cap.value
-    rel2 = (pT * T.standard_error / T.value) ** 2 if T.standard_error else 0.0
-    if cap.value:
-        rel2 += (cap.standard_error / cap.value) ** 2 if cap.standard_error else 0.0
-    if pV:
-        value /= components["V"].value ** pV
-    if pP:
-        value /= components["P"].value ** pP
+    with _named(f.name):
+        value = T.value ** pT * cap.value
+        rel2 = (pT * T.standard_error / T.value) ** 2 if T.standard_error else 0.0
+        if cap.value:
+            rel2 += (cap.standard_error / cap.value) ** 2 if cap.standard_error else 0.0
+        if pV:
+            value /= components["V"].value ** pV
+        if pP:
+            value /= components["P"].value ** pP
     stderr = value * math.sqrt(rel2)
     bracket = (value - 3.0 * stderr, value + 3.0 * stderr)
     return Evaluation(f, value, stderr, bracket, {k: components[k] for k in _needed(pV, pP)})

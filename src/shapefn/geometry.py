@@ -474,12 +474,57 @@ class Polytope(Body):
         nothing from 3000 to 32768 points, and one product of the cube's
         32768 points (196,608 entries) once took 7 ms on threaded BLAS."""
         out = np.empty(P.shape[0])
+        for rows, X in self._excess_blocks(P):
+            X.max(axis=0, out=out[rows])
+        return out
+
+    def _excess_blocks(self, P):
+        """(rows, X) for consecutive blocks of P's rows, X[i, k] the excess
+        n_i . p_k - offset_i of the block's k-th point over facet i, in
+        blocks of at most _PLANE_ENTRIES entries."""
         step = max(1, _PLANE_ENTRIES // self.offsets.size)
         for lo in range(0, P.shape[0], step):
             X = _matmul(self.normals, P[lo:lo + step].T)
             X -= self.offsets[:, None]
-            X.max(axis=0, out=out[lo:lo + step])
-        return out
+            yield slice(lo, lo + step), X
+
+    def plane_excess(self, P):
+        """(h, j): each point's largest plane excess, distance_lower bit for
+        bit, and the facet j that it violates most."""
+        h, j = np.empty(P.shape[0]), np.empty(P.shape[0], dtype=np.intp)
+        for rows, X in self._excess_blocks(P):
+            X.argmax(axis=0, out=j[rows])
+            h[rows] = X[j[rows], np.arange(X.shape[1])]
+        return h, j
+
+    def plane_jump(self, P, h, j, G):
+        """Moves each point p of P, outside the body at excess h > 0 over its
+        most violated facet j, in place to where Brownian motion from p
+        first hits the plane of that facet, and returns whether it landed
+        in the facet, that is on the body: whether every other facet's
+        excess there is at most 0. The plane separates p from the body, so
+        the path meets the body nowhere before it.
+
+        With g the row of G, d standard normals, the point is
+        y = p - h n_j + h (g - (g . n_j) n_j) / |g . n_j|: the foot of the
+        perpendicular plus h times a (d-1)-dimensional Cauchy vector, whose
+        law is the half-space's Poisson kernel, h / |y - p|^d up to a
+        constant. It is formed as p + t g - (h + t g . n_j) n_j with
+        t = h / |g . n_j|, overwriting G."""
+        N = self.normals[j]
+        gn = _rowsum(G * N)
+        t = h / np.abs(gn)
+        G *= t[:, None]
+        gn *= t
+        gn += h
+        N *= gn[:, None]
+        P += G
+        P -= N
+        other = np.empty(P.shape[0])
+        for rows, X in self._excess_blocks(P):
+            X[j[rows], np.arange(X.shape[1])] = -np.inf
+            X.max(axis=0, out=other[rows])
+        return other <= 0.0
 
     def signed_distance(self, P):
         """The plane excess e of distance_lower, the exact distance inside.

@@ -331,6 +331,27 @@ def test_verify_skips_non_finite_bodies(corpus, capsys, tmp_path):
         assert not any(math.isnan(r["lhs"]) for r in json.load(fh))
 
 
+def test_verify_skips_a_body_out_of_double_precision_range(tmp_path, capsys):
+    # the torsional rigidity of a ball of radius 1e308 overflows; verify names
+    # the file and the quantity, leaves the body out and verifies the rest
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_body(corpus / "ball3.json", {"kind": "ball", "radius": 1.0, "center": [0, 0, 0]})
+    write_body(corpus / "huge.json", {"kind": "ball", "radius": 1e308, "center": [0, 0, 0]})
+    code, out, err = run(["verify", str(corpus),
+                          "--out-csv", str(tmp_path / "l.csv"),
+                          "--out-json", str(tmp_path / "l.json"),
+                          "--walks", "1000"], capsys)
+    assert code == EXIT_OK
+    skipped = [line for line in err.splitlines() if line.startswith("skipped ")]
+    assert skipped == ["skipped huge.json: torsional rigidity: overflow encountered in reduce"]
+    doc = json.loads(out)
+    assert doc["manifest"]["bodies"] == ["ball3"]
+    assert "skipped" not in doc["summary"] and doc["summary"]["fail"] == 0
+    with open(tmp_path / "l.json") as fh:
+        assert {r["body_id"] for r in json.load(fh)} == {"ball3", "const_d3"}
+
+
 def test_verify_skips_a_4d_polytope_and_a_list(tmp_path, capsys):
     corpus = tmp_path / "corpus"
     corpus.mkdir()

@@ -606,6 +606,54 @@ def test_polytope_plane_product_is_blocked_bit_for_bit(poly):
         assert kernel(np.empty((0, d))).shape == (0,)
 
 
+@pytest.mark.parametrize("poly", [Polytope(cube_vertices(3)), _random_hull_3d()],
+                         ids=["cube", "random12"])
+def test_polytope_plane_jump_is_blocked_bit_for_bit(poly):
+    # the excess and its facet are distance_lower's, and a point's jump is
+    # the same alone as in a batch that spans several blocks
+    block = geo._PLANE_ENTRIES // poly.offsets.size
+    n = 2 * block + 7
+    rng = np.random.default_rng(8)
+    P = 3.0 * geo._unit_vectors(rng, n, 3) * rng.uniform(1.0, 2.0, (n, 1))
+    G = rng.standard_normal((n, 3))
+    h, j = poly.plane_excess(P)
+    assert h.tobytes() == poly.distance_lower(P).tobytes()
+    assert np.array_equal(j, (P @ poly.normals.T - poly.offsets).argmax(axis=1))
+    assert np.all(h > 0)
+    Y = P.copy()
+    landed = poly.plane_jump(Y, h, j, G.copy())
+    for i in np.r_[0:n:97, block - 1:block + 1, n - 1]:
+        y = P[i:i + 1].copy()
+        alone = poly.plane_jump(y, h[i:i + 1], j[i:i + 1], G[i:i + 1].copy())
+        assert y.tobytes() == Y[i:i + 1].tobytes() and alone[0] == landed[i]
+    assert poly.plane_jump(np.empty((0, 3)), np.empty(0), np.empty(0, dtype=np.intp),
+                           np.empty((0, 3))).shape == (0,)
+
+
+def test_plane_jump_follows_the_half_space_poisson_kernel():
+    # from x at height h = 0.5 over the cube's top facet, the first hit of
+    # its plane lies at t h from the foot, with t of CDF 1 - (1 + t^2)^(-1/2)
+    # in d = 3, in a uniform direction; it lands on the body exactly where
+    # it lies in the facet, and it lies on the plane to rounding
+    from scipy.stats import kstest
+    cube = Polytope(cube_vertices(3))
+    n = 20_000
+    x = np.array([0.1, -0.2, 1.5])
+    P = np.tile(x, (n, 1))
+    h, j = cube.plane_excess(P)
+    top = int(np.argmax(cube.normals[:, 2]))
+    assert np.all(j == top) and np.all(h == 0.5)
+    landed = cube.plane_jump(P, h, j, np.random.default_rng(21).standard_normal((n, 3)))
+    assert np.all(np.abs(P[:, 2] - 1.0) <= 4 * np.finfo(float).eps * np.abs(P).max(axis=1))
+    foot = np.array([0.1, -0.2, 1.0])
+    t = np.linalg.norm(P - foot, axis=1) / 0.5
+    assert kstest(t, lambda t: 1.0 - (1.0 + t * t) ** -0.5).pvalue > 0.01
+    angle = np.arctan2(P[:, 1] - foot[1], P[:, 0] - foot[0])
+    assert kstest(angle, "uniform", args=(-math.pi, 2 * math.pi)).pvalue > 0.01
+    assert np.array_equal(landed, np.all(np.abs(P[:, :2]) <= 1.0, axis=1))
+    assert 0.2 < landed.mean() < 0.8
+
+
 @pytest.mark.parametrize("body", [
     Capsule(np.array([0.1, 0.2, -0.3]), np.array([1.3, -0.7, 0.9]), 0.4),
     Ellipsoid(np.array([1.3, 0.9, 0.6, 0.5]), np.full(4, 0.1),
