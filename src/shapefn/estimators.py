@@ -12,15 +12,17 @@ first, and takes its step as its one variation: the walk-on-spheres step
 to a shell or, outside a polytope, the jump to where Brownian motion first
 hits the plane of the most violated facet, at excess h; that point follows
 the half-space Poisson kernel, a (d-1)-dimensional Cauchy law of scale h,
-so the jump is exact and needs no shell. It hands each step to the
-estimator. Torsion keeps a value and a
-weight m: a step of radius R adds m R^2/(2d) to the value, and once the
-steps are short, Russian roulette ends walkers or raises their weight
-without bias. Capacity's value is its weight, to which it applies the far
-field. Capacity walks launch from the equilibrium measure of an ellipsoid E
-that encloses the body and are scaled by cap(E); walkers that escape
-re-enter a sphere about E from the exact exterior harmonic measure, so no
-extrapolation across radii is needed.
+so the jump is exact and needs no shell. A sphere step's radius is the
+body's lower bound on the boundary distance, and a walker is absorbed where
+that is below the shell width, so no walk asks for the exact distance. The
+loop hands each step to the estimator. Torsion keeps a value and a weight
+m: a step of radius R adds m R^2/(2d) to the value, and once the steps are
+short, Russian roulette ends walkers or raises their weight without bias.
+Capacity's value is its weight, to which it applies the far field. Capacity
+walks launch from the equilibrium measure of an ellipsoid E that encloses
+the body and are scaled by cap(E); walkers that escape re-enter a sphere
+about E from the exact exterior harmonic measure, so no extrapolation
+across radii is needed.
 Standard errors come from the per-walk values, so they are finite at any
 walk count.
 """
@@ -41,6 +43,8 @@ from .errors import (
     ValidationError,
 )
 from .exact_ellipsoid import cap_newtonian_ellipsoid
+# signed_distance, like minimize_scalar, is unused here and kept only because
+# bench/tracing.py patches it
 from .geometry import (
     BallUnion,
     Capsule,
@@ -50,12 +54,12 @@ from .geometry import (
     _unit_vectors,
     boundary_distance_lower,
     diameter_inradius,
-    signed_distance,
+    signed_distance,  # noqa: F401
 )
 
 _MAX_WALK_STEPS = 10 ** 6
-_WALK_COUNTERS = ("walker_steps", "iterations", "max_walk_steps", "exact_fallbacks",
-                  "upper_absorbed", "roulette_kills")
+_WALK_COUNTERS = ("walker_steps", "iterations", "max_walk_steps", "absorbed",
+                  "roulette_kills")
 _WAVE = 32_768  # walkers advanced together; bounds the walk state
 _SHELL = 1e-5  # width of the absorbing shell, in _walk_length
 # Torsion walkers play Russian roulette after a step shorter than
@@ -147,34 +151,17 @@ def _sample_interior(body, n, rng):
     return out
 
 
-def _step_radius(body, pos, eps, diag):
-    """Walk-on-spheres step radius at pos: the cheap lower bound on the
-    boundary distance. Where it is below eps, the body's upper bound is asked
-    too: a point whose upper bound is below eps as well is absorbed with its
-    lower bound, a radius the walks never use, and only the band
-    lower < eps <= upper gets the exact distance, in one call; on a kind
-    with no upper bound (+inf) that is every point below eps.
-    diag["upper_absorbed"] and diag["exact_fallbacks"] count the points of
-    each kind."""
-    r = boundary_distance_lower(body, pos)
-    near = np.flatnonzero(r < eps)
-    if near.size:
-        band = near[body.distance_upper(pos.take(near, axis=0)) >= eps]
-        diag["upper_absorbed"] += near.size - band.size
-        if band.size:
-            r[band] = np.abs(signed_distance(body, pos.take(band, axis=0)))
-            diag["exact_fallbacks"] += band.size
-    return r
-
-
-def _sphere_step(body, gen, eps, diag):
-    """The walk-on-spheres step: a walker whose step radius (_step_radius)
-    is below eps is absorbed where it stands, and every other one moves to
-    a point drawn uniformly on the sphere of that radius about it."""
+def _sphere_step(body, gen, eps):
+    """The walk-on-spheres step: a walker whose lower bound on the boundary
+    distance is below eps is absorbed where it stands, and every other one
+    moves to a point drawn uniformly on the sphere of that radius about it.
+    The bound is the distance itself on a ball, capsule, ball union or inside
+    a polytope, and exact to first order on an ellipsoid's or a slab's
+    boundary."""
     d = body.dimension
 
     def step(pos):
-        r = _step_radius(body, pos, eps, diag)
+        r = boundary_distance_lower(body, pos)
         dead = r < eps
         live = None
         if dead.any():
@@ -214,7 +201,8 @@ def _walks(pos, w, step, diag, moved):
     the walkers that were not absorbed, or None for all; then it calls
     moved(pos, w, r), which updates pos and w in place and returns a mask of
     the walkers it keeps, or None for all. Only live walkers are kept, in
-    their order, so a step in which none ends indexes nothing."""
+    their order, so a step in which none ends indexes nothing.
+    diag["absorbed"] counts the walkers that the steps ended."""
     n = pos.shape[0]
     out, idx = np.zeros(n), np.arange(n)
     for steps in range(1, _MAX_WALK_STEPS + 1):
@@ -223,6 +211,7 @@ def _walks(pos, w, step, diag, moved):
         pos, r, live = step(pos)
         if live is not None:
             dead = ~live
+            diag["absorbed"] += int(np.count_nonzero(dead))
             out[idx[dead]] = w[:, 0][dead]
             idx, w = idx[live], w.compress(live, axis=0)
         keep = moved(pos, w, r)
@@ -274,7 +263,7 @@ def wos_torsion(body, cfg=None):
         _roulette(m, low, target[low], gen, diag)
         return m > 0.0
 
-    step = _sphere_step(body, gen, eps, diag)
+    step = _sphere_step(body, gen, eps)
     mean, se = _per_walk(cfg.walk_count,
                          lambda m: _walks(_sample_interior(body, m, gen),
                                           np.tile([0.0, 1.0], (m, 1)), step, diag, moved))
@@ -334,7 +323,7 @@ def wos_capacity(body, cfg=None):
     """Newtonian capacity cap(E) P(hit) by exterior walks, launched from the
     body's enclosing ellipsoid E = c + S B, S = O diag(a) O^T: walk-on-spheres
     to a shell or, outside a polytope, exact jumps from facet plane to facet
-    plane (_jump_step), which need no shell and no exact distance.
+    plane (_jump_step), which need no shell.
 
     By Newton's homoeoid theorem E's equilibrium measure is the image of the
     uniform measure on the unit sphere, so a walk starts at c + S u for a
@@ -359,7 +348,7 @@ def wos_capacity(body, cfg=None):
     gen = _stream(cfg.seed, 1)
     diag = dict.fromkeys(_WALK_COUNTERS + ("reentries", "reentry_proposals"), 0)
     step = (_jump_step(body, gen) if isinstance(body, Polytope)
-            else _sphere_step(body, gen, _SHELL * _walk_length(body), diag))
+            else _sphere_step(body, gen, _SHELL * _walk_length(body)))
 
     def moved(pos, w, r):
         """A walker that steps or jumps out to radius rho > R keeps the

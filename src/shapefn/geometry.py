@@ -2,8 +2,8 @@
 
 Each body kind is one immutable class derived from ``Body`` that holds all of
 its geometry: measure, perimeter, signed distance (negative inside), a cheap
-signed lower bound on it, whose sign is membership, an upper bound where one
-exists, bounding ball and box, diameter/inradius, homothety, JSON form, the
+signed lower bound on it, whose sign is membership and on which walks are
+absorbed, bounding ball and box, diameter/inradius, homothety, JSON form, the
 outer John ellipsoid and the enclosing ellipsoid that capacity walks launch from. The kinds are
 balls, ellipsoids, ellipsoids cut by a slab, polytopes, capsules and unions
 of disjoint balls. The methods are the API.
@@ -124,16 +124,12 @@ class Body:
 
     def distance_lower(self, P):
         """Signed lower bound on the distance of each point, negative exactly
-        inside and never larger in size; by default the signed distance."""
+        inside and never larger in size; by default the signed distance. It
+        is the walks' step radius, and they absorb a walker where it is
+        below their shell width, so a kind whose exact kernel costs more
+        than a bound, such as the ellipsoid's Newton iteration, gives one
+        that is exact to first order at its boundary."""
         return signed_distance(self, P)
-
-    def distance_upper(self, P):
-        """Upper bound on |signed distance| of each point, rounding included,
-        so never below the exact kernel's value; +inf where a kind has none.
-        A kind has one only where its exact kernel costs more than the
-        bound: the ellipsoid's Newton iteration, behind Ellipsoid and
-        SlabBody."""
-        return np.full(P.shape[0], np.inf)
 
     def inside(self, P):
         """Whether each point is interior: the sign of the lower bound."""
@@ -286,9 +282,6 @@ class Ellipsoid(Body):
     def distance_lower(self, P):
         return _distance_lower(self._bounds, self._local(P))
 
-    def distance_upper(self, P):
-        return _distance_upper(self._bounds, self._local(P))
-
     def bounding_ball(self):
         return self.center.copy(), float(self.semi_axes.max())
 
@@ -351,9 +344,6 @@ class SlabBody(Body):
 
     def distance_lower(self, P):
         return _distance_lower(self._bounds, P)
-
-    def distance_upper(self, P):
-        return _distance_upper(self._bounds, P)
 
     def bounding_ball(self):
         return np.zeros(self.dimension), float(self.axes.max())
@@ -501,9 +491,8 @@ class Polytope(Body):
         """Moves each point p of P, outside the body at excess h > 0 over its
         most violated facet j, in place to where Brownian motion from p
         first hits the plane of that facet, and returns whether it landed
-        in the facet, that is on the body: whether every other facet's
-        excess there is at most 0. The plane separates p from the body, so
-        the path meets the body nowhere before it.
+        in the facet, that is on the body (_in_facet). The plane separates p
+        from the body, so the path meets the body nowhere before it.
 
         With g the row of G, d standard normals, the point is
         y = p - h n_j + h (g - (g . n_j) n_j) / |g . n_j|: the foot of the
@@ -520,6 +509,11 @@ class Polytope(Body):
         N *= gn[:, None]
         P += G
         P -= N
+        return self._in_facet(P, j)
+
+    def _in_facet(self, P, j):
+        """Whether each point p of P, on the plane of its facet j, lies in
+        that facet: whether every other facet's excess at p is at most 0."""
         other = np.empty(P.shape[0])
         for rows, X in self._excess_blocks(P):
             X[j[rows], np.arange(X.shape[1])] = -np.inf
@@ -529,18 +523,15 @@ class Polytope(Body):
     def signed_distance(self, P):
         """The plane excess e of distance_lower, the exact distance inside.
         Outside, e where the foot p - e n_j on the most violated facet j lies
-        on the body, which holds wherever p's nearest boundary point lies
+        in that facet, which holds wherever p's nearest boundary point lies
         inside a facet i: every other facet's excess is below e_i there, so
         j = i and the foot is that point. Elsewhere the nearest point lies on
         an edge (in 2-D, a vertex)."""
-        sd = self.distance_lower(P)
+        sd, j = self.plane_excess(P)
         out = np.flatnonzero(sd > 0)
         if out.size:
-            Q = P.take(out, axis=0)
-            j = (_matmul(Q, self.normals.T) - self.offsets).argmax(axis=1)
-            F = _matmul(Q - sd[out][:, None] * self.normals[j], self.normals.T) - self.offsets
-            F[np.arange(out.size), j] = -np.inf
-            off = F.max(axis=1) > 0
+            Q, j = P.take(out, axis=0), j[out]
+            off = ~self._in_facet(Q - sd[out][:, None] * self.normals[j], j)
             sd[out[off]] = _edge_distance(self, Q.compress(off, axis=0))
         return sd
 
@@ -792,11 +783,13 @@ def _ellipsoid_boundary_distance(axes, pts):
 
 
 def _bound_constants(axes, cut=np.inf):
-    """The constants of the two bounds, for a body to compute once: a, a^2, a_min,
-    a_min^2, a_max^-2, (a_max - a)(a_max + a) / (a a_max)^2, cut and min(a_min, cut)."""
+    """The constants of _distance_lower, for a body to compute once: a, a^2, a_min,
+    a_min^2, a_max^-2, (a_max - a)(a_max + a) / (a a_max)^2 and cut. a_max^-2 is
+    formed as 1 / a_max^2, two correctly rounded operations, so that it scales
+    exactly under a homothety by a power of 2, as pow's a_max ** -2 does not."""
     a = np.asarray(axes, dtype=float)
     lo, hi = a.min(), a.max()
-    return a, a * a, lo, lo * lo, hi ** -2, (hi - a) * (hi + a) / (a * hi) ** 2, cut, min(lo, cut)
+    return a, a * a, lo, lo * lo, 1.0 / (hi * hi), (hi - a) * (hi + a) / (a * hi) ** 2, cut
 
 
 def _distance_lower(k, P):
@@ -817,7 +810,7 @@ def _distance_lower(k, P):
     the body's signed distance is, the larger of that and the plane's signed
     distance |p_d| - cut, which is 0.0 on the plane.
     """
-    a, a2, lo, lo2, hi_2, outer, cut, _ = k
+    a, a2, lo, lo2, hi_2, outer, cut = k
     q2 = (P / a) ** 2
     g2 = _rowsum(q2)
     X2 = _rowsum(q2 / a2)
@@ -826,50 +819,6 @@ def _distance_lower(k, P):
     lb = np.maximum(np.abs(c) / (np.sqrt(X2) + np.sqrt(D)), np.abs(np.sqrt(g2) - 1.0) * lo)
     lb = np.copysign(lb, -c)
     return lb if cut == np.inf else np.maximum(lb, np.abs(P[:, -1]) - cut)
-
-
-_UPPER_ROUNDING = 8.0 * np.finfo(float).eps  # upper-bound allowance per unit |p| + body size
-
-
-def _distance_upper(k, P):
-    """Upper bound on the distance from points to the boundary of an
-    axis-aligned ellipsoid cut by the slab |x_d| <= cut (k: its _bound_constants),
-    plus 8 ulp x (|p| + r) for rounding, r = min(a_min, cut) the inradius, so
-    that it is never below the exact kernel's value (the distance is below |p| + r).
-
-    It is the distance to the nearest of these points, with g = |p / a|:
-    - the ray's exit point p / G, G = max(g, |p_d| / cut) the body's gauge, at
-      distance |p| |1 - 1/G|;
-    - where the line through p along p / a^2, the normal of the level set of g,
-      meets g = 1: with X = |p / a^2|, Y = |p / a^3| and c = 1 - g^2, at
-      t = c / (X^2 + sqrt(X^4 + Y^2 c)), the root of Y^2 t^2 + 2 X^2 t = c
-      nearest 0, and at distance X |t|; none where the line misses;
-    - the cut plane's foot: inside, at distance cut - |p_d|, where the
-      inradius r also counts and keeps the centre finite; outside, where
-      g < 1 the point lies over the flat face and its foot on it, at
-      distance |p_d| - cut, is the nearest point of the body.
-    A segment from an interior point to a point outside the body or on its
-    boundary crosses the boundary, so inside every point counts. Outside,
-    the line point counts only where it lies in the slab.
-    """
-    a, a2, _, _, _, _, cut, r = k
-    q = P / a
-    u = q / a
-    v = u / a
-    g2 = _rowsum(q * q)
-    X2 = _rowsum(u * u)
-    c = 1.0 - g2
-    pd = np.abs(P[:, -1])
-    G = np.maximum(np.sqrt(g2), pd / cut)
-    inside = G < 1.0
-    norm = _norms(P)
-    with np.errstate(divide="ignore", invalid="ignore"):  # p = 0, or the line misses
-        ray = norm * np.abs(1.0 - 1.0 / G)
-        t = c / (X2 + np.sqrt(X2 * X2 + _rowsum(v * v) * c))
-        hit = inside | (np.abs(P[:, -1] * (1.0 + t / a2[-1])) <= cut)
-        line = np.where(hit, np.sqrt(X2) * np.abs(t), np.inf)
-    side = np.where(inside, np.minimum(cut - pd, r), np.where(g2 < 1.0, pd - cut, np.inf))
-    return np.fmin(np.fmin(ray, line), side) + _UPPER_ROUNDING * (norm + r)
 
 
 def signed_distance(body, points):

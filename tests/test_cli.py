@@ -212,9 +212,8 @@ def test_compute_at_1000_walks_prints_no_infinity(cube, capsys):
 
 
 def test_compute_writes_the_walk_counters_alike_in_two_processes(cube):
-    # the counters are deterministic; a torsion walk ends on the shell or in
-    # the roulette, and a polytope has no upper bound, so every absorbed
-    # torsion point reaches the exact kernel
+    # the counters are deterministic, and every walk ends absorbed or in the
+    # roulette
     src = str(Path(shapefn.__file__).parent.parent)
     path = filter(None, [src, os.environ.get("PYTHONPATH")])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
@@ -224,10 +223,10 @@ def test_compute_writes_the_walk_counters_alike_in_two_processes(cube):
             for _ in range(2)]
     assert outs[0] == outs[1]
     components = json.loads(outs[0])["evaluation"]["components"]
-    torsion = components["T"]["diag"]
-    assert torsion["upper_absorbed"] == 0
-    assert torsion["exact_fallbacks"] + torsion["roulette_kills"] == 1000
-    assert components["cap"]["diag"]["walker_steps"] > 0
+    for name in ("T", "cap"):
+        diag = components[name]["diag"]
+        assert diag["absorbed"] + diag["roulette_kills"] == 1000
+        assert diag["walker_steps"] > 0
 
 
 def test_compute_estimator_failure_exits_3(cube, capsys, monkeypatch):

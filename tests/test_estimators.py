@@ -9,7 +9,7 @@ from shapefn import geometry as geo
 from shapefn.errors import StuckWalkError, UnsupportedRepresentationError, ValidationError
 from shapefn.estimators import EstimatorConfig, fekete_logcap
 from shapefn.estimators import wos_capacity, wos_torsion
-from shapefn.geometry import Ball, Capsule, Ellipsoid, Polytope
+from shapefn.geometry import Ball, BallUnion, Capsule, Ellipsoid, Polytope
 from shapefn.search import SlabBody
 
 from helpers import cube_vertices
@@ -105,17 +105,11 @@ def test_walk_counters_repeat_and_d3_reentry_never_rejects():
         assert first.extra == second.extra
         assert first.extra["diag"]["walker_steps"] > first.extra["diag"]["iterations"] > 0
         assert first.extra["diag"]["max_walk_steps"] == second.extra["diag"]["max_walk_steps"] > 0
-        # a polytope has no upper bound, so every point in the shell goes to
-        # the exact kernel: a torsion walk ends there or in the roulette.
-        # Capacity walks jump to facet planes and have no shell, so they send
-        # no point there (1708 when they walked on spheres)
+        # a torsion walk ends in the shell or in the roulette, a capacity
+        # walk on a facet or in the roulette
         diag = first.extra["diag"]
-        assert diag["upper_absorbed"] == 0
-        if estimator is wos_torsion:
-            assert diag["exact_fallbacks"] + diag["roulette_kills"] == cfg.walk_count
-            assert diag["roulette_kills"] > 0
-        else:
-            assert diag["exact_fallbacks"] == 0
+        assert diag["absorbed"] + diag["roulette_kills"] == cfg.walk_count
+        assert diag["absorbed"] > 0 and diag["roulette_kills"] > 0
     diag = wos_capacity(cube, cfg).extra["diag"]
     assert diag["reentries"] == diag["reentry_proposals"] > 0
     assert diag["roulette_kills"] > 0
@@ -124,26 +118,38 @@ def test_walk_counters_repeat_and_d3_reentry_never_rejects():
 
 
 @pytest.mark.parametrize("estimator", [wos_torsion, wos_capacity])
-def test_each_polytope_point_goes_once_to_the_exact_kernel(estimator, monkeypatch):
-    # the exact kernel sees exactly the exact_fallbacks points, so no point
-    # is asked for twice, and the call's value does not change; capacity
-    # walks jump to facet planes and never call it
-    cube = Polytope(cube_vertices(3))
+def test_no_walk_calls_the_exact_kernel(estimator, monkeypatch):
+    # walks step by the lower bound and are absorbed on it, so the exact
+    # kernels, the polytope's edge distance and the ellipsoid's Newton
+    # iteration behind the slab, are never called, and hiding them changes
+    # nothing
+    bodies = (Polytope(cube_vertices(3)), Ellipsoid(np.array([2.0, 1.0, 0.5])),
+              SlabBody([2.4, 1.0, 0.5, 0.35], 0.3))
     cfg = EstimatorConfig(walk_count=1000, seed=4)
-    plain = estimator(cube, cfg)
+    plain = [estimator(body, cfg) for body in bodies]
     seen = []
+    for kind in (Polytope, Ellipsoid, SlabBody):
+        def counted(body, P, exact=kind.signed_distance):
+            seen.append(type(body).__name__)
+            return exact(body, P)
 
-    def counted(body, points):
-        seen.append(len(points))
-        return geo.signed_distance(body, points)
+        monkeypatch.setattr(kind, "signed_distance", counted)
+    wrapped = [estimator(body, cfg) for body in bodies]
+    assert seen == []
+    for a, b in zip(wrapped, plain):
+        assert (a.value, a.standard_error, a.extra) == (b.value, b.standard_error, b.extra)
 
-    monkeypatch.setattr(est, "signed_distance", counted)
-    wrapped = estimator(cube, cfg)
-    if estimator is wos_torsion:
-        assert sum(seen) == wrapped.extra["diag"]["exact_fallbacks"] > 0
-    else:
-        assert seen == [] and wrapped.extra["diag"]["exact_fallbacks"] == 0
-    assert (wrapped.value, wrapped.extra) == (plain.value, plain.extra)
+
+@pytest.mark.parametrize("estimator", [wos_torsion, wos_capacity])
+def test_every_walk_ends_absorbed_or_in_the_roulette(estimator):
+    cfg = EstimatorConfig(walk_count=1000, seed=2)
+    for body in (Ball(1.0, np.zeros(3)), Ellipsoid(np.array([3.0, 1.0, 0.5])),
+                 SlabBody([2.4, 1.0, 0.5, 0.35], 0.3), Polytope(cube_vertices(3)),
+                 Capsule(np.zeros(3), np.array([2.0, 0.0, 0.0]), 0.5),
+                 BallUnion(np.array([[0.0, 0, 0], [5.0, 0, 0]]), np.array([1.0, 0.5]))):
+        diag = estimator(body, cfg).extra["diag"]
+        assert diag["absorbed"] + diag["roulette_kills"] == cfg.walk_count, body
+        assert diag["absorbed"] > 0, body
 
 
 def test_capacity_on_a_4d_polytope_fails_before_any_draw(monkeypatch):
@@ -154,22 +160,6 @@ def test_capacity_on_a_4d_polytope_fails_before_any_draw(monkeypatch):
     with pytest.raises(UnsupportedRepresentationError, match="d <= 3"):
         wos_capacity(Polytope(cube_vertices(4)), EstimatorConfig(walk_count=1000))
     assert streams == []
-
-
-def test_upper_bound_settles_most_absorptions_on_the_elongated_slab():
-    # before the upper bound, 903 capacity points went to the exact kernel at
-    # seed 0; the bound settles all of them, those over the flat face on the
-    # cut plane's foot, and moves no other. Every torsion walk ends on the
-    # shell, through one of the two, or in the roulette
-    body = SlabBody([2.4, 1.0, 0.5, 0.35], 0.3)
-    cfg = EstimatorConfig(walk_count=1000, seed=0)
-    diag = wos_capacity(body, cfg).extra["diag"]
-    assert diag["upper_absorbed"] == 903
-    assert diag["exact_fallbacks"] == 0
-    diag = wos_torsion(body, cfg).extra["diag"]
-    assert (diag["upper_absorbed"] + diag["exact_fallbacks"]
-            + diag["roulette_kills"]) == cfg.walk_count
-    assert diag["exact_fallbacks"] <= cfg.walk_count // 100
 
 
 def test_walks_past_the_step_budget_are_stuck(monkeypatch):
@@ -321,7 +311,7 @@ def test_torsion_unit_ball_3d():
     assert 0 < e.standard_error < 0.05 * exact
     assert set(e.extra) == {"diag"}
     assert set(e.extra["diag"]) == {"walker_steps", "iterations", "max_walk_steps",
-                                    "exact_fallbacks", "upper_absorbed", "roulette_kills"}
+                                    "absorbed", "roulette_kills"}
 
 
 def test_torsion_ellipse_2d():
@@ -366,8 +356,8 @@ def test_capacity_scaling_with_common_random_numbers(t):
 
 
 def test_torsion_pooled_over_seeds_is_unbiased_on_an_elongated_ellipsoid():
-    # 20 x 10^4 walks; the step radii near the ends of the long axis come
-    # from the quadratic ellipsoid bound, the absorptions from the exact kernel
+    # 20 x 10^4 walks; the step radii and the absorptions near the ends of the
+    # long axis come from the quadratic ellipsoid bound
     axes = [3.0, 1.0, 0.5]
     runs = [wos_torsion(Ellipsoid(np.array(axes)), EstimatorConfig(walk_count=10_000, seed=s))
             for s in range(20)]
@@ -389,8 +379,8 @@ def test_capacity_unit_ball_3d():
     assert abs(e.value - exact) < max(3 * e.standard_error, 0.02 * exact)
     assert set(e.extra) == {"diag"}
     assert set(e.extra["diag"]) == {"walker_steps", "iterations", "max_walk_steps",
-                                    "exact_fallbacks", "upper_absorbed", "reentries",
-                                    "reentry_proposals", "roulette_kills"}
+                                    "absorbed", "reentries", "reentry_proposals",
+                                    "roulette_kills"}
 
 
 def test_capacity_prolate_spheroid():
@@ -466,7 +456,7 @@ def test_capacity_of_a_fine_hull_of_the_sphere_lies_between_its_balls():
     r_in = hull.diameter_inradius()[1]
     assert 4 * math.pi * r_in <= e.value - 3 * e.standard_error
     assert e.value + 3 * e.standard_error <= 4 * math.pi
-    assert e.extra["diag"]["exact_fallbacks"] == e.extra["diag"]["upper_absorbed"] == 0
+    assert e.extra["diag"]["absorbed"] + e.extra["diag"]["roulette_kills"] == 10_000
 
 
 def test_a_capacity_walker_in_or_on_a_polytope_ends_without_a_jump():

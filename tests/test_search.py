@@ -95,38 +95,21 @@ def test_elongated_slab_distance_lower_is_valid_near_the_cut_edge():
 
 @pytest.mark.parametrize("axes, h", [([2.4, 1.0, 0.5, 0.35], 0.3), ([1.2, 1.0, 0.9], 0.6),
                                      ([0.3, 1.0, 2.0, 0.7, 1.5], 0.9)])
-def test_slab_distance_upper_is_valid(axes, h):
-    # near the cut edge, near the ellipsoid shell on both sides, and around
-    # the body: never below the exact kernel's value (the bound carries its
-    # rounding allowance of 8 ulp x (|p| + inradius))
+def test_slab_distance_lower_is_the_plane_excess_over_the_flat_face(axes, h):
+    # just outside the flat face, inside the ellipsoid, out to its rim: the
+    # face's point below is the nearest point of the body, and the signed
+    # distance and its lower bound are both the plane excess |p_d| - cut
     b = SlabBody(axes, h)
     rng = np.random.default_rng(8)
-    u = rng.standard_normal((4000, b.dimension))
-    shell = u / np.linalg.norm(u / b.axes, axis=1, keepdims=True)
-    shell[:, -1] = np.clip(shell[:, -1], -h * b.axes[-1], h * b.axes[-1])
-    normal = shell / b.axes ** 2
-    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
-    off = rng.choice([-1.0, 1.0], 4000) * 10.0 ** rng.uniform(-12.0, -1.0, 4000)
-    P = np.concatenate([near_cut_edge(b, rng, 4000, -12.0), shell + off[:, None] * normal])
-    up = b.distance_upper(P)
-    sd = np.abs(b.signed_distance(P))
-    assert np.all(up >= sd)
-    # inside, the cut plane and the ellipsoid's normal line keep it close
-    inner = b.signed_distance(P) < -1e-9
-    assert np.median(up[inner] / sd[inner]) < 1.001
-    # just outside the flat face, inside the ellipsoid, out to its rim: the
-    # bound is the kernel's plane excess |p_d| - cut plus its allowance
-    # (which the sum rounds)
     face = rng.standard_normal((4000, b.dimension))
     face[:, :-1] *= (math.sqrt(1.0 - h * h) * rng.uniform(0.0, 1.0, (4000, 1))
                      / np.linalg.norm(face[:, :-1] / b.axes[:-1], axis=1, keepdims=True))
     face[:, -1] = np.sign(face[:, -1]) * (h + 10.0 ** rng.uniform(-12.0, -2.0, 4000)) * b.axes[-1]
     face = face[np.sum((face / b.axes) ** 2, axis=1) < 1.0]
     assert face.shape[0] > 2000
-    up, sd = b.distance_upper(face), b.signed_distance(face)
-    assert np.all(sd > 0) and np.all(up >= sd)
-    allowance = 8 * np.finfo(float).eps * (np.linalg.norm(face, axis=1) + b.bounding_box()[1].min())
-    assert np.all(up - sd <= 2 * allowance)
+    sd = b.signed_distance(face)
+    assert np.all(sd > 0) and np.array_equal(sd, np.abs(face[:, -1]) - h * b.axes[-1])
+    assert np.array_equal(b.distance_lower(face), sd)
 
 
 def test_slab_body_dispatch_through_geometry():
