@@ -519,24 +519,28 @@ def test_polytope_distance_lower_bound_valid():
     pts = np.random.default_rng(1).uniform(-2, 2, size=(300, 3))
     lb = geo.boundary_distance_lower(cube, pts)
     assert np.all(lb <= np.abs(geo.signed_distance(cube, pts)) + 1e-12)
-    # near the vertices, edges and facets, at three scales: the lower bound is
-    # the exact kernel's value inside and, outside, where the nearest point
-    # lies inside a facet; elsewhere it is below it, to 2 ulp x (|p| + the
-    # polytope's size)
-    for make in (lambda: Polytope(cube_vertices(2)), _heptagon,
-                 lambda: Polytope(cube_vertices(3)), _random_hull_3d):
-        for scale in (1e-8, 1.0, 1e8):
-            poly = geo.scale(make(), scale)
-            P = _near_features(poly, np.random.default_rng(13), 6000)
-            sd = geo.signed_distance(poly, P)
-            lb = poly.distance_lower(P)
-            out = sd > 0
-            assert np.array_equal(lb[~out], sd[~out]) and np.array_equal(lb < 0, sd < 0)
-            assert 1000 < (~out).sum() < 5000
-            allowance = 2 * np.finfo(float).eps * (np.linalg.norm(P, axis=1)
-                                                    + np.abs(poly.vertices).max())
-            assert np.all(np.abs(lb) <= np.abs(sd) + allowance)
-            assert (lb[out] == sd[out]).mean() > 0.3
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("make", [lambda: Polytope(cube_vertices(2)), _heptagon,
+                                  lambda: Polytope(cube_vertices(3)), _random_hull_3d],
+                         ids=["square", "heptagon", "cube", "random12"])
+def test_polytope_distance_upper_is_valid(make, scale):
+    # a body has no upper bound: walkers are absorbed on the lower bound
+    # alone, so near the vertices, edges and facets it must be the exact
+    # kernel's value inside and, outside, where the nearest point lies inside
+    # a facet; elsewhere it is below it, to 2 ulp x (|p| + the polytope's size)
+    poly = geo.scale(make(), scale)
+    assert not hasattr(poly, "distance_upper")
+    P = _near_features(poly, np.random.default_rng(13), 6000)
+    sd = geo.signed_distance(poly, P)
+    lb = poly.distance_lower(P)
+    out = sd > 0
+    assert np.array_equal(lb[~out], sd[~out]) and np.array_equal(lb < 0, sd < 0)
+    assert 1000 < (~out).sum() < 5000
+    allowance = 2 * np.finfo(float).eps * (np.linalg.norm(P, axis=1) + np.abs(poly.vertices).max())
+    assert np.all(np.abs(lb) <= np.abs(sd) + allowance)
+    assert (lb[out] == sd[out]).mean() > 0.3
 
 
 @pytest.mark.parametrize("poly", [Polytope(cube_vertices(3)), _random_hull_3d(), _heptagon()],
