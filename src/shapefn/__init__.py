@@ -55,7 +55,6 @@ from .bounds import (
 )
 from .search import (
     Family,
-    IntervalValue,
     SearchResult,
     SlabBody,
     build_ball_union,

@@ -125,6 +125,9 @@ def cmd_verify(args):
     skipped = summary.pop("skipped")
     for body_id, why in skipped.items():
         sys.stderr.write(f"skipped {body_id}.json: {why}\n")
+    if len(skipped) == len(bodies):
+        sys.stderr.write("no usable bodies in corpus\n")
+        return EXIT_VALIDATION
     _write_csv(args.out_csv,
                ["theorem", "body_id", "lhs", "rhs", "slack", "stderr", "status"],
                [[f"{r.theorem}({r.inequality})", r.body_id, r.lhs, r.rhs,

@@ -100,6 +100,17 @@ class Estimate:
     standard_error: float
     backend: str
     extra: dict = field(default_factory=dict)
+    ends: tuple | None = None  # exact or certified: (lower, upper) holds value; stderr 0
+
+    def __post_init__(self):
+        check_ends(self.value, self.ends)
+
+
+def check_ends(value, ends):
+    """ends, checked to be None or (lower, upper) with lower <= value <= upper."""
+    if ends and (ends[0] > value or value > ends[1]):
+        raise ValidationError(f"empty interval: ends {ends} do not enclose {value}")
+    return ends
 
 
 def _stream(seed, sub):

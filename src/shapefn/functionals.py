@@ -11,7 +11,7 @@ from typing import Callable, NamedTuple
 from . import estimators, geometry
 from . import exact_ellipsoid as exact
 from .errors import ValidationError
-from .estimators import Estimate
+from .estimators import Estimate, check_ends
 
 
 class Kind(NamedTuple):
@@ -57,8 +57,9 @@ class FunctionalId:
         return d == 2 if KINDS[self.kind].planar else d >= 3
 
     def exponents(self, d):
-        """(torsion power, volume power, perimeter power); capacity power 1."""
-        return KINDS[self.kind].exponents(d, self.alpha)
+        """The power of each component k in f = T^pT cap / (V^pV P^pP)."""
+        pT, pV, pP = KINDS[self.kind].exponents(d, self.alpha)
+        return {"T": pT, "cap": 1.0, "V": pV, "P": pP}
 
     def ball_value(self, d):
         return KINDS[self.kind].ball_value(d, self.alpha)
@@ -79,8 +80,7 @@ class Evaluation:
 
     def to_dict(self):
         return {"functional": self.functional.name, "value": self.value,
-                "stderr": self.stderr,
-                "bracket": [self.bracket[0], self.bracket[1]],
+                "stderr": self.stderr, "bracket": list(self.bracket),
                 "components": {k: _component_dict(c) for k, c in self.components.items()}}
 
 
@@ -94,7 +94,7 @@ def _component_dict(c):
 
 
 def _exact(value):
-    return Estimate(value, 0.0, "exact")
+    return Estimate(value, 0.0, "exact", ends=(value, value))
 
 
 @contextmanager
@@ -136,28 +136,31 @@ def compute_components(body, cfg=None, need=("T", "cap", "V", "P")):
     return comp
 
 
+def _f(powers, x):
+    """T^pT cap / (V^pV P^pP) from x[k] of each component k it uses."""
+    value = x["T"] ** powers["T"] * x["cap"]
+    for k in ("V", "P"):
+        if powers[k]:
+            value /= x[k] ** powers[k]
+    return value
+
+
 def assemble(f, components, d):
-    """Combine components into an Evaluation of functional f."""
-    pT, pV, pP = f.exponents(d)
-    T = components["T"]
-    cap = components["cap"]
+    """Combine components into an Evaluation of functional f, whose bracket
+    is f at their ends if all it uses have ends, else value +- 3 s.e."""
+    powers = f.exponents(d)
+    used = {k: components[k] for k, p in powers.items() if p}
     with _named(f.name):
-        value = T.value ** pT * cap.value
-        rel2 = (pT * T.standard_error / T.value) ** 2 if T.standard_error else 0.0
-        if cap.value:
-            rel2 += (cap.standard_error / cap.value) ** 2 if cap.standard_error else 0.0
-        if pV:
-            value /= components["V"].value ** pV
-        if pP:
-            value /= components["P"].value ** pP
+        value = _f(powers, {k: c.value for k, c in used.items()})
+        if all(c.ends for c in used.values()):
+            # f grows with T and cap and falls as V and P grow
+            lower = _f(powers, {k: c.ends[k in ("V", "P")] for k, c in used.items()})
+            upper = _f(powers, {k: c.ends[k not in ("V", "P")] for k, c in used.items()})
+            return Evaluation(f, value, 0.0, check_ends(value, (lower, upper)), used)
+        rel2 = sum((powers[k] * c.standard_error / c.value) ** 2
+                   for k, c in used.items() if c.standard_error and c.value)
     stderr = value * math.sqrt(rel2)
-    bracket = (value - 3.0 * stderr, value + 3.0 * stderr)
-    return Evaluation(f, value, stderr, bracket, {k: components[k] for k in _needed(pV, pP)})
-
-
-def _needed(pV, pP):
-    """The components a functional with these volume and perimeter powers uses."""
-    return ("T", "cap") + ("V",) * bool(pV) + ("P",) * bool(pP)
+    return Evaluation(f, value, stderr, (value - 3.0 * stderr, value + 3.0 * stderr), used)
 
 
 def evaluate(f, body, cfg=None):
@@ -165,6 +168,6 @@ def evaluate(f, body, cfg=None):
     d = body.dimension
     if not f.dimension_ok(d):
         raise ValidationError(f"{f.name} is not defined in dimension {d}")
-    _, pV, pP = f.exponents(d)
-    return assemble(f, compute_components(body, cfg, need=_needed(pV, pP)), d)
+    need = [k for k, p in f.exponents(d).items() if p]
+    return assemble(f, compute_components(body, cfg, need=need), d)
 

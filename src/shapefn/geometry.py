@@ -551,14 +551,17 @@ class Polytope(Body):
         V = self.vertices
         D = np.linalg.norm(V[:, None, :] - V[None, :, :], axis=-1)
         diam = float(D.max())
-        # inscribed-ball LP: maximize r subject to n.x + r <= offset
+        # inscribed-ball LP: maximize r subject to n.x + r <= offset, solved
+        # at unit scale (offsets times 2^-e, exactly), as HiGHS takes
+        # |offset| >= 1e20 for infinite and drops tiny coefficients
         d = self.dimension
+        e = math.frexp(float(np.abs(self.offsets).max()))[1]
         A = np.hstack([self.normals, np.ones((self.normals.shape[0], 1))])
-        res = linprog(c=np.r_[np.zeros(d), -1.0], A_ub=A, b_ub=self.offsets,
+        res = linprog(c=np.r_[np.zeros(d), -1.0], A_ub=A, b_ub=np.ldexp(self.offsets, -e),
                       bounds=[(None, None)] * d + [(0, None)], method="highs")
         if not res.success:
             raise InternalConsistencyError("inradius LP failed: " + res.message)
-        return diam, float(res.x[-1])
+        return diam, math.ldexp(float(res.x[-1]), e)
 
     def scaled(self, t):
         return Polytope(self.vertices * t)

@@ -1,6 +1,6 @@
 """Derivative-free maximization of the shape functionals over parametric
 families, the volume-constrained slab-cut family, and the divergent
-union-of-balls sequence with certified G intervals."""
+union-of-balls sequence with G brackets."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from . import exact_ellipsoid as exact
 from . import geometry
 from .bounds import critical_epsilon, ratio_bound
 from .errors import InternalConsistencyError, ShapeFnError, ValidationError
-from .functionals import evaluate
+from .functionals import Estimate, Evaluation, FunctionalId, _exact, assemble, evaluate
 from .geometry import (BallUnion, Capsule, Ellipsoid, Polytope, SlabBody,
                        slab_volume_fraction)
 
@@ -185,29 +185,16 @@ def maximize_constrained(f, d, epsilon, cfg=None, restarts=8, seed=0,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class IntervalValue:
-    lower: float
-    upper: float
-
-    def __post_init__(self):
-        if self.lower > self.upper:
-            raise ValidationError("empty interval")
-
-
-@dataclass(frozen=True)
 class CounterexampleRow:
     k: int
-    g: IntervalValue
-    volume: float
-    torsion: float
-    cap: IntervalValue
+    g: Evaluation  # G of the union, from its exact T and V and its capacity bracket
     separation: float
 
     def to_dict(self):
-        return {"k": self.k, "G_lower": self.g.lower, "G_upper": self.g.upper,
-                "volume": self.volume, "torsion": self.torsion,
-                "cap_lower": self.cap.lower, "cap_upper": self.cap.upper,
-                "separation": self.separation}
+        c = self.g.components
+        return {"k": self.k, "G_lower": self.g.bracket[0], "G_upper": self.g.bracket[1],
+                "volume": c["V"].value, "torsion": c["T"].value, "cap_lower": c["cap"].ends[0],
+                "cap_upper": c["cap"].ends[1], "separation": self.separation}
 
 
 def _validate_beta(d, beta):
@@ -219,12 +206,12 @@ def _validate_beta(d, beta):
 
 
 def counterexample_sequence(d, beta, k_list):
-    """Certified G intervals for unions of k disjoint balls with radii
-    j^-beta placed on a line with center spacing S = k^3 sum(radii).
-
-    Volume and torsion are exact sums; capacity is bracketed between the
-    subadditive upper bound and a trial-measure lower bound whose
-    interaction defect delta = (k-1) (1/(S-1))^{d-2} is explicit."""
+    """G brackets for unions of k disjoint balls with radii j^-beta placed
+    on a line with center spacing S = k^3 sum(radii). Volume and torsion
+    are exact sums. Capacity lies between its value, the subadditive bound,
+    and that over 1 + delta, a trial-measure bound with the interaction
+    defect delta = (k-1) (1/(S-1))^{d-2}. This bracket is certified, but its
+    float64 evaluation is not rounded outward: an end may be off by ulps."""
     _validate_beta(d, beta)
     ks = sorted({int(k) for k in k_list})
     if ks[0] < 1:
@@ -245,11 +232,10 @@ def counterexample_sequence(d, beta, k_list):
         delta = 0.0 if k == 1 else (k - 1) * (1.0 / (S - 1.0)) ** (d - 2)
         if delta >= 1.0:
             raise ValidationError("separation too small to certify capacity")
-        vol = om * s_vol
-        tor = tau * s_tor
-        cap = IntervalValue(kap * s_cap / (1.0 + delta), kap * s_cap)
-        g = IntervalValue(tor * cap.lower / vol ** 2, tor * cap.upper / vol ** 2)
-        rows.append(CounterexampleRow(k, g, vol, tor, cap, S))
+        cap = kap * s_cap
+        comp = {"T": _exact(tau * s_tor), "V": _exact(om * s_vol),
+                "cap": Estimate(cap, 0.0, "bracket", ends=(cap / (1.0 + delta), cap))}
+        rows.append(CounterexampleRow(k, assemble(FunctionalId("G"), comp, d), S))
     return rows
 
 

@@ -177,7 +177,7 @@ def test_criterion_07_counterexample_divergence():
                       "crosses d^{2d} G(B_1)", 60.0):
         ks = [2 ** i for i in range(24)]
         rows = counterexample_sequence(3, 0.5, ks)
-        lowers = np.array([r.g.lower for r in rows])
+        lowers = np.array([r.g.bracket[0] for r in rows])
         assert np.all(np.diff(lowers) > 0)
         slope = np.polyfit(np.log([r.k for r in rows[-8:]]),
                            np.log(lowers[-8:]), 1)[0]
@@ -185,7 +185,7 @@ def test_criterion_07_counterexample_divergence():
         threshold = 3.0 ** 6 * ex.g_ball(3)
         assert threshold == pytest.approx(145.8)
         assert lowers[-1] > threshold, "no crossing by k = 2^23"
-        crossing = next(r.k for r in rows if r.g.lower > threshold)
+        crossing = next(r.k for r in rows if r.g.bracket[0] > threshold)
         assert crossing <= 2 ** 23
 
 

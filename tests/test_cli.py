@@ -23,6 +23,8 @@ from shapefn.cli import (
 )
 from shapefn.errors import InternalConsistencyError, StuckWalkError, ValidationError
 
+from helpers import cube_vertices
+
 
 def write_body(path, doc):
     path.write_text(json.dumps(doc))
@@ -177,6 +179,26 @@ def test_compute_on_a_body_without_interior_is_a_validation_error(doc, functiona
                           capture_output=True, text=True, env=env, timeout=30)
     assert done.returncode == EXIT_VALIDATION
     assert "interior" in done.stderr
+
+
+@pytest.mark.parametrize("half_width", [2.0 ** 100, 2.0 ** -100, 1e30, 1e-30],
+                         ids=["2^100", "2^-100", "1e30", "1e-30"])
+@pytest.mark.parametrize("d, functional", [(3, "G"), (2, "H")], ids=["cube", "square"])
+def test_compute_on_a_cube_is_the_same_at_every_scale(d, functional, half_width, tmp_path,
+                                                      capsys):
+    # the inradius LP is solved at unit scale: HiGHS would read offsets of
+    # 1e20 and more as infinite, and drop those of 1e-15 and less
+    def compute(t):
+        cube = write_body(tmp_path / "cube.json", {"kind": "polytope",
+                                                   "vertices": (t * cube_vertices(d)).tolist()})
+        code, out, err = run(["compute", cube, "--functional", functional,
+                              "--walks", "2000", "--seed", "3"], capsys)
+        assert code == EXIT_OK, err
+        return json.loads(out)["evaluation"]
+
+    unit, scaled = compute(1.0), compute(half_width)
+    assert scaled["value"] == pytest.approx(unit["value"], rel=1e-12)
+    assert scaled["stderr"] == pytest.approx(unit["stderr"], rel=1e-12)
 
 
 def test_compute_alpha_functional(ball3, capsys):
@@ -413,6 +435,22 @@ def test_verify_empty_corpus(tmp_path, capsys):
     assert "no usable bodies" in err
 
 
+def test_verify_corpus_whose_every_body_is_skipped(tmp_path, capsys):
+    # it fails as the empty corpus does, after naming the skipped bodies
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    write_body(corpus / "huge.json", {"kind": "ball", "radius": 1e308, "center": [0, 0, 0]})
+    code, out, err = run(["verify", str(corpus),
+                          "--out-csv", str(tmp_path / "l.csv"),
+                          "--out-json", str(tmp_path / "l.json")], capsys)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert err.splitlines() == [
+        "skipped huge.json: torsional rigidity: overflow encountered in reduce",
+        "no usable bodies in corpus"]
+    assert not (tmp_path / "l.csv").exists() and not (tmp_path / "l.json").exists()
+
+
 def test_verify_missing_dir(capsys):
     code, _, _ = run(["verify", "/no/such/dir"], capsys)
     assert code == EXIT_VALIDATION
@@ -535,6 +573,24 @@ def test_counterexample_table(capsys, tmp_path):
     # round-trippable 17-digit floats in the CSV
     first = lines[1].split(",")
     assert float(first[1]) == doc["table"][0]["G_lower"]
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("dim, beta, kmax", [(3, 0.5, 8), (3, 0.5, 2 ** 22),
+                                             (4, 0.4, 10 ** 5), (5, 0.3, 5000)])
+def test_counterexample_repeats_its_pinned_table(dim, beta, kmax, capsys, tmp_path,
+                                                 monkeypatch):
+    # the JSON and the CSV, byte for byte as pinned in tests/data; the CSV is
+    # written in the working directory so that the manifest names it alike
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(["counterexample", "--dim", str(dim), "--beta", str(beta),
+                        "--kmax", str(kmax), "--out-csv", "table.csv"], capsys)
+    assert code == EXIT_OK
+    stem = f"counterexample_d{dim}_beta{beta}_kmax{kmax}"
+    assert out == (DATA / f"{stem}.json").read_text()
+    assert (tmp_path / "table.csv").read_bytes() == (DATA / f"{stem}.csv").read_bytes()
 
 
 def test_counterexample_bad_beta(capsys):

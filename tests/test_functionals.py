@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -6,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from shapefn import exact_ellipsoid as ex
 from shapefn.errors import ValidationError
-from shapefn.estimators import EstimatorConfig, wos_capacity, wos_torsion
-from shapefn.functionals import FunctionalId, evaluate, parse_functional
+from shapefn.estimators import Estimate, EstimatorConfig, wos_capacity, wos_torsion
+from shapefn.functionals import FunctionalId, _exact, assemble, evaluate, parse_functional
 from shapefn.geometry import Ball, Ellipsoid, Polytope
 
 from helpers import cube_vertices
@@ -101,6 +102,54 @@ def test_components_and_bracket_exact():
     assert set(ev.components) == {"T", "cap", "V"}
     assert all(c.backend == "exact" for c in ev.components.values())
     assert ev.bracket == (ev.value, ev.value)
+
+
+@pytest.mark.parametrize("f, axes", [
+    (FunctionalId("G"), [2.0, 1.0, 0.5]),
+    (FunctionalId("H"), [2.0, 0.7]),
+    (FunctionalId("G_alpha", 1.0), [2.0, 1.0, 0.5]),
+    (FunctionalId("H_alpha", 0.5), [2.0, 0.7]),
+], ids=["G", "H", "G_alpha", "H_alpha"])
+def test_exact_bracket_is_the_value_bit_for_bit(f, axes):
+    # every exact component has ends (v, v), so f at the ends repeats the
+    # value's own arithmetic
+    ev = evaluate(f, Ellipsoid(np.array(axes)))
+    assert all(c.ends == (c.value, c.value) for c in ev.components.values())
+    assert ev.stderr == 0.0
+    assert [x.hex() for x in ev.bracket] == [ev.value.hex()] * 2
+
+
+@pytest.mark.parametrize("f, d", [(FunctionalId("G_alpha", 1.0), 3),
+                                  (FunctionalId("H_alpha", 0.5), 2)],
+                         ids=["G_alpha", "H_alpha"])
+@pytest.mark.parametrize("name", ["T", "cap", "V", "P"])
+def test_certified_component_ends_enter_the_bracket(f, d, name):
+    # f grows with T and cap and falls as V and P grow: the lower end takes a
+    # bracketed V's or P's upper end, and T's or cap's lower end
+    values = {"T": 0.3, "cap": 5.0, "V": 4.0, "P": 12.0}
+    v = values[name]
+    comp = {k: _exact(x) for k, x in values.items()}
+    ev = assemble(f, dict(comp, **{name: Estimate(v, 0.0, "bracket", ends=(0.9 * v, 1.1 * v))}), d)
+    at_lower_end = assemble(f, dict(comp, **{name: _exact(0.9 * v)}), d).value
+    at_upper_end = assemble(f, dict(comp, **{name: _exact(1.1 * v)}), d).value
+    if name in ("V", "P"):
+        assert ev.bracket == (at_upper_end, at_lower_end)
+    else:
+        assert ev.bracket == (at_lower_end, at_upper_end)
+    assert ev.bracket[0] < ev.value < ev.bracket[1]
+    assert ev.stderr == 0.0
+
+
+@pytest.mark.parametrize("ends", [(1.1, 0.9), (1.1, 1.2), (0.8, 0.9)],
+                         ids=["inverted", "above", "below"])
+def test_ends_that_do_not_enclose_the_value_raise(ends):
+    with pytest.raises(ValidationError, match="empty interval"):
+        Estimate(1.0, 0.0, "bracket", ends=ends)
+    # a component that skipped that check: assemble checks its own bracket
+    T = SimpleNamespace(value=1.0, standard_error=0.0, ends=ends)
+    with pytest.raises(ValidationError, match="empty interval"):
+        assemble(FunctionalId("G"), {"T": T, "cap": _exact(5.0), "V": _exact(4.0)}, 3)
+    assert Estimate(1.0, 0.0, "bracket", ends=(1.0, 1.0)).ends == (1.0, 1.0)
 
 
 def test_components_skips_unused_perimeter():

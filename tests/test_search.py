@@ -310,20 +310,21 @@ def test_search_result_to_dict():
 def test_counterexample_k1_is_exact_ball():
     rows = counterexample_sequence(3, 0.9, [1])
     r = rows[0]
-    assert r.g.lower == pytest.approx(0.2, rel=1e-12)
-    assert r.g.upper == pytest.approx(0.2, rel=1e-12)
-    assert r.volume == pytest.approx(4 * math.pi / 3, rel=1e-12)
-    assert r.cap.lower == r.cap.upper == pytest.approx(4 * math.pi, rel=1e-12)
+    assert r.g.bracket[0] == pytest.approx(0.2, rel=1e-12)
+    assert r.g.bracket[1] == pytest.approx(0.2, rel=1e-12)
+    assert r.g.components["V"].value == pytest.approx(4 * math.pi / 3, rel=1e-12)
+    cap = r.g.components["cap"]
+    assert cap.ends[0] == cap.ends[1] == pytest.approx(4 * math.pi, rel=1e-12)
 
 
 def test_counterexample_monotone_divergence():
     ks = [2 ** i for i in range(0, 13)]
     rows = counterexample_sequence(3, 0.5, ks)
-    lowers = [r.g.lower for r in rows]
+    lowers = [r.g.bracket[0] for r in rows]
     assert all(b > a for a, b in zip(lowers, lowers[1:]))
     # G interval is certified: lower <= upper, relative gap at most
     # delta = (k-1)/(S-1)^(d-2) and shrinking as the separation grows
-    gaps = [(r.g.upper - r.g.lower) / r.g.upper for r in rows]
+    gaps = [(r.g.bracket[1] - r.g.bracket[0]) / r.g.bracket[1] for r in rows]
     assert all(0 <= g < 0.1 for g in gaps)
     assert all(b < a for a, b in zip(gaps[1:], gaps[2:]))
     # asymptotic log-log slope 1 - beta (d-2) = 0.5 for d=3, beta=0.5:
@@ -357,7 +358,7 @@ def test_build_ball_union_matches_sequence_terms():
     assert isinstance(u, BallUnion)
     assert u.radii == pytest.approx(np.arange(1.0, 6.0) ** -beta)
     row = counterexample_sequence(3, beta, [k])[0]
-    assert u.measure() == pytest.approx(row.volume, rel=1e-12)
+    assert u.measure() == pytest.approx(row.g.components["V"].value, rel=1e-12)
     # centers spaced by the separation used in the certificate
     assert np.diff(u.centers[:, 0]) == pytest.approx(row.separation)
 
@@ -368,5 +369,5 @@ def test_build_ball_union_walks_estimate_inside_interval():
     from shapefn.estimators import wos_torsion
     e = wos_torsion(u, EstimatorConfig(walk_count=5000, seed=0))
     row = counterexample_sequence(3, 0.9, [2])[0]
-    assert abs(e.value - row.torsion) < max(4 * e.standard_error,
-                                            0.05 * row.torsion)
+    torsion = row.g.components["T"].value
+    assert abs(e.value - torsion) < max(4 * e.standard_error, 0.05 * torsion)
