@@ -9,20 +9,21 @@ estimators share; each wave draws its starts and steps from the call's
 stream after the wave before it. So results are bit-identical for a fixed
 body, seed and walk_count. The loop carries a state per walker, its value
 first, and takes its step as its one variation: the walk-on-spheres step
-to a shell or, outside a polytope, the jump to where Brownian motion first
-hits the plane of the most violated facet, at excess h; that point follows
-the half-space Poisson kernel, a (d-1)-dimensional Cauchy law of scale h,
-so the jump is exact and needs no shell. A sphere step's radius is the
-body's lower bound on the boundary distance, and a walker is absorbed where
-that is below the shell width, so no walk asks for the exact distance. The
-loop hands each step to the estimator. Torsion keeps a value and a weight
-m: a step of radius R adds m R^2/(2d) to the value, and once the steps are
-short, Russian roulette ends walkers or raises their weight without bias.
-Capacity's value is its weight, to which it applies the far field. Capacity
-walks launch from the equilibrium measure of an ellipsoid E that encloses
-the body and are scaled by cap(E); walkers that escape re-enter a sphere
-about E from the exact exterior harmonic measure, so no extrapolation
-across radii is needed.
+or, outside a polytope, an ellipsoid or a slab body, the jump to where
+Brownian motion first hits a plane that separates it from the body, at
+excess h; that point follows the half-space Poisson kernel, a
+(d-1)-dimensional Cauchy law of scale h, so the jump is exact. A sphere
+step's radius, like h, is a lower bound on the boundary distance, and a
+walker is absorbed where that is below the shell width, or, on a polytope,
+which needs no shell, where it lands in a facet; so no walk asks for the
+exact distance. The loop hands each step to the estimator. Torsion keeps
+a value and a weight m: a step of radius R adds m R^2/(2d) to the value,
+and once the steps are short, Russian roulette ends walkers or raises their
+weight without bias. Capacity's value is its weight, to which it applies
+the far field. Capacity walks launch from the equilibrium measure of an
+ellipsoid E that encloses the body and are scaled by cap(E); walkers that
+escape re-enter a sphere about E from the exact exterior harmonic measure,
+so no extrapolation across radii is needed.
 Standard errors come from the per-walk values, so they are finite at any
 walk count.
 """
@@ -184,19 +185,34 @@ def _sphere_step(body, gen, eps):
     return step
 
 
-def _jump_step(body, gen):
-    """The exterior step on a Polytope, which needs no shell: a walker in or
-    on the body is absorbed where it stands, and every other one jumps, by
-    the exact half-space Poisson kernel, to where Brownian motion first hits
-    the plane of its most violated facet (Polytope.plane_jump). A walker
-    that lands in that facet is absorbed there; the others walk on from
-    where they landed. A jump has no radius."""
+def _jump_step(body, gen, eps):
+    """The exterior step on a kind with separating planes (Body.separating_plane):
+    a walker in or on the body is absorbed where it stands, as is, where a
+    plane may only touch a curved boundary (face None), one whose excess h
+    over its plane, a lower bound on its distance, is below eps. Every other
+    one jumps to where Brownian motion first hits its plane, which it must
+    cross to reach the body: with n the normal and g d standard normals, to
+    y = p - h n + h (g - (g.n) n) / |g.n|, the foot plus h times a
+    (d-1)-dimensional Cauchy vector (the half-space Poisson kernel), formed
+    as p + t g - (h + t g.n) n, t = h / |g.n|. A walker that lands on the
+    body (face) is absorbed there. A jump has no radius."""
     def step(pos):
-        h, j = body.plane_excess(pos)
-        live = h > 0.0
+        h, N, face = body.separating_plane(pos)
+        live = h > (0.0 if face else eps)
         if not live.all():
-            pos, h, j = pos.compress(live, axis=0), h[live], j[live]
-        landed = body.plane_jump(pos, h, j, gen.standard_normal(pos.shape))
+            pos, h, N = pos.compress(live, axis=0), h[live], N.compress(live, axis=0)
+        G = gen.standard_normal(pos.shape)
+        gn = _rowsum(G * N)
+        t = h / np.abs(gn)
+        G *= t[:, None]
+        gn *= t
+        gn += h
+        N *= gn[:, None]
+        pos += G
+        pos -= N
+        if face is None:
+            return pos, None, live
+        landed = face(pos, live)
         live[live] = ~landed
         return pos.compress(~landed, axis=0), None, live
 
@@ -333,8 +349,8 @@ def _reenter(x, R, gen, diag):
 def wos_capacity(body, cfg=None):
     """Newtonian capacity cap(E) P(hit) by exterior walks, launched from the
     body's enclosing ellipsoid E = c + S B, S = O diag(a) O^T: walk-on-spheres
-    to a shell or, outside a polytope, exact jumps from facet plane to facet
-    plane (_jump_step), which need no shell.
+    to a shell or, on a kind with separating planes (a polytope, an ellipsoid
+    or a slab body), exact jumps from plane to plane (_jump_step).
 
     By Newton's homoeoid theorem E's equilibrium measure is the image of the
     uniform measure on the unit sphere, so a walk starts at c + S u for a
@@ -358,8 +374,8 @@ def wos_capacity(body, cfg=None):
     R = max(2.0 * rb, float(np.linalg.norm(E.center - center)) + float(a.max()))
     gen = _stream(cfg.seed, 1)
     diag = dict.fromkeys(_WALK_COUNTERS + ("reentries", "reentry_proposals"), 0)
-    step = (_jump_step(body, gen) if isinstance(body, Polytope)
-            else _sphere_step(body, gen, _SHELL * _walk_length(body)))
+    step = (_jump_step if body.separating_plane else _sphere_step)(
+        body, gen, _SHELL * _walk_length(body))
 
     def moved(pos, w, r):
         """A walker that steps or jumps out to radius rho > R keeps the

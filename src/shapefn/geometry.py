@@ -4,9 +4,10 @@ Each body kind is one immutable class derived from ``Body`` that holds all of
 its geometry: measure, perimeter, signed distance (negative inside), a cheap
 signed lower bound on it, whose sign is membership and on which walks are
 absorbed, bounding ball and box, diameter/inradius, homothety, JSON form, the
-outer John ellipsoid and the enclosing ellipsoid that capacity walks launch from. The kinds are
-balls, ellipsoids, ellipsoids cut by a slab, polytopes, capsules and unions
-of disjoint balls. The methods are the API.
+outer John ellipsoid, the enclosing ellipsoid that capacity walks launch from
+and, on ellipsoids, slab bodies and polytopes, the separating planes that
+they jump to. The kinds are balls, ellipsoids, ellipsoids cut by a slab,
+polytopes, capsules and unions of disjoint balls. The methods are the API.
 A module function remains only where it does more than call one:
 
 - ``signed_distance``, ``scale`` and ``body_from_dict`` validate outside
@@ -167,6 +168,15 @@ class Body:
         """Outer John (Loewner) ellipsoid."""
         raise self._unsupported("John ellipsoid")
 
+    # separating_plane(P) -> (h, N, face) on the convex kinds whose capacity
+    # walks jump: each point's excess h over a plane that separates it from
+    # the body, positive exactly outside, and the plane's outward unit normal.
+    # face(Y, rows) tells which landings Y of P[rows] on their planes lie on
+    # the body, where each plane holds a face; None where a plane may only
+    # touch a curved boundary, which walkers close in on to a shell. None on
+    # the kinds whose walks step on spheres.
+    separating_plane = None
+
     def enclosing_ellipsoid(self):
         """An ellipsoid containing the body, from which capacity walks
         launch: the sphere of radius 2 r_b about the bounding ball's centre
@@ -282,6 +292,21 @@ class Ellipsoid(Body):
     def distance_lower(self, P):
         return _distance_lower(self._bounds, self._local(P))
 
+    def separating_plane(self, P):
+        """The tangent plane at the radial point x/g, g = |x/a|, x a point in
+        the frame of the axes: its normal is x/a^2 over X = |x/a^2| and x's
+        excess over it g (g - 1) / X, which is 0 at the centre. It touches
+        the body at one point (face None)."""
+        Q = self._local(P)
+        a = self.semi_axes
+        g = _norms(Q / a)
+        N = Q / (a * a)
+        X = np.maximum(_norms(N), np.finfo(float).tiny)
+        N /= X[:, None]
+        if self.orientation is not None:
+            N = _matmul(N, self.orientation.T)
+        return g * (g - 1.0) / X, N, None
+
     def bounding_ball(self):
         return self.center.copy(), float(self.semi_axes.max())
 
@@ -344,6 +369,19 @@ class SlabBody(Body):
 
     def distance_lower(self, P):
         return _distance_lower(self._bounds, P)
+
+    def separating_plane(self, P):
+        """The ellipsoid's tangent plane or the cut plane |x_d| = h a_d,
+        whichever x exceeds more. A landing on the cut plane with |y/a| <= 1
+        lies on the flat face; a walk's shell absorbs it, as it does a
+        walker that closes in on the curved part (face None)."""
+        h, N, _ = self.ellipsoid.separating_plane(P)
+        cut = np.abs(P[:, -1]) - self._bounds[-1]
+        flat = (cut > h).nonzero()[0]
+        h[flat] = cut[flat]
+        N[flat] = 0.0
+        N[flat, -1] = np.sign(P[flat, -1])
+        return h, N, None
 
     def bounding_ball(self):
         return np.zeros(self.dimension), float(self.axes.max())
@@ -432,14 +470,18 @@ class Polytope(Body):
     def boundary_pieces(self):
         """(W, off, S, D) for the edge distance, built on first use.
 
-        S + t D (k, d) are the hull's edges: in 3-D the unique sides of
-        Qhull's triangles, the diagonals that split a facet among them; in
-        2-D the sides themselves. p @ W - off holds each one's t for p's
-        projection onto its line.
+        S + t D (k, d) are the hull's edges: in 3-D the sides of Qhull's
+        triangles whose two triangles lie on different planes, not the
+        diagonals that split a facet among them; in 2-D the sides
+        themselves. p @ W - off holds each one's t for p's projection onto
+        its line.
         """
-        X, simp = self.hull().points, self.hull().simplices
-        if self.dimension == 3:
-            simp = np.concatenate([simp[:, [0, 1]], simp[:, [1, 2]], simp[:, [0, 2]]])
+        hull = self.hull()
+        X, simp = hull.points, hull.simplices
+        if self.dimension == 3:  # side k is opposite vertex k, next to neighbors[:, k]
+            crease = (hull.equations[hull.neighbors] != hull.equations[:, None]).any(axis=2)
+            simp = np.concatenate([simp[:, [1, 2]][crease[:, 0]], simp[:, [0, 2]][crease[:, 1]],
+                                   simp[:, [0, 1]][crease[:, 2]]])
         edges = np.unique(np.sort(simp, axis=1), axis=0)
         S = X[edges[:, 0]]
         D = X[edges[:, 1]] - S
@@ -478,38 +520,15 @@ class Polytope(Body):
             X -= self.offsets[:, None]
             yield slice(lo, lo + step), X
 
-    def plane_excess(self, P):
-        """(h, j): each point's largest plane excess, distance_lower bit for
-        bit, and the facet j that it violates most."""
+    def separating_plane(self, P):
+        """The plane of each point's most violated facet j: its excess h,
+        distance_lower bit for bit, and its normal. A landing on it lies on
+        the body where it lies in facet j (face, _in_facet)."""
         h, j = np.empty(P.shape[0]), np.empty(P.shape[0], dtype=np.intp)
         for rows, X in self._excess_blocks(P):
             X.argmax(axis=0, out=j[rows])
             h[rows] = X[j[rows], np.arange(X.shape[1])]
-        return h, j
-
-    def plane_jump(self, P, h, j, G):
-        """Moves each point p of P, outside the body at excess h > 0 over its
-        most violated facet j, in place to where Brownian motion from p
-        first hits the plane of that facet, and returns whether it landed
-        in the facet, that is on the body (_in_facet). The plane separates p
-        from the body, so the path meets the body nowhere before it.
-
-        With g the row of G, d standard normals, the point is
-        y = p - h n_j + h (g - (g . n_j) n_j) / |g . n_j|: the foot of the
-        perpendicular plus h times a (d-1)-dimensional Cauchy vector, whose
-        law is the half-space's Poisson kernel, h / |y - p|^d up to a
-        constant. It is formed as p + t g - (h + t g . n_j) n_j with
-        t = h / |g . n_j|, overwriting G."""
-        N = self.normals[j]
-        gn = _rowsum(G * N)
-        t = h / np.abs(gn)
-        G *= t[:, None]
-        gn *= t
-        gn += h
-        N *= gn[:, None]
-        P += G
-        P -= N
-        return self._in_facet(P, j)
+        return h, self.normals[j], lambda Y, rows: self._in_facet(Y, j[rows])
 
     def _in_facet(self, P, j):
         """Whether each point p of P, on the plane of its facet j, lies in
@@ -527,11 +546,11 @@ class Polytope(Body):
         inside a facet i: every other facet's excess is below e_i there, so
         j = i and the foot is that point. Elsewhere the nearest point lies on
         an edge (in 2-D, a vertex)."""
-        sd, j = self.plane_excess(P)
+        sd, N, face = self.separating_plane(P)
         out = np.flatnonzero(sd > 0)
         if out.size:
-            Q, j = P.take(out, axis=0), j[out]
-            off = ~self._in_facet(Q - sd[out][:, None] * self.normals[j], j)
+            Q = P.take(out, axis=0)
+            off = ~face(Q - sd[out][:, None] * N[out], out)
             sd[out[off]] = _edge_distance(self, Q.compress(off, axis=0))
         return sd
 

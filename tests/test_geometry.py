@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import minimize
 
+from shapefn import estimators as est
 from shapefn import exact_ellipsoid as ex
 from shapefn import geometry as geo
 from shapefn.errors import (
@@ -17,7 +18,7 @@ from shapefn.errors import (
 )
 from shapefn.geometry import Ball, BallUnion, Capsule, Ellipsoid, Polytope, SlabBody
 
-from helpers import cube_vertices
+from helpers import cube_vertices, plane_landing
 
 
 # ---------------------------------------------------------------------------
@@ -562,49 +563,75 @@ def test_polytope_plane_product_is_blocked_bit_for_bit(poly):
 @pytest.mark.parametrize("poly", [Polytope(cube_vertices(3)), _random_hull_3d()],
                          ids=["cube", "random12"])
 def test_polytope_plane_jump_is_blocked_bit_for_bit(poly):
-    # the excess and its facet are distance_lower's, and a point's jump is
-    # the same alone as in a batch that spans several blocks
+    # the excess and its plane are distance_lower's and the most violated
+    # facet's, and a point's plane and landing test are the same alone as in
+    # a batch that spans several blocks
     block = geo._PLANE_ENTRIES // poly.offsets.size
     n = 2 * block + 7
     rng = np.random.default_rng(8)
     P = 3.0 * geo._unit_vectors(rng, n, 3) * rng.uniform(1.0, 2.0, (n, 1))
     G = rng.standard_normal((n, 3))
-    h, j = poly.plane_excess(P)
+    h, N, face = poly.separating_plane(P)
     assert h.tobytes() == poly.distance_lower(P).tobytes()
-    assert np.array_equal(j, (P @ poly.normals.T - poly.offsets).argmax(axis=1))
+    j = (P @ poly.normals.T - poly.offsets).argmax(axis=1)
+    assert np.array_equal(N, poly.normals[j])
     assert np.all(h > 0)
-    Y = P.copy()
-    landed = poly.plane_jump(Y, h, j, G.copy())
+    Y = plane_landing(P, h, N, G)
+    landed = face(Y, np.arange(n))
     for i in np.r_[0:n:97, block - 1:block + 1, n - 1]:
-        y = P[i:i + 1].copy()
-        alone = poly.plane_jump(y, h[i:i + 1], j[i:i + 1], G[i:i + 1].copy())
-        assert y.tobytes() == Y[i:i + 1].tobytes() and alone[0] == landed[i]
-    assert poly.plane_jump(np.empty((0, 3)), np.empty(0), np.empty(0, dtype=np.intp),
-                           np.empty((0, 3))).shape == (0,)
+        hi, Ni, fi = poly.separating_plane(P[i:i + 1])
+        assert hi.tobytes() == h[i:i + 1].tobytes() and Ni.tobytes() == N[i:i + 1].tobytes()
+        assert fi(Y[i:i + 1], [0])[0] == landed[i]
+    h0, N0, face0 = poly.separating_plane(np.empty((0, 3)))
+    assert h0.shape == (0,) and N0.shape == (0, 3)
+    assert face0(np.empty((0, 3)), np.empty(0, dtype=np.intp)).shape == (0,)
 
 
 def test_plane_jump_follows_the_half_space_poisson_kernel():
     # from x at height h = 0.5 over the cube's top facet, the first hit of
     # its plane lies at t h from the foot, with t of CDF 1 - (1 + t^2)^(-1/2)
     # in d = 3, in a uniform direction; it lands on the body exactly where
-    # it lies in the facet, and it lies on the plane to rounding
+    # it lies in the facet, and it lies on the plane to rounding. The jump
+    # step moves the walkers that land off the facet there, bit for bit
     from scipy.stats import kstest
     cube = Polytope(cube_vertices(3))
     n = 20_000
     x = np.array([0.1, -0.2, 1.5])
     P = np.tile(x, (n, 1))
-    h, j = cube.plane_excess(P)
+    h, N, face = cube.separating_plane(P)
     top = int(np.argmax(cube.normals[:, 2]))
-    assert np.all(j == top) and np.all(h == 0.5)
-    landed = cube.plane_jump(P, h, j, np.random.default_rng(21).standard_normal((n, 3)))
-    assert np.all(np.abs(P[:, 2] - 1.0) <= 4 * np.finfo(float).eps * np.abs(P).max(axis=1))
+    assert np.all(N == cube.normals[top]) and np.all(h == 0.5)
+    gen, twin = np.random.default_rng(21), np.random.default_rng(21)
+    Y = plane_landing(P, h, N, twin.standard_normal((n, 3)))
+    landed = face(Y, np.arange(n))
+    moved, _, live = est._jump_step(cube, gen, 0.0)(P.copy())
+    assert np.array_equal(live, ~landed) and moved.tobytes() == Y[~landed].tobytes()
+    assert np.all(np.abs(Y[:, 2] - 1.0) <= 4 * np.finfo(float).eps * np.abs(Y).max(axis=1))
     foot = np.array([0.1, -0.2, 1.0])
-    t = np.linalg.norm(P - foot, axis=1) / 0.5
+    t = np.linalg.norm(Y - foot, axis=1) / 0.5
     assert kstest(t, lambda t: 1.0 - (1.0 + t * t) ** -0.5).pvalue > 0.01
-    angle = np.arctan2(P[:, 1] - foot[1], P[:, 0] - foot[0])
+    angle = np.arctan2(Y[:, 1] - foot[1], Y[:, 0] - foot[0])
     assert kstest(angle, "uniform", args=(-math.pi, 2 * math.pi)).pvalue > 0.01
-    assert np.array_equal(landed, np.all(np.abs(P[:, :2]) <= 1.0, axis=1))
+    assert np.array_equal(landed, np.all(np.abs(Y[:, :2]) <= 1.0, axis=1))
     assert 0.2 < landed.mean() < 0.8
+
+
+@pytest.mark.parametrize("vertices, edges", [
+    (cube_vertices(3), 12),
+    (geo._unit_vectors(np.random.default_rng(12), 12, 3), 30),
+], ids=["cube", "hull12"])
+def test_polytope_edges_leave_out_facet_diagonals(vertices, edges):
+    # the cube has 12 edges, not the 18 sides of Qhull's 12 triangles, and
+    # hull12's 20 triangular facets have 30; the exterior distance of points
+    # around each still matches the projection onto the hull
+    poly = Polytope(vertices)
+    assert poly.boundary_pieces[2].shape[0] == edges
+    rng = np.random.default_rng(9)
+    P = geo._unit_vectors(rng, 40, 3) * rng.uniform(1.8, 3.0, (40, 1))
+    got = geo.signed_distance(poly, P)
+    assert np.all(got > 0)
+    for p, g in zip(P, got):
+        assert g == pytest.approx(_hull_projection_distance(poly.vertices, p), rel=1e-7)
 
 
 @pytest.mark.parametrize("body", [
